@@ -8,11 +8,14 @@ subprocess so the exit-code contract is what is actually measured.
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
+import netmbt
 from netmbt.efsm import Action, ModelInstance, Transition, define_model
 from netmbt.errors import AdapterError
 from netmbt.explorer import SuiteConfig, parse_traces, pick_next, run_suite
@@ -21,10 +24,21 @@ from netmbt.rng import SeededRng, maybe
 from netmbt.simnet import LatencyModel, SimBackend
 
 
+# The children run with cwd=tmp_path, where a relative PYTHONPATH entry
+# such as "src" no longer resolves; put the directory holding the imported
+# package first, as an absolute path.
+_PACKAGE_ROOT = str(Path(netmbt.__file__).resolve().parents[1])
+
+# sha256 of `run --model server-main --backend sim --seed 42 --tests 2000`.
+SERVER_MAIN_SEED42_DIGEST = "819c97108a1698a0b74dea1f317dee4c90060ae1f5091783fe5de48e8c340f61"
+
+
 def cli(*argv, cwd=None):
+    entries = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(e for e in entries if e))
     return subprocess.run(
         [sys.executable, "-m", "netmbt", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -67,7 +81,8 @@ class TestAcceptance:
                        "--trace-out", str(path), cwd=tmp_path)
             assert proc.returncode == 0
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        check("trace-determinism", digests[0] == digests[1],
+        check("trace-determinism",
+              digests[0] == digests[1] == SERVER_MAIN_SEED42_DIGEST,
               f"sha256={digests[0][:16]}")
 
     def test_oracle_sensitivity_duplicate_bytes(self, tmp_path):

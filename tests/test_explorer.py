@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 
@@ -206,6 +207,24 @@ class TestSuites:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
         assert paths[0]  # non-empty
+        # Pinned digests guard the replay of traces recorded by older code,
+        # which a comparison of two runs of the same code cannot.  The fault
+        # runs also pin the oracle's failure messages.
+        pinned = [
+            (MINIMALIST, 2000, None, 0,
+             "0e006581b60b326bd4753c1f0bb335bade8da0b1f7633c85b866a30b556fd09a"),
+            (SERVER_MAIN, 500, FaultKind.DUPLICATE_BYTES, 156,
+             "c6bdc482741dc60696a90343b1ea7b8cbe349c7a483bf0b31b0b920a77f749df"),
+            (SERVER_MAIN, 500, FaultKind.PHANTOM_READINESS, 292,
+             "9562f1d6c45fa494f2601769210f8d22f00b40cda62cece8c0592596b6db1bd4"),
+        ]
+        for spec, tests, fault, failed, digest in pinned:
+            p = tmp_path / f"{spec.name}-{tests}.trace"
+            rep = run_suite(spec, SuiteConfig(seed=42, num_tests=tests, trace_path=str(p),
+                                              fault=FaultSpec(fault) if fault else None),
+                            MODEL_REGISTRY)
+            assert rep.failed == failed
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == digest, (spec.name, fault)
 
     def test_test_isolation_rerun_second_alone(self, tmp_path):
         # Drop test 0 entirely: rerunning test 1 from its derived seed alone
