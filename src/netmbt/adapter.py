@@ -105,10 +105,6 @@ class Selector:
         self.keys: list[SelectorKey] = []
 
 
-def _err(kind: ErrorKind, detail: str = "") -> AdapterError:
-    return AdapterError(kind, detail)
-
-
 class NetworkBackend:
     """Shared legality table; transport is delegated to _do_* hooks."""
 
@@ -128,9 +124,9 @@ class NetworkBackend:
 
     def bind(self, server: ServerChannel, port: int = 0) -> int:
         if server.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "bind on closed server")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "bind on closed server")
         if server.bound:
-            raise _err(ErrorKind.ALREADY_BOUND, "server is already bound")
+            raise AdapterError(ErrorKind.ALREADY_BOUND, "server is already bound")
         bound_port = self._do_bind(server, port)
         server.bound = True
         server.local_port = bound_port
@@ -138,9 +134,9 @@ class NetworkBackend:
 
     def get_local_port(self, server: ServerChannel) -> int:
         if server.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "getLocalPort on closed server")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "getLocalPort on closed server")
         if not server.bound:
-            raise _err(ErrorKind.NOT_YET_BOUND, "server not bound")
+            raise AdapterError(ErrorKind.NOT_YET_BOUND, "server not bound")
         return server.local_port
 
     def close_server(self, server: ServerChannel) -> None:
@@ -152,9 +148,9 @@ class NetworkBackend:
 
     def accept(self, server: ServerChannel) -> ConnChannel | None:
         if server.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "accept on closed server")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "accept on closed server")
         if not server.bound:
-            raise _err(ErrorKind.NOT_YET_BOUND, "accept before bind")
+            raise AdapterError(ErrorKind.NOT_YET_BOUND, "accept before bind")
         conn = self._do_accept(server, server.blocking)
         if conn is not None:
             self._opened_conns.append(conn)
@@ -169,9 +165,9 @@ class NetworkBackend:
 
     def configure_blocking(self, channel, blocking: bool) -> None:
         if channel.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "configureBlocking on closed channel")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "configureBlocking on closed channel")
         if blocking and any(not k.cancelled for k in channel.keys):
-            raise _err(
+            raise AdapterError(
                 ErrorKind.ILLEGAL_BLOCKING_MODE,
                 "registered channels cannot switch to blocking mode",
             )
@@ -181,25 +177,25 @@ class NetworkBackend:
         if capacity < 0:
             raise ValueError("read capacity must be non-negative")
         if conn.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "read on closed channel")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "read on closed channel")
         if conn.input_shut:
-            raise _err(ErrorKind.INPUT_SHUTDOWN, "read after shutdownInput")
+            raise AdapterError(ErrorKind.INPUT_SHUTDOWN, "read after shutdownInput")
         if capacity == 0:
             return bytes_result(b"")
         return self._do_read(conn, capacity, conn.blocking)
 
     def write(self, conn: ConnChannel, payload: bytes) -> int:
         if conn.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "write on closed channel")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "write on closed channel")
         if conn.output_shut:
-            raise _err(ErrorKind.OUTPUT_SHUTDOWN, "write after shutdownOutput")
+            raise AdapterError(ErrorKind.OUTPUT_SHUTDOWN, "write after shutdownOutput")
         if not payload:
             return 0
         return self._do_write(conn, payload, conn.blocking)
 
     def shutdown_input(self, conn: ConnChannel) -> None:
         if conn.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "shutdownInput on closed channel")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "shutdownInput on closed channel")
         if conn.input_shut:
             return  # idempotent
         self._do_shutdown_input(conn)
@@ -207,7 +203,7 @@ class NetworkBackend:
 
     def shutdown_output(self, conn: ConnChannel) -> None:
         if conn.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "shutdownOutput on closed channel")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "shutdownOutput on closed channel")
         if conn.output_shut:
             return  # idempotent
         self._do_shutdown_output(conn)
@@ -229,9 +225,9 @@ class NetworkBackend:
 
     def register(self, selector: Selector, channel, interest: Interest) -> SelectorKey:
         if channel.closed:
-            raise _err(ErrorKind.CLOSED_CHANNEL, "register of a closed channel")
+            raise AdapterError(ErrorKind.CLOSED_CHANNEL, "register of a closed channel")
         if channel.blocking:
-            raise _err(ErrorKind.ILLEGAL_BLOCKING_MODE, "register of a blocking channel")
+            raise AdapterError(ErrorKind.ILLEGAL_BLOCKING_MODE, "register of a blocking channel")
         if isinstance(channel, ServerChannel):
             if interest & ~Interest.ACCEPT:
                 raise ValueError("server channels support only ACCEPT interest")

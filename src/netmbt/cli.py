@@ -58,34 +58,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="derive and execute a test suite")
+    # Flags that shape every test; replay must be given the recorded run's values.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--max-steps", type=int, default=100)
+    shared.add_argument("--port-range", type=_port_range, default=(20000, 29999),
+                        metavar="LO:HI")
+    shared.add_argument("--fault", choices=sorted(_FAULTS), default="none")
+    shared.add_argument("--latency", choices=["zero", "default"], default="default")
+    shared.add_argument("--p-close", type=float, default=0.1,
+                        help="client's per-opportunity close probability")
+
+    run = sub.add_parser("run", parents=[shared], help="derive and execute a test suite")
     run.add_argument("--model", required=True, help="root model name (see list-models)")
     run.add_argument("--backend", choices=["sim", "real"], default="sim")
     run.add_argument("--seed", type=_seed_u64, default=None,
                      help="suite seed; chosen at random (and printed) when omitted")
     run.add_argument("--tests", type=int, default=100)
-    run.add_argument("--max-steps", type=int, default=100)
     run.add_argument("--trace-out", default=None, help="write all traces to this file")
-    run.add_argument("--port-range", type=_port_range, default=(20000, 29999),
-                     metavar="LO:HI")
-    run.add_argument("--fault", choices=sorted(_FAULTS), default="none")
-    run.add_argument("--latency", choices=["zero", "default"], default="default")
     run.add_argument("--abort-on-failure", action="store_true")
-    run.add_argument("--p-close", type=float, default=0.1,
-                     help="client's per-opportunity close probability")
 
-    rep = sub.add_parser("replay", help="re-execute recorded traces and verify each step")
+    rep = sub.add_parser("replay", parents=[shared],
+                         help="re-execute recorded traces and verify each step")
     rep.add_argument("--replay", required=True, metavar="PATH", dest="replay_path",
                      help="trace file produced by run")
     rep.add_argument("--model", default=None,
                      help="root model; default: inferred from the trace")
-    rep.add_argument("--max-steps", type=int, default=100)
-    rep.add_argument("--port-range", type=_port_range, default=(20000, 29999),
-                     metavar="LO:HI")
-    rep.add_argument("--fault", choices=sorted(_FAULTS), default="none",
-                     help="must match the recorded run")
-    rep.add_argument("--latency", choices=["zero", "default"], default="default")
-    rep.add_argument("--p-close", type=float, default=0.1)
 
     dot = sub.add_parser("export-dot", help="print a model as a Graphviz digraph")
     dot.add_argument("--model", required=True)
@@ -200,10 +197,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in MODEL_REGISTRY:
                 print(name)
             return 0
-    except (ConfigError, BackendError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, BackendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command")

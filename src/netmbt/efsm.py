@@ -168,7 +168,7 @@ def define_model(
 class ModelInstance:
     """A live execution of a ModelSpec: current state plus local variables."""
 
-    __slots__ = ("id", "spec", "current", "vars", "ctor_error", "_terminated")
+    __slots__ = ("id", "spec", "current", "vars", "ctor_error")
 
     def __init__(self, instance_id: int, spec: ModelSpec, args: Mapping[str, Any]):
         self.id = instance_id
@@ -176,15 +176,11 @@ class ModelInstance:
         self.current = spec.initial
         self.vars: dict[str, Any] = dict(args)
         self.ctor_error: ErrorKind | None = None
-        self._terminated = False
 
     @property
     def alive(self) -> bool:
-        """Dead means terminated or parked in a state with no way out."""
-        return not self._terminated and bool(self.spec.outgoing.get(self.current))
-
-    def terminate(self) -> None:
-        self._terminated = True
+        """Dead means parked in a state with no way out."""
+        return bool(self.spec.outgoing.get(self.current))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.spec.name}#{self.id} @{self.current}>"
@@ -202,7 +198,6 @@ class StepOutcome:
     message: str | None = None
     raised_error: ErrorKind | None = None
     outcome_tag: str | None = None
-    launched: tuple[ModelInstance, ...] = ()
 
 
 class ActionContext:
@@ -213,7 +208,7 @@ class ActionContext:
     port allocator, and tuning knobs.
     """
 
-    __slots__ = ("instance", "vars", "rng", "env", "_launcher", "launched")
+    __slots__ = ("instance", "vars", "rng", "env", "_launcher")
 
     def __init__(self, instance: ModelInstance, rng: SeededRng, env: Any, launcher):
         self.instance = instance
@@ -221,14 +216,11 @@ class ActionContext:
         self.rng = rng
         self.env = env
         self._launcher = launcher
-        self.launched: list[ModelInstance] = []
 
     def launch(self, spec: ModelSpec, args: Mapping[str, Any] | None = None) -> ModelInstance:
         """Instantiate a child model now; its constructor has completed when
         this returns, so its effects (e.g. a connect) are already visible."""
-        child = self._launcher(spec, dict(args or {}))
-        self.launched.append(child)
-        return child
+        return self._launcher(spec, dict(args or {}))
 
     def require(self, condition: bool, message: str) -> None:
         if not condition:
@@ -303,40 +295,29 @@ def fire_transition(
     try:
         tag = transition.action.fn(ctx)
     except AdapterError as exc:
-        launched = tuple(ctx.launched)
         target = transition.exception_overrides.get(exc.kind)
         if target is None:
             return StepOutcome(
                 StepKind.VIOLATION,
                 message=f"unexpected exception in {name}: {exc}",
                 raised_error=exc.kind,
-                launched=launched,
             )
         instance.current = target
-        return StepOutcome(
-            StepKind.COMPLETED, target=target, raised_error=exc.kind, launched=launched
-        )
+        return StepOutcome(StepKind.COMPLETED, target=target, raised_error=exc.kind)
     except PropertyViolation as exc:
-        return StepOutcome(
-            StepKind.VIOLATION, message=f"{name}: {exc}", launched=tuple(ctx.launched)
-        )
+        return StepOutcome(StepKind.VIOLATION, message=f"{name}: {exc}")
 
-    launched = tuple(ctx.launched)
     if tag is not None:
         if tag not in transition.action.tags:
             return StepOutcome(
-                StepKind.VIOLATION,
-                message=f"{name} emitted undeclared outcome tag {tag!r}",
-                launched=launched,
+                StepKind.VIOLATION, message=f"{name} emitted undeclared outcome tag {tag!r}"
             )
         target = transition.outcome_branches[tag]  # total by validation
     else:
         if transition.action.tags:
             return StepOutcome(
-                StepKind.VIOLATION,
-                message=f"{name} declared outcome tags but emitted none",
-                launched=launched,
+                StepKind.VIOLATION, message=f"{name} declared outcome tags but emitted none"
             )
         target = transition.target
     instance.current = target
-    return StepOutcome(StepKind.COMPLETED, target=target, outcome_tag=tag, launched=launched)
+    return StepOutcome(StepKind.COMPLETED, target=target, outcome_tag=tag)

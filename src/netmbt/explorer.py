@@ -369,12 +369,16 @@ def coverage_from_traces(
         for record in trace.steps:
             cov = coverage.setdefault(record.model, ModelCoverage())
             cov.merge_step(record)
+    _set_totals(coverage, spec_index or {})
+    return coverage
+
+
+def _set_totals(coverage: dict[str, ModelCoverage], spec_index: Mapping[str, ModelSpec]) -> None:
     for name, cov in coverage.items():
-        spec = (spec_index or {}).get(name)
+        spec = spec_index.get(name)
         if spec is not None:
             cov.states_total = len(spec.states)
             cov.transitions_total = len(spec.transitions)
-    return coverage
 
 
 def run_suite(
@@ -418,13 +422,7 @@ def run_suite(
     finally:
         if writer:
             writer.close()
-    for name, cov in coverage.items():
-        spec = (spec_index or {}).get(name)
-        if spec is None and name == root_spec.name:
-            spec = root_spec
-        if spec is not None:
-            cov.states_total = len(spec.states)
-            cov.transitions_total = len(spec.transitions)
+    _set_totals(coverage, {root_spec.name: root_spec, **(spec_index or {})})
     return SuiteReport(
         config=config,
         tests_run=tests_run,

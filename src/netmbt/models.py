@@ -20,7 +20,7 @@ the authority for which calls must fail where.
 
 from __future__ import annotations
 
-from .adapter import ConnChannel, Interest
+from .adapter import ConnChannel, Interest, ReadResult
 from .efsm import Action, ActionContext, ModelSpec, Transition, define_model
 from .errors import ErrorKind
 
@@ -30,77 +30,72 @@ E = ErrorKind
 MAX_CHUNK = 64
 
 
+class SideRecord:
+    """One side's traffic on one connection, as the oracle accounts it."""
+
+    __slots__ = ("wrote", "read", "output_shut", "saw_eof")
+
+    def __init__(self):
+        self.wrote = 0
+        self.read = 0
+        self.output_shut = False
+        self.saw_eof = False
+
+
+_PEER_ROLE = {"client": "server", "server": "client"}
+
+
 class OracleLedger:
     """Model-side view of every connection's byte traffic.
 
-    Keyed by the backend-assigned connection id; each entry tracks bytes
-    written/read per direction, whether each side shut its output, and
-    whether each side observed end-of-stream.  ``touches`` records which
-    instance touched which entry, feeding the locality invariant check.
+    Keyed by the backend-assigned connection id; each entry maps a role
+    ("client", "server") to that side's SideRecord.  ``touches`` records
+    which instance touched which entry, feeding the locality invariant check.
     """
 
     __slots__ = ("entries", "touches")
 
     def __init__(self):
-        self.entries: dict[int, dict] = {}
+        self.entries: dict[int, dict[str, SideRecord]] = {}
         self.touches: set[tuple[int, str, int]] = set()  # (conn id, side, instance id)
 
-    def reset(self) -> None:
-        self.entries.clear()
-        self.touches.clear()
-
-    def _entry(self, conn: ConnChannel, instance_id: int) -> dict:
+    def _entry(self, conn: ConnChannel, instance_id: int) -> dict[str, SideRecord]:
         entry = self.entries.get(conn.connection_id)
         if entry is None:
-            entry = {
-                "client_wrote": 0,
-                "server_read": 0,
-                "server_wrote": 0,
-                "client_read": 0,
-                "client_output_shut": False,
-                "server_output_shut": False,
-                "client_saw_eof": False,
-                "server_saw_eof": False,
-            }
+            entry = {"client": SideRecord(), "server": SideRecord()}
             self.entries[conn.connection_id] = entry
         self.touches.add((conn.connection_id, conn.role, instance_id))
         return entry
 
     def record_write(self, conn: ConnChannel, instance_id: int, count: int) -> None:
-        self._entry(conn, instance_id)[f"{conn.role}_wrote"] += count
+        self._entry(conn, instance_id)[conn.role].wrote += count
 
     def record_read(self, conn: ConnChannel, instance_id: int, count: int) -> None:
-        self._entry(conn, instance_id)[f"{conn.role}_read"] += count
+        self._entry(conn, instance_id)[conn.role].read += count
 
     def record_output_shut(self, conn: ConnChannel, instance_id: int) -> None:
-        self._entry(conn, instance_id)[f"{conn.role}_output_shut"] = True
+        self._entry(conn, instance_id)[conn.role].output_shut = True
 
     def record_eof(self, conn: ConnChannel, instance_id: int) -> None:
-        self._entry(conn, instance_id)[f"{conn.role}_saw_eof"] = True
+        self._entry(conn, instance_id)[conn.role].saw_eof = True
 
     def available_to(self, conn: ConnChannel, instance_id: int) -> int:
         """Bytes the holder of ``conn`` may still legally read."""
         e = self._entry(conn, instance_id)
-        if conn.role == "server":
-            return e["client_wrote"] - e["server_read"]
-        return e["server_wrote"] - e["client_read"]
+        return e[_PEER_ROLE[conn.role]].wrote - e[conn.role].read
 
     def peer_output_shut(self, conn: ConnChannel, instance_id: int) -> bool:
-        e = self._entry(conn, instance_id)
-        return e["client_output_shut" if conn.role == "server" else "server_output_shut"]
+        return self._entry(conn, instance_id)[_PEER_ROLE[conn.role]].output_shut
 
 
 # ---------------------------------------------------------------------------
-# Shared action helpers
+# Connection action bodies, shared by the worker and client models
 # ---------------------------------------------------------------------------
 
 
-def _checked_read(ctx: ActionContext, conn: ConnChannel) -> None:
-    """Non-blocking read plus the latency-tolerant byte-accounting oracle."""
-    net = ctx.env.net
+def _account_read(ctx: ActionContext, conn: ConnChannel, result: ReadResult) -> None:
+    """The latency-tolerant byte-accounting oracle for one read result."""
     ledger = ctx.env.ledger
-    capacity = ctx.rng.randint(1, MAX_CHUNK)
-    result = net.read(conn, capacity)
     if result.is_eof:
         ctx.require(
             ledger.peer_output_shut(conn, ctx.instance.id),
@@ -118,10 +113,15 @@ def _checked_read(ctx: ActionContext, conn: ConnChannel) -> None:
     ledger.record_read(conn, ctx.instance.id, result.count)
 
 
-def _checked_write(ctx: ActionContext, conn: ConnChannel) -> None:
-    net = ctx.env.net
+def _checked_read(ctx: ActionContext) -> None:
+    conn = ctx.vars["conn"]
+    _account_read(ctx, conn, ctx.env.net.read(conn, ctx.rng.randint(1, MAX_CHUNK)))
+
+
+def _checked_write(ctx: ActionContext) -> None:
+    conn = ctx.vars["conn"]
     payload = ctx.rng.payload(ctx.rng.randint(1, MAX_CHUNK))
-    written = net.write(conn, payload)
+    written = ctx.env.net.write(conn, payload)
     ctx.require(
         0 <= written <= len(payload),
         f"oracle: write returned {written} for a {len(payload)}-byte payload",
@@ -129,39 +129,29 @@ def _checked_write(ctx: ActionContext, conn: ConnChannel) -> None:
     ctx.env.ledger.record_write(conn, ctx.instance.id, written)
 
 
-def _poll_then_read(ctx: ActionContext, conn: ConnChannel) -> None:
+def _poll_then_read(ctx: ActionContext) -> None:
     """Selector check plus readiness soundness: a READ-ready channel must
     immediately yield data or end-of-stream (exact on the simulated backend,
     error-freedom only on real sockets, where timing may interleave)."""
     net = ctx.env.net
+    conn = ctx.vars["conn"]
     ready = net.select_now(ctx.vars["sel"])
     key = ctx.vars["key"]
     if key not in ready or not (key.ready & Interest.READ):
         return
-    ledger = ctx.env.ledger
-    capacity = ctx.rng.randint(1, MAX_CHUNK)
-    result = net.read(conn, capacity)
-    if result.is_eof:
-        ctx.require(
-            ledger.peer_output_shut(conn, ctx.instance.id),
-            f"oracle: end-of-stream on connection {conn.connection_id} "
-            "but the peer never shut its output",
-        )
-        ledger.record_eof(conn, ctx.instance.id)
-        return
-    if net.is_sim:
+    result = net.read(conn, ctx.rng.randint(1, MAX_CHUNK))
+    if net.is_sim and not result.is_eof:
         ctx.require(
             result.count >= 1,
             f"oracle: selector reported READ on connection {conn.connection_id} "
             "but the channel had no data",
         )
-    available = ledger.available_to(conn, ctx.instance.id)
-    ctx.require(
-        result.count <= available,
-        f"oracle: read {result.count} bytes on connection {conn.connection_id} "
-        f"but only {available} unread bytes were ever written",
-    )
-    ledger.record_read(conn, ctx.instance.id, result.count)
+    _account_read(ctx, conn, result)
+
+
+def _close_conn(ctx: ActionContext) -> None:
+    ctx.env.net.close_conn(ctx.vars["conn"])
+    ctx.env.ledger.record_output_shut(ctx.vars["conn"], ctx.instance.id)
 
 
 def _expect_failure(op, message: str):
@@ -179,25 +169,14 @@ def _expect_failure(op, message: str):
 # ---------------------------------------------------------------------------
 
 
-def _worker_ctor(ctx: ActionContext) -> None:
+def _watch_conn(ctx: ActionContext) -> None:
+    """Make ``conn`` non-blocking and watch it for READ and WRITE."""
     net = ctx.env.net
     conn = ctx.vars["conn"]
     net.configure_blocking(conn, False)
     sel = net.open_selector()
     ctx.vars["sel"] = sel
     ctx.vars["key"] = net.register(sel, conn, Interest.READ | Interest.WRITE)
-
-
-def _w_read(ctx):
-    _checked_read(ctx, ctx.vars["conn"])
-
-
-def _w_write(ctx):
-    _checked_write(ctx, ctx.vars["conn"])
-
-
-def _w_poll(ctx):
-    _poll_then_read(ctx, ctx.vars["conn"])
 
 
 def _w_shut_in(ctx):
@@ -209,35 +188,26 @@ def _w_shut_out(ctx):
     ctx.env.ledger.record_output_shut(ctx.vars["conn"], ctx.instance.id)
 
 
-def _w_close(ctx):
-    ctx.env.net.close_conn(ctx.vars["conn"])
-    ctx.env.ledger.record_output_shut(ctx.vars["conn"], ctx.instance.id)
-
-
 def worker_model() -> ModelSpec:
     """Server-side connection model: reads, writes and selector checks in
     every live state; half-closes and close move between states; operations
     that must fail after a (partial) close are expected-exception probes."""
     peer_gone = {E.PEER_CLOSED: "peerGone"}
 
-    def t(source, target, label, fn, weight=1.0, overrides=None, tags=None, branches=None):
-        act = Action(fn, frozenset(tags)) if tags else Action(fn)
-        return Transition(
-            source, target, label, act,
-            weight=weight,
-            exception_overrides=dict(overrides or {}),
-            outcome_branches=branches,
-        )
+    def t(source, target, label, fn, weight=1.0, overrides=None):
+        return Transition(source, target, label, Action(fn), weight=weight,
+                          exception_overrides=dict(overrides or {}))
 
     transitions = [
         # connected: everything is legal; traffic dominates, closes are rare
-        t("connected", "connected", "read", _w_read, weight=2.0, overrides=peer_gone),
-        t("connected", "connected", "write", _w_write, weight=2.0, overrides=peer_gone),
-        t("connected", "connected", "checkSelector", _w_poll, weight=2.0, overrides=peer_gone),
+        t("connected", "connected", "read", _checked_read, weight=2.0, overrides=peer_gone),
+        t("connected", "connected", "write", _checked_write, weight=2.0, overrides=peer_gone),
+        t("connected", "connected", "checkSelector", _poll_then_read, weight=2.0,
+          overrides=peer_gone),
         t("connected", "inShut", "shutdownInput", _w_shut_in, weight=0.5),
         t("connected", "outShut", "shutdownOutput", _w_shut_out, weight=0.5,
           overrides=peer_gone),
-        t("connected", "closed", "close", _w_close, weight=0.5),
+        t("connected", "closed", "close", _close_conn, weight=0.5),
         # input shut: reads must fail, writes still flow
         Transition(
             "inShut", "inShut", "readAfterInShut",
@@ -245,11 +215,11 @@ def worker_model() -> ModelSpec:
                             "oracle: read succeeded after shutdownInput"),
             exception_overrides={E.INPUT_SHUTDOWN: "inShut"},
         ),
-        t("inShut", "inShut", "writeInShut", _w_write, weight=2.0, overrides=peer_gone),
-        t("inShut", "inShut", "checkSelectorInShut", _w_poll, overrides=peer_gone),
+        t("inShut", "inShut", "writeInShut", _checked_write, weight=2.0, overrides=peer_gone),
+        t("inShut", "inShut", "checkSelectorInShut", _poll_then_read, overrides=peer_gone),
         t("inShut", "bothShut", "shutdownOutputInShut", _w_shut_out, weight=0.5,
           overrides=peer_gone),
-        t("inShut", "closed", "closeInShut", _w_close, weight=0.5),
+        t("inShut", "closed", "closeInShut", _close_conn, weight=0.5),
         # output shut: writes must fail, reads still drain
         Transition(
             "outShut", "outShut", "writeAfterOutShut",
@@ -257,10 +227,10 @@ def worker_model() -> ModelSpec:
                             "oracle: write succeeded after shutdownOutput"),
             exception_overrides={E.OUTPUT_SHUTDOWN: "outShut"},
         ),
-        t("outShut", "outShut", "readOutShut", _w_read, weight=2.0, overrides=peer_gone),
-        t("outShut", "outShut", "checkSelectorOutShut", _w_poll, overrides=peer_gone),
+        t("outShut", "outShut", "readOutShut", _checked_read, weight=2.0, overrides=peer_gone),
+        t("outShut", "outShut", "checkSelectorOutShut", _poll_then_read, overrides=peer_gone),
         t("outShut", "bothShut", "shutdownInputOutShut", _w_shut_in, weight=0.5),
-        t("outShut", "closed", "closeOutShut", _w_close, weight=0.5),
+        t("outShut", "closed", "closeOutShut", _close_conn, weight=0.5),
         # both halves shut: only probes and close remain
         Transition(
             "bothShut", "bothShut", "readBothShut",
@@ -274,19 +244,20 @@ def worker_model() -> ModelSpec:
                             "oracle: write succeeded after shutdownOutput"),
             exception_overrides={E.OUTPUT_SHUTDOWN: "bothShut"},
         ),
-        t("bothShut", "bothShut", "checkSelectorBothShut", _w_poll),
-        t("bothShut", "closed", "closeBothShut", _w_close),
+        t("bothShut", "bothShut", "checkSelectorBothShut", _poll_then_read),
+        t("bothShut", "closed", "closeBothShut", _close_conn),
         # peer gone: the other endpoint reset or vanished; the channel may
         # additionally be half-shut on our own side, so those errors are
         # expected here as well
-        t("peerGone", "peerGone", "readPeerGone", _w_read,
+        t("peerGone", "peerGone", "readPeerGone", _checked_read,
           overrides={E.PEER_CLOSED: "peerGone", E.INPUT_SHUTDOWN: "peerGone"}),
-        t("peerGone", "peerGone", "writePeerGone", _w_write,
+        t("peerGone", "peerGone", "writePeerGone", _checked_write,
           overrides={E.PEER_CLOSED: "peerGone", E.OUTPUT_SHUTDOWN: "peerGone"}),
-        t("peerGone", "peerGone", "checkSelectorPeerGone", _w_poll, overrides=peer_gone),
-        t("peerGone", "closed", "closePeerGone", _w_close, weight=0.5),
+        t("peerGone", "peerGone", "checkSelectorPeerGone", _poll_then_read,
+          overrides=peer_gone),
+        t("peerGone", "closed", "closePeerGone", _close_conn, weight=0.5),
     ]
-    return define_model("worker", "connected", transitions, Action(_worker_ctor))
+    return define_model("worker", "connected", transitions, Action(_watch_conn))
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +266,14 @@ def worker_model() -> ModelSpec:
 
 
 def _client_ctor(ctx: ActionContext) -> None:
-    net = ctx.env.net
-    conn = net.connect(ctx.vars["port"])
-    net.configure_blocking(conn, False)
-    sel = net.open_selector()
-    ctx.vars["conn"] = conn
-    ctx.vars["sel"] = sel
-    ctx.vars["key"] = net.register(sel, conn, Interest.READ | Interest.WRITE)
-
-
-def _c_read(ctx):
-    _checked_read(ctx, ctx.vars["conn"])
-
-
-def _c_write(ctx):
-    _checked_write(ctx, ctx.vars["conn"])
-
-
-def _c_poll(ctx):
-    _poll_then_read(ctx, ctx.vars["conn"])
+    ctx.vars["conn"] = ctx.env.net.connect(ctx.vars["port"])
+    _watch_conn(ctx)
 
 
 def _c_may_close(ctx) -> str:
     """Non-deterministic model choice: close this session or keep going."""
     if ctx.maybe(ctx.env.p_close):
-        ctx.env.net.close_conn(ctx.vars["conn"])
-        ctx.env.ledger.record_output_shut(ctx.vars["conn"], ctx.instance.id)
+        _close_conn(ctx)
         return "closed"
     return "stay"
 
@@ -331,11 +284,11 @@ def client_model() -> ModelSpec:
     peer ends the model in a terminal state."""
     to_reset = {E.PEER_CLOSED: "reset"}
     transitions = [
-        Transition("active", "active", "read", Action(_c_read),
+        Transition("active", "active", "read", Action(_checked_read),
                    exception_overrides=to_reset),
-        Transition("active", "active", "write", Action(_c_write), weight=0.5,
+        Transition("active", "active", "write", Action(_checked_write), weight=0.5,
                    exception_overrides=to_reset),
-        Transition("active", "active", "checkSelector", Action(_c_poll),
+        Transition("active", "active", "checkSelector", Action(_poll_then_read),
                    exception_overrides=to_reset),
         Transition("active", "active", "mayClose",
                    Action(_c_may_close, frozenset({"stay", "closed"})),

@@ -134,24 +134,20 @@ class RealBackend(NetworkBackend):
         sock = conn.sock
         if blocking:
             sock.settimeout(self.watchdog_seconds)
-            try:
-                data = sock.recv(capacity)
-            except socket.timeout as exc:
-                raise WatchdogTimeout("blocking read exceeded the watchdog budget") from exc
-            except OSError as exc:
-                if exc.errno in _RESET_ERRNOS:
-                    raise _peer_closed(exc) from exc
-                raise
         else:
             sock.setblocking(False)
-            try:
-                data = sock.recv(capacity)
-            except (BlockingIOError, InterruptedError):
-                return bytes_result(b"")
-            except OSError as exc:
-                if exc.errno in _RESET_ERRNOS:
-                    raise _peer_closed(exc) from exc
+        try:
+            data = sock.recv(capacity)
+        except socket.timeout as exc:
+            raise WatchdogTimeout("blocking read exceeded the watchdog budget") from exc
+        except (BlockingIOError, InterruptedError):
+            if blocking:
                 raise
+            return bytes_result(b"")
+        except OSError as exc:
+            if exc.errno in _RESET_ERRNOS:
+                raise _peer_closed(exc) from exc
+            raise
         return EOF if data == b"" else bytes_result(data)
 
     def _do_write(self, conn: RealConn, payload: bytes, blocking: bool) -> int:

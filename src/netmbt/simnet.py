@@ -177,14 +177,6 @@ class SimBackend(NetworkBackend):
         self.fault_fired = True
         self.fault_events.append(f"step {self.clock}: {event}")
 
-    def inject_fault(self, fault: FaultSpec) -> None:
-        """Arm a fault plan; exactly one per network, before any traffic."""
-        if self.fault is not None:
-            raise ValueError("a fault plan is already installed")
-        if self._flows:
-            raise ValueError("fault plans must be installed before any traffic")
-        self.fault = fault
-
     # -- transport hooks -------------------------------------------------------
 
     def _do_open_server(self) -> SimServer:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from netmbt.cli import main
 from netmbt.models import MODEL_REGISTRY
 
@@ -58,9 +60,14 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "--frobnicate" in proc.stderr
 
-    def test_bad_port_range_exits_two(self):
-        proc = run_cli("run", "--model", "minimalist", "--port-range", "bananas")
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_bad_port_range_exits_two(self, command, tmp_path):
+        # run and replay share the flag; the parse error must come first
+        first = {"run": ["--model", "minimalist"],
+                 "replay": ["--replay", str(tmp_path / "absent.trace")]}[command]
+        proc = run_cli(command, *first, "--port-range", "bananas")
         assert proc.returncode == 2
+        assert "expected lo:hi" in proc.stderr
 
     def test_report_includes_coverage_block(self, capsys):
         main(["run", "--model", "server-main", "--seed", "3", "--tests", "30"])

@@ -243,13 +243,16 @@ class TestFireTransition:
 
         spec = define_model("m", "a", [Transition("a", "a", "go", Action(parent_action))])
         inst = ModelInstance(1, spec, {})
+        children = []
 
         def launcher(s, args):
-            return instantiate(s, 2, args, make_ctx)
+            children.append(instantiate(s, 2, args, make_ctx))
+            return children[-1]
 
         out = fire_transition(inst, spec.transitions[0], make_ctx(inst, launcher=launcher))
+        assert out.kind is StepKind.COMPLETED
         assert events == ["before", "child-ctor", "after"]
-        assert len(out.launched) == 1 and out.launched[0].spec.name == "child"
+        assert [c.spec.name for c in children] == ["child"]
 
 
 class TestStructuralFuzz:

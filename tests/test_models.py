@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from netmbt.adapter import ConnChannel
 from netmbt.efsm import StepKind, enabled_transitions, fire_transition, instantiate
 from netmbt.errors import ErrorKind
 from netmbt.explorer import RunEnv, SuiteConfig, _PortLease, run_single_test, run_suite
@@ -70,9 +71,9 @@ class TestMinimalist:
         assert out.kind is StepKind.COMPLETED and server.current == "closed"
         assert not server.alive
         (entry,) = run.env.ledger.entries.values()
-        assert entry["server_wrote"] > 0 or entry["client_wrote"] > 0
-        assert entry["server_read"] <= entry["client_wrote"]
-        assert entry["client_read"] <= entry["server_wrote"]
+        assert entry["server"].wrote > 0 or entry["client"].wrote > 0
+        assert entry["server"].read <= entry["client"].wrote
+        assert entry["client"].read <= entry["server"].wrote
 
     def test_zero_sessions_immediate_close_empty_ledger(self):
         net = SimBackend(SeededRng(1), LatencyModel.zero())
@@ -81,17 +82,6 @@ class TestMinimalist:
         out = run.fire(server, "close")
         assert out.kind is StepKind.COMPLETED
         assert run.env.ledger.entries == {}
-
-    def test_ledger_reset_clears_accounting(self):
-        net = SimBackend(SeededRng(1), LatencyModel.zero())
-        run = ManualRun(net)
-        server = run.launch(MINIMALIST, {})
-        run.fire(server, "session")
-        worker = run.instances[2]
-        run.fire(worker, "write")
-        assert run.env.ledger.entries
-        run.env.ledger.reset()
-        assert run.env.ledger.entries == {} and run.env.ledger.touches == set()
 
     def test_misordered_variant_deadlocks_on_sim(self):
         pool = PortPool(20000, 20999)
@@ -128,8 +118,9 @@ class TestServerMain:
         run.fire(server, "startAccepting")
         run.fire(server, "acceptTry")
         assert server.current == "connected"
-        out = run.fire(server, "handOff")
-        assert [i.spec.name for i in out.launched] == ["worker", "client"]
+        before = len(run.instances)
+        run.fire(server, "handOff")
+        assert [i.spec.name for i in run.instances[before:]] == ["worker", "client"]
         assert server.current == "accepting"
 
     def test_expected_exception_probes_stay_put(self):
@@ -253,7 +244,7 @@ class TestClient:
                 break
         entry = run.env.ledger.entries[sc.connection_id]
         # the worker's close recorded its output as shut before any EOF
-        assert entry["server_output_shut"]
+        assert entry["server"].output_shut
 
     def test_refused_connect_is_violation(self):
         net = SimBackend(SeededRng(6), LatencyModel.zero())
@@ -262,6 +253,52 @@ class TestClient:
 
         with pytest.raises(PropertyViolation, match="constructor"):
             run.launch(CLIENT, {"port": 19999})
+
+
+class TestOracleLedger:
+    def setup_method(self):
+        self.ledger = OracleLedger()
+        self.client = ConnChannel("client", 7)
+        self.server = ConnChannel("server", 7)
+
+    def test_write_is_available_to_the_peer_only(self):
+        self.ledger.record_write(self.client, 1, 5)
+        assert self.ledger.available_to(self.server, 2) == 5
+        assert self.ledger.available_to(self.client, 1) == 0
+        self.ledger.record_read(self.server, 2, 3)
+        assert self.ledger.available_to(self.server, 2) == 2
+        entry = self.ledger.entries[7]
+        assert (entry["client"].wrote, entry["client"].read) == (5, 0)
+        assert (entry["server"].wrote, entry["server"].read) == (0, 3)
+
+    def test_peer_output_shut_is_symmetric(self):
+        ledger = self.ledger
+        assert not ledger.peer_output_shut(self.server, 2)
+        assert not ledger.peer_output_shut(self.client, 1)
+        ledger.record_output_shut(self.client, 1)
+        assert ledger.peer_output_shut(self.server, 2)
+        assert not ledger.peer_output_shut(self.client, 1)
+        ledger.record_output_shut(self.server, 2)
+        assert ledger.peer_output_shut(self.client, 1)
+        ledger.record_eof(self.server, 2)
+        entry = ledger.entries[7]
+        assert entry["server"].saw_eof and not entry["client"].saw_eof
+
+    def test_every_call_adds_one_touch(self):
+        ledger = self.ledger
+        calls = [
+            (ledger.record_write, self.client, (4,)),
+            (ledger.record_read, self.server, (1,)),
+            (ledger.record_output_shut, self.client, ()),
+            (ledger.record_eof, self.server, ()),
+            (ledger.available_to, self.server, ()),
+            (ledger.peer_output_shut, self.client, ()),
+        ]
+        for instance_id, (method, conn, extra) in enumerate(calls, start=1):
+            before = set(ledger.touches)
+            method(conn, instance_id, *extra)
+            assert ledger.touches - before == {(7, conn.role, instance_id)}
+            assert len(ledger.touches) == len(before) + 1
 
 
 class TestOracleProperties:
@@ -280,14 +317,14 @@ class TestOracleProperties:
             pool.next_test()
             assert result.passed
             for entry in result.ledger.entries.values():
-                if entry["server_saw_eof"]:
+                if entry["server"].saw_eof:
                     eof_seen += 1
-                    assert entry["client_output_shut"]
-                    assert entry["server_read"] == entry["client_wrote"]
-                if entry["client_saw_eof"]:
+                    assert entry["client"].output_shut
+                    assert entry["server"].read == entry["client"].wrote
+                if entry["client"].saw_eof:
                     eof_seen += 1
-                    assert entry["server_output_shut"]
-                    assert entry["client_read"] == entry["server_wrote"]
+                    assert entry["server"].output_shut
+                    assert entry["client"].read == entry["server"].wrote
         assert eof_seen > 0  # the property was actually exercised
 
     def test_ledger_locality_one_instance_per_side(self):

@@ -228,16 +228,6 @@ class TestFaults:
         assert net.read(sc, 64).data == b"aaaabb"
         assert len(net.fault_events) == 1
 
-    def test_inject_fault_only_before_traffic(self):
-        net = SimBackend(SeededRng(1), LatencyModel.zero())
-        net.inject_fault(FaultSpec(FaultKind.DROP_BYTES))
-        with pytest.raises(ValueError):
-            net.inject_fault(FaultSpec(FaultKind.DROP_BYTES))  # one plan only
-        fresh = SimBackend(SeededRng(1), LatencyModel.zero())
-        session(fresh)
-        with pytest.raises(ValueError):
-            fresh.inject_fault(FaultSpec(FaultKind.DROP_BYTES))  # traffic exists
-
 
 class TestAbortiveVsGraceful:
     def test_listener_close_resets_queued_connections(self):
