@@ -26,6 +26,11 @@ class Interest(enum.IntFlag):
     WRITE = 4
 
 
+# The same bits as plain ints.  Selector keys hold their interest and ready
+# sets as ints, so readiness arithmetic on the hot path skips enum calls.
+ACCEPT, READ, WRITE = 1, 2, 4
+
+
 class ReadKind(enum.Enum):
     BYTES = "bytes"
     END_OF_STREAM = "eof"
@@ -91,10 +96,10 @@ class ConnChannel:
 class SelectorKey:
     __slots__ = ("channel", "interest", "ready", "cancelled")
 
-    def __init__(self, channel, interest: Interest):
+    def __init__(self, channel, interest: int):
         self.channel = channel
-        self.interest = interest
-        self.ready = Interest(0)
+        self.interest = interest  # int mask of ACCEPT/READ/WRITE
+        self.ready = 0
         self.cancelled = False
 
 
@@ -223,7 +228,7 @@ class NetworkBackend:
     def open_selector(self) -> Selector:
         return Selector()
 
-    def register(self, selector: Selector, channel, interest: Interest) -> SelectorKey:
+    def register(self, selector: Selector, channel, interest: Interest | int) -> SelectorKey:
         if channel.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "register of a closed channel")
         if channel.blocking:
@@ -236,7 +241,7 @@ class NetworkBackend:
                 raise ValueError("connection channels do not support ACCEPT interest")
         if not interest:
             raise ValueError("empty interest set")
-        key = SelectorKey(channel, interest)
+        key = SelectorKey(channel, int(interest))
         selector.keys.append(key)
         channel.keys.append(key)
         return key
@@ -255,16 +260,15 @@ class NetworkBackend:
         """
         ready_keys: set[SelectorKey] = set()
         for key in selector.keys:
-            if key.cancelled or key.channel.closed:
-                continue
-            ready = self._raw_readiness(key.channel, key.interest)
             ch = key.channel
+            if key.cancelled or ch.closed:
+                continue
+            ready = self._raw_readiness(ch, key.interest) & key.interest
             if isinstance(ch, ConnChannel):
                 if ch.input_shut:
-                    ready &= ~Interest.READ
+                    ready &= ~READ
                 if ch.output_shut:
-                    ready &= ~Interest.WRITE
-            ready &= key.interest
+                    ready &= ~WRITE
             key.ready = ready
             if ready:
                 ready_keys.add(key)
@@ -330,7 +334,8 @@ class NetworkBackend:
     def _do_close_conn(self, conn: ConnChannel) -> None:
         raise NotImplementedError
 
-    def _raw_readiness(self, channel, interest: Interest) -> Interest:
+    def _raw_readiness(self, channel, interest: int) -> int:
+        """Ready bits of ``channel`` as an int mask, before adapter rules."""
         raise NotImplementedError
 
     def _force_close_conn(self, conn: ConnChannel) -> None:

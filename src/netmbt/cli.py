@@ -18,6 +18,7 @@ from .explorer import (
     SuiteConfig,
     format_report,
     parse_traces,
+    port_pool,
     replay,
     run_suite,
     serialize_trace,
@@ -146,9 +147,11 @@ def _cmd_replay(args) -> int:
         print(f"unknown model {model_name!r}", file=sys.stderr)
         return 2
     fault_kind = _FAULTS[args.fault]
-    if any(t.backend == "real" for t in traces):
+    any_real = any(t.backend == "real" for t in traces)
+    if any_real:
         print("note: real-backend replay is best-effort; latency may change outcomes")
     any_failed = False
+    pool = None
     for trace in traces:
         config = SuiteConfig(
             seed=0,  # replay runs straight from the recorded per-test seed
@@ -160,8 +163,11 @@ def _cmd_replay(args) -> int:
             fault=FaultSpec(fault_kind) if fault_kind else None,
             p_close=args.p_close,
         )
+        if pool is None:
+            # One pool and one loopback probe serve every trace, as in `run`.
+            pool = port_pool(config, probe=any_real)
         try:
-            result = replay(trace, spec, config)
+            result = replay(trace, spec, config, pool)
         except DivergenceError as exc:
             print(f"replay test {trace.test_index}: DIVERGED at step {exc.step_index}")
             print(f"  expected: {exc.expected}")
@@ -171,6 +177,7 @@ def _cmd_replay(args) -> int:
         detail = f" step {result.trace.failing_step_index}" if verdict == "FAIL" else ""
         print(f"replay test {trace.test_index}: MATCH verdict={verdict}{detail}")
         any_failed |= verdict == "FAIL"
+        pool.next_test()
     return 1 if any_failed else 0
 
 

@@ -281,6 +281,11 @@ def enabled_transitions(instance: ModelInstance) -> list[Transition]:
     return out
 
 
+def _name(instance: ModelInstance, transition: Transition) -> str:
+    """``model.label``, for violation messages."""
+    return f"{instance.spec.name}.{transition.label}"
+
+
 def fire_transition(
     instance: ModelInstance, transition: Transition, ctx: ActionContext
 ) -> StepOutcome:
@@ -291,7 +296,6 @@ def fire_transition(
     otherwise the transition's static target applies.  WatchdogTimeout is
     deliberately not handled here - the explorer turns it into a verdict.
     """
-    name = f"{instance.spec.name}.{transition.label}"
     try:
         tag = transition.action.fn(ctx)
     except AdapterError as exc:
@@ -299,24 +303,26 @@ def fire_transition(
         if target is None:
             return StepOutcome(
                 StepKind.VIOLATION,
-                message=f"unexpected exception in {name}: {exc}",
+                message=f"unexpected exception in {_name(instance, transition)}: {exc}",
                 raised_error=exc.kind,
             )
         instance.current = target
         return StepOutcome(StepKind.COMPLETED, target=target, raised_error=exc.kind)
     except PropertyViolation as exc:
-        return StepOutcome(StepKind.VIOLATION, message=f"{name}: {exc}")
+        return StepOutcome(StepKind.VIOLATION, message=f"{_name(instance, transition)}: {exc}")
 
     if tag is not None:
         if tag not in transition.action.tags:
             return StepOutcome(
-                StepKind.VIOLATION, message=f"{name} emitted undeclared outcome tag {tag!r}"
+                StepKind.VIOLATION,
+                message=f"{_name(instance, transition)} emitted undeclared outcome tag {tag!r}",
             )
         target = transition.outcome_branches[tag]  # total by validation
     else:
         if transition.action.tags:
             return StepOutcome(
-                StepKind.VIOLATION, message=f"{name} declared outcome tags but emitted none"
+                StepKind.VIOLATION,
+                message=f"{_name(instance, transition)} declared outcome tags but emitted none",
             )
         target = transition.target
     instance.current = target

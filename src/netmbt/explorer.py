@@ -11,7 +11,9 @@ trace that can be replayed step-for-step.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple
 
 from .efsm import (
@@ -235,28 +237,64 @@ class _TestRun:
         return ActionContext(inst, self.rng, self.env, self.launch)
 
 
+class EnabledTable:
+    """The enabled (instance, transition) pairs of a test, ready for picking.
+
+    ``groups`` pairs every instance, in the given order, with its enabled
+    transitions (none when it is dead); ``pairs`` flattens them in that
+    order and ``accs`` holds their cumulative weights from one left-to-right
+    float accumulation.  ``guarded`` is set when some instance sits in a
+    state with a guarded transition: a guard may read variables that an
+    action changes, so such a table is good for one pick only.
+    """
+
+    __slots__ = ("groups", "pairs", "accs", "guarded")
+
+    def __init__(self, instances: Iterable[ModelInstance]):
+        self.guarded = False
+        self.groups = [self._group(inst) for inst in instances]
+        self._flatten()
+
+    def refresh(self, instances: list[ModelInstance], fired: ModelInstance) -> None:
+        """Re-enumerate ``fired`` and the instances appended to ``instances``
+        since the last enumeration; every other instance kept its state."""
+        groups = self.groups
+        groups[instances.index(fired)] = self._group(fired)
+        groups.extend(self._group(inst) for inst in instances[len(groups):])
+        self._flatten()
+
+    def _group(self, inst: ModelInstance) -> tuple[ModelInstance, list[Transition]]:
+        outgoing = inst.spec.outgoing.get(inst.current, ())
+        if not self.guarded:
+            self.guarded = any(t.guard is not None for t in outgoing)
+        # Looked up as a module global on every call, so a wrapper installed
+        # on explorer.enabled_transitions sees each enumeration.
+        return inst, enabled_transitions(inst) if outgoing else []
+
+    def _flatten(self) -> None:
+        pairs = self.pairs = [(inst, t) for inst, ts in self.groups for t in ts]
+        self.accs = list(accumulate([t.weight for _, t in pairs]))
+
+
 def pick_next(
-    instances: Iterable[ModelInstance], rng: SeededRng
+    instances: Iterable[ModelInstance], rng: SeededRng, table: EnabledTable | None = None
 ) -> tuple[ModelInstance, Transition] | None:
     """Weight-proportional choice over all enabled (instance, transition)
-    pairs; exactly one rng draw when any pair is enabled, none otherwise."""
-    pairs: list[tuple[ModelInstance, Transition]] = []
-    total = 0.0
-    for inst in instances:
-        if not inst.alive:
-            continue
-        for t in enabled_transitions(inst):
-            pairs.append((inst, t))
-            total += t.weight
+    pairs; exactly one rng draw when any pair is enabled, none otherwise.
+
+    ``table`` must be an exact EnabledTable of ``instances``; without one,
+    it is built here.  The pick is the first pair whose cumulative weight
+    exceeds the drawn point, falling back to the last pair.
+    """
+    if table is None:
+        table = EnabledTable(instances)
+    pairs = table.pairs
     if not pairs:
         return None
-    point = (rng.next_u64() / _U64) * total
-    acc = 0.0
-    for pair in pairs:
-        acc += pair[1].weight
-        if point < acc:
-            return pair
-    return pairs[-1]
+    accs = table.accs
+    point = (rng.next_u64() / _U64) * accs[-1]
+    i = bisect_right(accs, point)
+    return pairs[i] if i < len(pairs) else pairs[-1]
 
 
 def run_single_test(
@@ -275,11 +313,15 @@ def run_single_test(
     verdict, message = "PASS", ""
     try:
         run.launch(root_spec, {})
+        table: EnabledTable | None = None
         while run.fired < config.max_steps_per_test:
-            pick = pick_next(run.instances, run.rng)
+            if table is None:
+                table = EnabledTable(run.instances)
+            pick = pick_next(run.instances, run.rng, table)
             if pick is None:
                 break
             inst, transition = pick
+            state, launched = inst.current, len(run.instances)
             ctx = run._make_ctx(inst)
             try:
                 outcome = fire_transition(inst, transition, ctx)
@@ -288,6 +330,10 @@ def run_single_test(
                 message = f"watchdog: {inst.spec.name}.{transition.label}: {exc}"
                 break
             run.fired += 1
+            if table.guarded:
+                table = None
+            elif inst.current != state or len(run.instances) != launched:
+                table.refresh(run.instances, inst)
             backend.advance()
             if outcome.raised_error is not None:
                 out_field = outcome.raised_error.value
@@ -381,16 +427,25 @@ def _set_totals(coverage: dict[str, ModelCoverage], spec_index: Mapping[str, Mod
             cov.transitions_total = len(spec.transitions)
 
 
+def port_pool(config: SuiteConfig, probe: bool | None = None) -> PortPool:
+    """Validate ``config`` and build the listen-port pool for its tests.
+
+    Loopback TCP is probed first when ``probe`` is true, or, when it is
+    None, when ``config`` runs on real sockets.
+    """
+    config.validate()
+    if config.backend == "real" if probe is None else probe:
+        RealBackend.probe()
+    return PortPool(config.port_range[0], config.port_range[1])
+
+
 def run_suite(
     root_spec: ModelSpec,
     config: SuiteConfig,
     spec_index: Mapping[str, ModelSpec] | None = None,
 ) -> SuiteReport:
     """Run the whole suite; traces stream to config.trace_path when set."""
-    config.validate()
-    if config.backend == "real":
-        RealBackend.probe()
-    pool = PortPool(config.port_range[0], config.port_range[1])
+    pool = port_pool(config)
     coverage: dict[str, ModelCoverage] = {}
     failures: list[FailureInfo] = []
     failing_traces: list[Trace] = []
@@ -465,18 +520,22 @@ def format_report(report: SuiteReport, root_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def replay(trace: Trace, root_spec: ModelSpec, config: SuiteConfig) -> TestResult:
+def replay(
+    trace: Trace, root_spec: ModelSpec, config: SuiteConfig, pool: PortPool | None = None
+) -> TestResult:
     """Re-execute a recorded test from its seed and verify every step.
 
     Raises DivergenceError at the first mismatching step record (or at the
     verdict when the steps match but the outcome does not).  Replay against
     the real backend is best-effort: latency may legitimately change
-    outcomes there.
+    outcomes there.  Replays of several traces may share one ``pool`` from
+    port_pool(), advanced with ``pool.next_test()`` between them; without
+    one, a fresh pool is built.
     """
-    config.validate()
-    if config.backend == "real":
-        RealBackend.probe()
-    pool = PortPool(config.port_range[0], config.port_range[1])
+    if pool is None:
+        pool = port_pool(config)
+    else:
+        config.validate()
     rerun = run_single_test(root_spec, config, trace.test_seed, trace.test_index, pool)
     recorded = trace.steps
     replayed = rerun.trace.steps

@@ -20,7 +20,7 @@ the authority for which calls must fail where.
 
 from __future__ import annotations
 
-from .adapter import ConnChannel, Interest, ReadResult
+from .adapter import READ, ConnChannel, Interest, ReadResult
 from .efsm import Action, ActionContext, ModelSpec, Transition, define_model
 from .errors import ErrorKind
 
@@ -137,7 +137,7 @@ def _poll_then_read(ctx: ActionContext) -> None:
     conn = ctx.vars["conn"]
     ready = net.select_now(ctx.vars["sel"])
     key = ctx.vars["key"]
-    if key not in ready or not (key.ready & Interest.READ):
+    if key not in ready or not (key.ready & READ):
         return
     result = net.read(conn, ctx.rng.randint(1, MAX_CHUNK))
     if net.is_sim and not result.is_eof:

@@ -19,9 +19,11 @@ import socket
 import time
 
 from .adapter import (
+    ACCEPT,
     EOF,
+    READ,
+    WRITE,
     ConnChannel,
-    Interest,
     NetworkBackend,
     ReadResult,
     ServerChannel,
@@ -183,11 +185,11 @@ class RealBackend(NetworkBackend):
     def _do_close_conn(self, conn: RealConn) -> None:
         conn.sock.close()
 
-    def _raw_readiness(self, channel, interest: Interest) -> Interest:
-        ready = Interest(0)
+    def _raw_readiness(self, channel, interest: int) -> int:
+        ready = 0
         fd = channel.sock
-        want_read = bool(interest & (Interest.ACCEPT | Interest.READ))
-        want_write = bool(interest & Interest.WRITE)
+        want_read = bool(interest & (ACCEPT | READ))
+        want_write = bool(interest & WRITE)
         try:
             readable, writable, _ = select.select(
                 [fd] if want_read else [],
@@ -198,9 +200,9 @@ class RealBackend(NetworkBackend):
         except (OSError, ValueError):
             return ready
         if readable:
-            ready |= Interest.ACCEPT if isinstance(channel, ServerChannel) else Interest.READ
+            ready |= ACCEPT if isinstance(channel, ServerChannel) else READ
         if writable:
-            ready |= Interest.WRITE
+            ready |= WRITE
         return ready
 
     def _force_close_conn(self, conn: RealConn) -> None:

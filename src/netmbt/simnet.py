@@ -24,9 +24,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .adapter import (
+    ACCEPT,
     EOF,
+    READ,
+    WRITE,
     ConnChannel,
-    Interest,
     NetworkBackend,
     ReadResult,
     Selector,
@@ -150,7 +152,8 @@ class SimBackend(NetworkBackend):
     def advance(self) -> None:
         self.clock += 1
         for flow in self._flows:
-            self._deliver(flow)
+            if flow.cohorts:
+                self._deliver(flow)
 
     def _deliver(self, flow: SimFlow) -> None:
         while flow.cohorts and flow.cohorts[0][0] <= self.clock:
@@ -300,19 +303,17 @@ class SimBackend(NetworkBackend):
         peer.tx.discard_pending()
         peer.tx.poisoned = True
 
-    def _raw_readiness(self, channel, interest: Interest) -> Interest:
-        ready = Interest(0)
+    def _raw_readiness(self, channel, interest: int) -> int:
         if isinstance(channel, SimServer):
             if channel.backlog and channel.backlog[0][1] <= self.clock:
-                ready |= Interest.ACCEPT
-            return ready
+                return ACCEPT
+            return 0
         flow = channel.rx
         if not flow.poisoned and (
             flow.delivered or (flow.eof_signaled and not flow.cohorts)
         ):
-            ready |= Interest.READ
-        ready |= Interest.WRITE
-        return ready
+            return READ | WRITE
+        return WRITE
 
     def _post_select(self, selector: Selector, ready_keys: set[SelectorKey]) -> None:
         if not self._fault_armed(FaultKind.PHANTOM_READINESS):
@@ -320,14 +321,14 @@ class SimBackend(NetworkBackend):
         for key in selector.keys:
             if key.cancelled or key.channel.closed:
                 continue
-            if not (key.interest & Interest.READ):
+            if not (key.interest & READ):
                 continue
             ch = key.channel
             if not isinstance(ch, SimConn) or ch.input_shut:
                 continue
-            if key.ready & Interest.READ:
+            if key.ready & READ:
                 continue
-            key.ready |= Interest.READ
+            key.ready |= READ
             ready_keys.add(key)
             self._fire_fault(f"phantom READ readiness on connection {ch.connection_id}")
             return
