@@ -362,3 +362,101 @@ class TestFaultDetection:
                           fault=FaultSpec(FaultKind.DROP_BYTES))
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failed == 0
+
+
+# One line per model (name, initial state, states | constructor, constructor
+# overrides), then one per transition in declaration order (source>target,
+# label, weight, guard, action, sorted exception overrides, outcome branches).
+# The trace digests never fire some of these edges, and never run
+# minimalist-misordered at all, so this is what guards an edit to the models.
+PINNED_MODELS = """\
+minimalist bound bound closed | _bind_ctor -
+  bound>bound session 3.0 - _session - -
+  bound>closed close 1.0 - _close_server - -
+server-main bound bound selectorConfigured closed accepting connected err | _bind_ctor -
+  bound>selectorConfigured configureSelector 1.0 - _configure_selector - -
+  bound>bound toggleBlockingBound 1.0 - _sm_toggle_free - -
+  bound>bound checkSelectorBound 1.0 - _sm_check_selector - -
+  bound>bound getLocalPortBound 1.0 - _sm_get_port - -
+  bound>bound bindAgain 1.0 - _sm_bind_again AlreadyBoundError:bound -
+  bound>closed closeFromBound 0.3 - _close_server - -
+  selectorConfigured>accepting startAccepting 2.0 - _sm_start_accepting - -
+  selectorConfigured>selectorConfigured toggleBlockingConfigured 1.0 - _sm_toggle_registered IllegalBlockingModeError:selectorConfigured -
+  selectorConfigured>selectorConfigured checkSelectorConfigured 1.0 - _sm_check_selector - -
+  selectorConfigured>selectorConfigured getLocalPortConfigured 1.0 - _sm_get_port - -
+  selectorConfigured>closed closeFromConfigured 0.3 - _close_server - -
+  accepting>accepting acceptTry 3.0 - _sm_accept_try - nullResult:accepting,connected:connected
+  accepting>accepting toggleBlockingAccepting 1.0 - _sm_toggle_registered IllegalBlockingModeError:accepting -
+  accepting>accepting checkSelectorAccepting 1.0 - _sm_check_selector - -
+  accepting>accepting getLocalPortAccepting 1.0 - _sm_get_port - -
+  accepting>closed closeFromAccepting 0.3 - _close_server - -
+  connected>accepting handOff 3.0 - _sm_hand_off - -
+  connected>connected toggleBlockingConnected 1.0 - _sm_toggle_registered IllegalBlockingModeError:connected -
+  connected>connected checkSelectorConnected 1.0 - _sm_check_selector - -
+  connected>connected getLocalPortConnected 1.0 - _sm_get_port - -
+  connected>closed closeFromConnected 0.3 - _close_server - -
+  closed>err acceptAfterClose 1.0 - _sm_accept_closed ClosedChannelError:err -
+  closed>err getLocalPortAfterClose 1.0 - _sm_port_closed ClosedChannelError:err -
+worker connected connected peerGone inShut outShut closed bothShut | _watch_conn -
+  connected>connected read 2.0 - _checked_read PeerClosedError:peerGone -
+  connected>connected write 2.0 - _checked_write PeerClosedError:peerGone -
+  connected>connected checkSelector 2.0 - _poll_then_read PeerClosedError:peerGone -
+  connected>inShut shutdownInput 0.5 - _w_shut_in - -
+  connected>outShut shutdownOutput 0.5 - _w_shut_out PeerClosedError:peerGone -
+  connected>closed close 0.5 - _close_conn - -
+  inShut>inShut readAfterInShut 1.0 - _expect_failure.<locals>.run InputShutdownError:inShut -
+  inShut>inShut writeInShut 2.0 - _checked_write PeerClosedError:peerGone -
+  inShut>inShut checkSelectorInShut 1.0 - _poll_then_read PeerClosedError:peerGone -
+  inShut>bothShut shutdownOutputInShut 0.5 - _w_shut_out PeerClosedError:peerGone -
+  inShut>closed closeInShut 0.5 - _close_conn - -
+  outShut>outShut writeAfterOutShut 1.0 - _expect_failure.<locals>.run OutputShutdownError:outShut -
+  outShut>outShut readOutShut 2.0 - _checked_read PeerClosedError:peerGone -
+  outShut>outShut checkSelectorOutShut 1.0 - _poll_then_read PeerClosedError:peerGone -
+  outShut>bothShut shutdownInputOutShut 0.5 - _w_shut_in - -
+  outShut>closed closeOutShut 0.5 - _close_conn - -
+  bothShut>bothShut readBothShut 1.0 - _expect_failure.<locals>.run InputShutdownError:bothShut -
+  bothShut>bothShut writeBothShut 1.0 - _expect_failure.<locals>.run OutputShutdownError:bothShut -
+  bothShut>bothShut checkSelectorBothShut 1.0 - _poll_then_read - -
+  bothShut>closed closeBothShut 1.0 - _close_conn - -
+  peerGone>peerGone readPeerGone 1.0 - _checked_read InputShutdownError:peerGone,PeerClosedError:peerGone -
+  peerGone>peerGone writePeerGone 1.0 - _checked_write OutputShutdownError:peerGone,PeerClosedError:peerGone -
+  peerGone>peerGone checkSelectorPeerGone 1.0 - _poll_then_read PeerClosedError:peerGone -
+  peerGone>closed closePeerGone 0.5 - _close_conn - -
+client active active closed reset | _client_ctor -
+  active>active read 1.0 - _checked_read PeerClosedError:reset -
+  active>active write 0.5 - _checked_write PeerClosedError:reset -
+  active>active checkSelector 1.0 - _poll_then_read PeerClosedError:reset -
+  active>active mayClose 1.0 - _c_may_close - stay:active,closed:closed
+minimalist-misordered bound bound closed | _bind_ctor -
+  bound>bound session 1.0 - _session_misordered - -
+  bound>closed close 0.1 - _close_server - -
+"""
+
+
+def _pairs(mapping) -> str:
+    if mapping is None:
+        return "-"
+    return ",".join(f"{getattr(k, 'value', k)}:{v}" for k, v in mapping.items()) or "-"
+
+
+def _by_kind(overrides) -> dict:
+    return dict(sorted(overrides.items(), key=lambda kv: kv[0].value))
+
+
+def _describe(spec) -> list[str]:
+    ctor = getattr(spec.constructor, "fn", spec.constructor)
+    lines = [f"{spec.name} {spec.initial} {' '.join(spec.states)} | "
+             f"{ctor.__qualname__} {_pairs(_by_kind(spec.constructor_overrides))}"]
+    for t in spec.transitions:
+        action = getattr(t.action, "fn", t.action)
+        lines.append(
+            f"  {t.source}>{t.target} {t.label} {t.weight} "
+            f"{'-' if t.guard is None else 'guarded'} {action.__qualname__} "
+            f"{_pairs(_by_kind(t.exception_overrides))} {_pairs(t.outcome_branches)}"
+        )
+    return lines
+
+
+def test_bundled_models_are_pinned():
+    described = [line for spec in MODEL_REGISTRY.values() for line in _describe(spec)]
+    assert described == PINNED_MODELS.splitlines()
