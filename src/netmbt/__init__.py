@@ -5,14 +5,11 @@ cases against either real loopback sockets or a deterministic in-memory
 network simulation, checking per-connection byte-accounting oracles.
 """
 
-from .adapter import EOF, Interest, NetworkBackend, ReadKind, ReadResult, bytes_result
+from .adapter import EOF, Interest, NetworkBackend, ReadResult
 from .efsm import (
-    Action,
     ActionContext,
     ModelInstance,
     ModelSpec,
-    StepKind,
-    StepOutcome,
     Transition,
     define_model,
     enabled_transitions,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AdapterError, ErrorKind
 
@@ -31,33 +31,19 @@ class Interest(enum.IntFlag):
 ACCEPT, READ, WRITE = 1, 2, 4
 
 
-class ReadKind(enum.Enum):
-    BYTES = "bytes"
-    END_OF_STREAM = "eof"
-
-
-@dataclass(frozen=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     """Outcome of a read: either a (possibly empty) byte chunk or end of
-    stream.  End of stream is a distinct variant, not a sentinel count."""
+    stream.  End of stream is a distinct flag, not a sentinel count."""
 
-    kind: ReadKind
     data: bytes = b""
+    is_eof: bool = False
 
     @property
     def count(self) -> int:
         return len(self.data)
 
-    @property
-    def is_eof(self) -> bool:
-        return self.kind is ReadKind.END_OF_STREAM
 
-
-EOF = ReadResult(ReadKind.END_OF_STREAM)
-
-
-def bytes_result(data: bytes) -> ReadResult:
-    return ReadResult(ReadKind.BYTES, data)
+EOF = ReadResult(is_eof=True)
 
 
 class ServerChannel:
@@ -186,7 +172,7 @@ class NetworkBackend:
         if conn.input_shut:
             raise AdapterError(ErrorKind.INPUT_SHUTDOWN, "read after shutdownInput")
         if capacity == 0:
-            return bytes_result(b"")
+            return ReadResult(b"")
         return self._do_read(conn, capacity, conn.blocking)
 
     def write(self, conn: ConnChannel, payload: bytes) -> int:

@@ -3,8 +3,9 @@
 Commands: run (execute a suite), replay (re-execute recorded traces),
 export-dot (print a model graph), list-models.  Exit codes: 0 all tests
 passed / replays matched and passed; 1 at least one test failed (traces
-written); 2 configuration or backend error (including replay divergence,
-which in practice means the flags do not match the recorded run).
+written); 2 configuration or backend error (including a malformed trace
+file, and replay divergence, which in practice means the flags do not match
+the recorded run).
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ def _cmd_run(args) -> int:
     print(format_report(report, args.model))
     if report.failed and config.trace_path is None:
         with open(DEFAULT_FAILURE_TRACE_PATH, "w", encoding="utf-8") as fh:
-            for trace in report.failing_traces:
-                fh.write(serialize_trace(trace))
+            for failure in report.failures:
+                fh.write(serialize_trace(failure.trace))
         print(f"failing traces written to {DEFAULT_FAILURE_TRACE_PATH}")
     return 0 if report.all_passed else 1
 
@@ -204,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in MODEL_REGISTRY:
                 print(name)
             return 0
-    except (ConfigError, BackendError, OSError) as exc:
+    except (ConfigError, BackendError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command")

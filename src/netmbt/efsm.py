@@ -1,11 +1,13 @@
 """Extended finite-state machine definitions and single-step execution.
 
 A model is a set of named states plus guarded, weighted transitions whose
-actions run against the system under test.  Actions may assert oracle
-conditions, may signal classified errors (redirected through per-transition
-exception overrides), may emit an outcome tag (routed through declared
-outcome branches), and may launch child model instances whose constructors
-run synchronously at launch time.
+actions run against the system under test.  An action is a plain callable
+that takes an ActionContext and returns None or one outcome tag; the keys
+of the transition's ``outcome_branches`` are its tags, and each names the
+state that tag leads to.  Actions may assert oracle conditions, may signal
+classified errors (redirected through per-transition exception overrides),
+and may launch child model instances whose constructors run synchronously
+at launch time.
 
 Guards are pure predicates over instance-local variables; all side effects
 belong to actions.  That split keeps transition enumeration repeatable,
@@ -14,7 +16,6 @@ which the replay machinery relies on.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -26,29 +27,16 @@ Guard = Callable[[dict], bool]
 ActionFn = Callable[["ActionContext"], Optional[str]]
 
 
-@dataclass(frozen=True)
-class Action:
-    """Executable transition body.
-
-    ``fn`` receives an ActionContext.  An action with a non-empty ``tags``
-    set must return one of those tags on every run; an action with no tags
-    must return None.  The tag set is what lets model validation check that
-    outcome branches are total.
-    """
-
-    fn: ActionFn
-    tags: frozenset[str] = frozenset()
-
-
-NO_OP = Action(lambda ctx: None)
-
-
 @dataclass(eq=False)
 class Transition:
+    """A guarded, weighted edge.  ``action`` returns None, which leads to
+    ``target``, or one of the keys of ``outcome_branches``, which leads to
+    the state that key maps to."""
+
     source: str
     target: str
     label: str
-    action: Action = NO_OP
+    action: ActionFn
     guard: Guard | None = None
     weight: float = 1.0
     exception_overrides: dict[ErrorKind, str] = field(default_factory=dict)
@@ -63,7 +51,7 @@ class ModelSpec:
     initial: str
     states: tuple[str, ...]
     transitions: tuple[Transition, ...]
-    constructor: Action
+    constructor: ActionFn | None
     constructor_overrides: dict[ErrorKind, str]
     outgoing: dict[str, tuple[Transition, ...]]
 
@@ -77,7 +65,7 @@ def define_model(
     name: str,
     initial: str,
     transitions: list[Transition],
-    constructor: Action = NO_OP,
+    constructor: ActionFn | None = None,
     *,
     states: list[str] | None = None,
     constructor_overrides: Mapping[ErrorKind, str] | None = None,
@@ -115,30 +103,13 @@ def define_model(
             if not isinstance(kind, ErrorKind):
                 raise SpecError(f"{name}: override key {kind!r} is not an ErrorKind")
             ref(target)
-        tags = t.action.tags
-        for tag in tags:
+        for tag, target in (t.outcome_branches or {}).items():
             _check_identifier("outcome tag", tag)
-        if tags:
-            if t.outcome_branches is None:
-                raise SpecError(
-                    f"{name}: transition {t.label!r} has a tagged action but no outcome branches"
-                )
-            if set(t.outcome_branches) != set(tags):
-                raise SpecError(
-                    f"{name}: outcome branches of {t.label!r} do not cover the action's tag set"
-                )
-            for target in t.outcome_branches.values():
-                ref(target)
-        elif t.outcome_branches is not None:
-            raise SpecError(
-                f"{name}: transition {t.label!r} declares branches but its action emits no tags"
-            )
+            ref(target)
 
     ctor_overrides = dict(constructor_overrides or {})
     for kind, target in ctor_overrides.items():
         ref(target)
-    if constructor.tags:
-        raise SpecError(f"{name}: constructor actions may not declare outcome tags")
 
     if states is None:
         declared = tuple(referenced)
@@ -186,20 +157,6 @@ class ModelInstance:
         return f"<{self.spec.name}#{self.id} @{self.current}>"
 
 
-class StepKind(enum.Enum):
-    COMPLETED = "completed"
-    VIOLATION = "violation"
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    kind: StepKind
-    target: str | None = None
-    message: str | None = None
-    raised_error: ErrorKind | None = None
-    outcome_tag: str | None = None
-
-
 class ActionContext:
     """Services visible to a model action (and to constructor actions).
 
@@ -243,9 +200,10 @@ def instantiate(
     test as a PropertyViolation.
     """
     inst = ModelInstance(instance_id, spec, args)
-    ctx = make_ctx(inst)
+    if spec.constructor is None:
+        return inst
     try:
-        tag = spec.constructor.fn(ctx)
+        tag = spec.constructor(make_ctx(inst))
     except AdapterError as exc:
         target = spec.constructor_overrides.get(exc.kind)
         if target is None:
@@ -288,42 +246,36 @@ def _name(instance: ModelInstance, transition: Transition) -> str:
 
 def fire_transition(
     instance: ModelInstance, transition: Transition, ctx: ActionContext
-) -> StepOutcome:
+) -> tuple[str, str | None]:
     """Execute one transition and resolve the resulting state.
 
     Resolution order: a classified error takes the exception override (or is
     a violation when unmapped); an emitted tag takes its declared branch;
-    otherwise the transition's static target applies.  WatchdogTimeout is
-    deliberately not handled here - the explorer turns it into a verdict.
+    otherwise the transition's static target applies.  Returns ``(outcome,
+    violation)``: the step's trace field (the tag, the ErrorKind value, or
+    "-") and the violation message, or None when the step completed.  On a
+    violation the state is unchanged.  WatchdogTimeout is deliberately not
+    handled here - the explorer turns it into a verdict.
     """
     try:
-        tag = transition.action.fn(ctx)
+        tag = transition.action(ctx)
     except AdapterError as exc:
         target = transition.exception_overrides.get(exc.kind)
         if target is None:
-            return StepOutcome(
-                StepKind.VIOLATION,
-                message=f"unexpected exception in {_name(instance, transition)}: {exc}",
-                raised_error=exc.kind,
-            )
+            return exc.kind.value, f"unexpected exception in {_name(instance, transition)}: {exc}"
         instance.current = target
-        return StepOutcome(StepKind.COMPLETED, target=target, raised_error=exc.kind)
+        return exc.kind.value, None
     except PropertyViolation as exc:
-        return StepOutcome(StepKind.VIOLATION, message=f"{_name(instance, transition)}: {exc}")
+        return "-", f"{_name(instance, transition)}: {exc}"
 
-    if tag is not None:
-        if tag not in transition.action.tags:
-            return StepOutcome(
-                StepKind.VIOLATION,
-                message=f"{_name(instance, transition)} emitted undeclared outcome tag {tag!r}",
-            )
-        target = transition.outcome_branches[tag]  # total by validation
-    else:
-        if transition.action.tags:
-            return StepOutcome(
-                StepKind.VIOLATION,
-                message=f"{_name(instance, transition)} declared outcome tags but emitted none",
-            )
-        target = transition.target
+    branches = transition.outcome_branches
+    if tag is None:
+        if branches:
+            return "-", f"{_name(instance, transition)} declared outcome tags but emitted none"
+        instance.current = transition.target
+        return "-", None
+    target = branches.get(tag) if branches else None
+    if target is None:
+        return "-", f"{_name(instance, transition)} emitted undeclared outcome tag {tag!r}"
     instance.current = target
-    return StepOutcome(StepKind.COMPLETED, target=target, outcome_tag=tag)
+    return tag, None

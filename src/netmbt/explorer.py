@@ -20,13 +20,13 @@ from .efsm import (
     ActionContext,
     ModelInstance,
     ModelSpec,
-    StepKind,
     Transition,
     enabled_transitions,
     fire_transition,
     instantiate,
 )
 from .errors import (
+    BackendError,
     ConfigError,
     DivergenceError,
     PropertyViolation,
@@ -139,36 +139,48 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def parse_traces(text: str) -> list[Trace]:
+    """Parse the traces serialize_trace wrote.  A malformed file, including
+    one that ends inside a block, raises ConfigError naming the bad line."""
     traces: list[Trace] = []
     current: Trace | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith(TRACE_HEADER):
-            fields = dict(part.split("=", 1) for part in line.split()[2:])
-            current = Trace(
-                test_seed=int(fields["seed"]),
-                test_index=int(fields["test"]),
-                backend=fields["backend"],
-                steps=[],
-            )
-            traces.append(current)
-        elif line.startswith("verdict "):
-            if current is None:
-                raise ValueError(f"line {lineno}: verdict before trace header")
-            parts = line.split(" ", 2)
-            current.verdict = parts[1]
-            current.message = parts[2] if len(parts) > 2 else ""
-            current = None
-        else:
-            if current is None:
-                raise ValueError(f"line {lineno}: step before trace header")
-            parts = line.split(" ", 5)
-            if len(parts) != 6:
-                raise ValueError(f"line {lineno}: malformed step record: {line!r}")
-            current.steps.append(
-                StepRecord(int(parts[0]), int(parts[1]), parts[2], parts[3], parts[4], parts[5])
-            )
+    lineno = 0
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            if line.startswith(TRACE_HEADER):
+                if current is not None:
+                    raise ValueError("trace header before the previous trace's verdict")
+                fields = dict(part.partition("=")[::2] for part in line.split()[2:])
+                current = Trace(
+                    test_seed=int(fields["seed"]),
+                    test_index=int(fields["test"]),
+                    backend=fields["backend"],
+                    steps=[],
+                )
+                traces.append(current)
+            elif current is None:
+                raise ValueError(f"record before trace header: {line!r}")
+            elif line.startswith("verdict "):
+                parts = line.split(" ", 2)
+                if parts[1] not in ("PASS", "FAIL"):
+                    raise ValueError(f"unknown verdict {parts[1]!r}")
+                current.verdict = parts[1]
+                current.message = parts[2] if len(parts) > 2 else ""
+                current = None
+            else:
+                parts = line.split(" ", 5)
+                if len(parts) != 6:
+                    raise ValueError(f"malformed step record: {line!r}")
+                current.steps.append(
+                    StepRecord(int(parts[0]), int(parts[1]), parts[2], parts[3], parts[4], parts[5])
+                )
+        if current is not None:
+            raise ValueError("end of file before the verdict line")
+    except KeyError as exc:
+        raise ConfigError(f"line {lineno}: trace header lacks {exc.args[0]}=") from None
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from None
     return traces
 
 
@@ -324,7 +336,7 @@ def run_single_test(
             state, launched = inst.current, len(run.instances)
             ctx = run._make_ctx(inst)
             try:
-                outcome = fire_transition(inst, transition, ctx)
+                outcome, violation = fire_transition(inst, transition, ctx)
             except WatchdogTimeout as exc:
                 verdict = "FAIL"
                 message = f"watchdog: {inst.spec.name}.{transition.label}: {exc}"
@@ -335,24 +347,24 @@ def run_single_test(
             elif inst.current != state or len(run.instances) != launched:
                 table.refresh(run.instances, inst)
             backend.advance()
-            if outcome.raised_error is not None:
-                out_field = outcome.raised_error.value
-            else:
-                out_field = outcome.outcome_tag or "-"
             run.records.append(
                 StepRecord(
                     len(run.records), inst.id, inst.spec.name,
-                    transition.label, out_field, inst.current,
+                    transition.label, outcome, inst.current,
                 )
             )
-            if outcome.kind is StepKind.VIOLATION:
-                verdict = "FAIL"
-                message = outcome.message or "property violation"
+            if violation is not None:
+                verdict, message = "FAIL", violation
                 break
     except PropertyViolation as exc:
         verdict, message = "FAIL", str(exc)
     except WatchdogTimeout as exc:
         verdict, message = "FAIL", f"watchdog: {exc}"
+    except BackendError:
+        raise  # the network facility is unusable: no test can run
+    except Exception as exc:
+        # A model bug or an unclassified OS error fails this test only.
+        verdict, message = "FAIL", f"unclassified {type(exc).__name__}: {exc}"
     finally:
         lease.release_all()
         backend.force_close_all()
@@ -381,23 +393,13 @@ class ModelCoverage:
 
 
 @dataclass
-class FailureInfo:
-    test_index: int
-    test_seed: int
-    failing_step: int | None
-    message: str
-    diagnostics: list[str] = field(default_factory=list)
-
-
-@dataclass
 class SuiteReport:
     config: SuiteConfig
     tests_run: int
     passed: int
     failed: int
-    failures: list[FailureInfo]
+    failures: list[TestResult]
     coverage: dict[str, ModelCoverage]
-    failing_traces: list[Trace]
     elapsed_seconds: float
 
     @property
@@ -447,8 +449,7 @@ def run_suite(
     """Run the whole suite; traces stream to config.trace_path when set."""
     pool = port_pool(config)
     coverage: dict[str, ModelCoverage] = {}
-    failures: list[FailureInfo] = []
-    failing_traces: list[Trace] = []
+    failures: list[TestResult] = []
     passed = failed = tests_run = 0
     started = time.perf_counter()
     writer = open(config.trace_path, "w", encoding="utf-8") if config.trace_path else None
@@ -467,11 +468,7 @@ def run_suite(
                 passed += 1
             else:
                 failed += 1
-                failures.append(
-                    FailureInfo(i, test_seed, trace.failing_step_index,
-                                trace.message, result.diagnostics)
-                )
-                failing_traces.append(trace)
+                failures.append(result)
                 if config.abort_on_first_failure:
                     break
     finally:
@@ -485,7 +482,6 @@ def run_suite(
         failed=failed,
         failures=failures,
         coverage=coverage,
-        failing_traces=failing_traces,
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -506,8 +502,9 @@ def format_report(report: SuiteReport, root_name: str) -> str:
     if report.failures:
         lines.append("failures:")
         for f in report.failures[:20]:
-            step = "-" if f.failing_step is None else str(f.failing_step)
-            lines.append(f"  test {f.test_index} seed {f.test_seed} step {step}: {f.message}")
+            t = f.trace
+            step = "-" if t.failing_step_index is None else str(t.failing_step_index)
+            lines.append(f"  test {t.test_index} seed {t.test_seed} step {step}: {t.message}")
             for note in f.diagnostics:
                 lines.append(f"    fault {note}")
         if len(report.failures) > 20:

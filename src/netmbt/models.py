@@ -21,7 +21,7 @@ the authority for which calls must fail where.
 from __future__ import annotations
 
 from .adapter import READ, ConnChannel, Interest, ReadResult
-from .efsm import Action, ActionContext, ModelSpec, Transition, define_model
+from .efsm import ActionContext, ModelSpec, Transition, define_model
 from .errors import ErrorKind
 
 E = ErrorKind
@@ -161,7 +161,7 @@ def _expect_failure(op, message: str):
         op(ctx)
         ctx.require(False, message)
 
-    return Action(run)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def worker_model() -> ModelSpec:
     peer_gone = {E.PEER_CLOSED: "peerGone"}
 
     def t(source, target, label, fn, weight=1.0, overrides=None):
-        return Transition(source, target, label, Action(fn), weight=weight,
+        return Transition(source, target, label, fn, weight=weight,
                           exception_overrides=dict(overrides or {}))
 
     transitions = [
@@ -257,7 +257,7 @@ def worker_model() -> ModelSpec:
           overrides=peer_gone),
         t("peerGone", "closed", "closePeerGone", _close_conn, weight=0.5),
     ]
-    return define_model("worker", "connected", transitions, Action(_watch_conn))
+    return define_model("worker", "connected", transitions, _watch_conn)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +284,15 @@ def client_model() -> ModelSpec:
     peer ends the model in a terminal state."""
     to_reset = {E.PEER_CLOSED: "reset"}
     transitions = [
-        Transition("active", "active", "read", Action(_checked_read),
+        Transition("active", "active", "read", _checked_read, exception_overrides=to_reset),
+        Transition("active", "active", "write", _checked_write, weight=0.5,
                    exception_overrides=to_reset),
-        Transition("active", "active", "write", Action(_checked_write), weight=0.5,
+        Transition("active", "active", "checkSelector", _poll_then_read,
                    exception_overrides=to_reset),
-        Transition("active", "active", "checkSelector", Action(_poll_then_read),
-                   exception_overrides=to_reset),
-        Transition("active", "active", "mayClose",
-                   Action(_c_may_close, frozenset({"stay", "closed"})),
+        Transition("active", "active", "mayClose", _c_may_close,
                    outcome_branches={"stay": "active", "closed": "closed"}),
     ]
-    return define_model("client", "active", transitions, Action(_client_ctor),
+    return define_model("client", "active", transitions, _client_ctor,
                         states=["active", "closed", "reset"])
 
 
@@ -339,18 +337,18 @@ def _close_server(ctx: ActionContext) -> None:
 
 def minimalist_model() -> ModelSpec:
     transitions = [
-        Transition("bound", "bound", "session", Action(_session), weight=3.0),
-        Transition("bound", "closed", "close", Action(_close_server)),
+        Transition("bound", "bound", "session", _session, weight=3.0),
+        Transition("bound", "closed", "close", _close_server),
     ]
-    return define_model("minimalist", "bound", transitions, Action(_bind_ctor))
+    return define_model("minimalist", "bound", transitions, _bind_ctor)
 
 
 def minimalist_misordered_model() -> ModelSpec:
     transitions = [
-        Transition("bound", "bound", "session", Action(_session_misordered)),
-        Transition("bound", "closed", "close", Action(_close_server), weight=0.1),
+        Transition("bound", "bound", "session", _session_misordered),
+        Transition("bound", "closed", "close", _close_server, weight=0.1),
     ]
-    return define_model("minimalist-misordered", "bound", transitions, Action(_bind_ctor))
+    return define_model("minimalist-misordered", "bound", transitions, _bind_ctor)
 
 
 # ---------------------------------------------------------------------------
@@ -441,45 +439,39 @@ def server_main_model() -> ModelSpec:
 
     def self_probes(state, suffix, toggle_fn, toggle_override):
         return [
-            Transition(state, state, f"toggleBlocking{suffix}", Action(toggle_fn),
+            Transition(state, state, f"toggleBlocking{suffix}", toggle_fn,
                        exception_overrides=toggle_override),
-            Transition(state, state, f"checkSelector{suffix}", Action(_sm_check_selector)),
-            Transition(state, state, f"getLocalPort{suffix}", Action(_sm_get_port)),
+            Transition(state, state, f"checkSelector{suffix}", _sm_check_selector),
+            Transition(state, state, f"getLocalPort{suffix}", _sm_get_port),
         ]
 
     transitions = [
-        Transition("bound", "selectorConfigured", "configureSelector",
-                   Action(_configure_selector)),
+        Transition("bound", "selectorConfigured", "configureSelector", _configure_selector),
         *self_probes("bound", "Bound", _sm_toggle_free, {}),
-        Transition("bound", "bound", "bindAgain", Action(_sm_bind_again),
+        Transition("bound", "bound", "bindAgain", _sm_bind_again,
                    exception_overrides={E.ALREADY_BOUND: "bound"}),
-        Transition("bound", "closed", "closeFromBound", Action(_close_server),
-                   weight=0.3),
+        Transition("bound", "closed", "closeFromBound", _close_server, weight=0.3),
         Transition("selectorConfigured", "accepting", "startAccepting",
-                   Action(_sm_start_accepting), weight=2.0),
+                   _sm_start_accepting, weight=2.0),
         *self_probes("selectorConfigured", "Configured", _sm_toggle_registered,
                      {E.ILLEGAL_BLOCKING_MODE: "selectorConfigured"}),
         Transition("selectorConfigured", "closed", "closeFromConfigured",
-                   Action(_close_server), weight=0.3),
-        Transition("accepting", "accepting", "acceptTry",
-                   Action(_sm_accept_try, frozenset({"nullResult", "connected"})),
-                   weight=3.0,
+                   _close_server, weight=0.3),
+        Transition("accepting", "accepting", "acceptTry", _sm_accept_try, weight=3.0,
                    outcome_branches={"nullResult": "accepting", "connected": "connected"}),
         *self_probes("accepting", "Accepting", _sm_toggle_registered,
                      {E.ILLEGAL_BLOCKING_MODE: "accepting"}),
-        Transition("accepting", "closed", "closeFromAccepting", Action(_close_server),
-                   weight=0.3),
-        Transition("connected", "accepting", "handOff", Action(_sm_hand_off), weight=3.0),
+        Transition("accepting", "closed", "closeFromAccepting", _close_server, weight=0.3),
+        Transition("connected", "accepting", "handOff", _sm_hand_off, weight=3.0),
         *self_probes("connected", "Connected", _sm_toggle_registered,
                      {E.ILLEGAL_BLOCKING_MODE: "connected"}),
-        Transition("connected", "closed", "closeFromConnected", Action(_close_server),
-                   weight=0.3),
-        Transition("closed", "err", "acceptAfterClose", Action(_sm_accept_closed),
+        Transition("connected", "closed", "closeFromConnected", _close_server, weight=0.3),
+        Transition("closed", "err", "acceptAfterClose", _sm_accept_closed,
                    exception_overrides={E.CLOSED_CHANNEL: "err"}),
-        Transition("closed", "err", "getLocalPortAfterClose", Action(_sm_port_closed),
+        Transition("closed", "err", "getLocalPortAfterClose", _sm_port_closed,
                    exception_overrides={E.CLOSED_CHANNEL: "err"}),
     ]
-    return define_model("server-main", "bound", transitions, Action(_bind_ctor))
+    return define_model("server-main", "bound", transitions, _bind_ctor)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .adapter import (
     NetworkBackend,
     ReadResult,
     ServerChannel,
-    bytes_result,
 )
 from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
 
@@ -145,12 +144,12 @@ class RealBackend(NetworkBackend):
         except (BlockingIOError, InterruptedError):
             if blocking:
                 raise
-            return bytes_result(b"")
+            return ReadResult(b"")
         except OSError as exc:
             if exc.errno in _RESET_ERRNOS:
                 raise _peer_closed(exc) from exc
             raise
-        return EOF if data == b"" else bytes_result(data)
+        return EOF if data == b"" else ReadResult(data)
 
     def _do_write(self, conn: RealConn, payload: bytes, blocking: bool) -> int:
         sock = conn.sock

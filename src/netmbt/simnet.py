@@ -34,7 +34,6 @@ from .adapter import (
     Selector,
     SelectorKey,
     ServerChannel,
-    bytes_result,
 )
 from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
 from .rng import SeededRng
@@ -245,11 +244,11 @@ class SimBackend(NetworkBackend):
                 data = bytes(flow.delivered[:take])
                 del flow.delivered[:take]
                 flow.read_count += take
-                return bytes_result(data)
+                return ReadResult(data)
             if flow.eof_signaled and not flow.cohorts:
                 return EOF
             if not blocking:
-                return bytes_result(b"")
+                return ReadResult(b"")
             if flow.cohorts:
                 self.advance()  # waiting: let time pass until delivery
                 continue

@@ -16,7 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 import netmbt
-from netmbt.efsm import Action, ModelInstance, Transition, define_model
+from netmbt.efsm import ModelInstance, Transition, define_model
 from netmbt.errors import AdapterError
 from netmbt.explorer import SuiteConfig, parse_traces, pick_next, run_suite
 from netmbt.models import CORE_MODELS, MODEL_REGISTRY
@@ -164,7 +164,8 @@ class TestAcceptance:
               f"probes={report.probe_count} divergences={len(report.divergences)}")
 
     def test_engine_micro_oracles(self):
-        noop = Action(lambda ctx: None)
+        def noop(ctx):
+            return None
 
         # pickNext frequency: 2 + 3 unit-weight transitions, 1/5 +/- 0.01
         spec_a = define_model("A", "s", [Transition("s", "s", f"a{i}", noop) for i in range(2)])

@@ -129,6 +129,25 @@ class TestReplayCommand:
         assert main(["replay", "--replay", str(trace)]) == 2  # fault flag omitted
         assert "DIVERGED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", [
+        "netmbt-trace v1 seed=abc test=0 backend=sim\nverdict PASS\n",
+        "netmbt-trace v1 seed=1 backend=sim\nverdict PASS\n",
+        "hello\n",
+    ])
+    def test_malformed_file_exits_two_with_one_line(self, tmp_path, text):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        proc = run_cli("replay", "--replay", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 1: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_binary_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["replay", "--replay", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["replay", "--replay", "/nonexistent/file.trace"]) == 2
 

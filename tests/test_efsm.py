@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmbt.efsm import (
-    Action,
     ActionContext,
     ModelInstance,
-    StepKind,
     Transition,
     define_model,
     enabled_transitions,
@@ -20,7 +18,9 @@ from netmbt.efsm import (
 from netmbt.errors import AdapterError, ErrorKind, PropertyViolation, SpecError
 from netmbt.rng import SeededRng
 
-NOOP = Action(lambda ctx: None)
+
+def NOOP(ctx):
+    return None
 
 
 def make_ctx(inst, rng=None, env=None, launcher=None):
@@ -56,21 +56,15 @@ class TestDefineModel:
         with pytest.raises(SpecError, match="weight"):
             define_model("m", "a", [Transition("a", "a", "go", NOOP, weight=0)])
 
-    def test_branches_must_cover_tags(self):
-        act = Action(lambda ctx: "x", frozenset({"x", "y"}))
-        t = Transition("a", "a", "go", act, outcome_branches={"x": "a"})
-        with pytest.raises(SpecError, match="cover"):
-            define_model("m", "a", [t])
-
-    def test_tags_require_branches(self):
-        act = Action(lambda ctx: "x", frozenset({"x"}))
-        with pytest.raises(SpecError, match="branches"):
-            define_model("m", "a", [Transition("a", "a", "go", act)])
-
-    def test_branches_without_tags_rejected(self):
-        t = Transition("a", "a", "go", NOOP, outcome_branches={"x": "a"})
-        with pytest.raises(SpecError):
-            define_model("m", "a", [t])
+    @pytest.mark.parametrize("branches, match", [
+        ({"x y": "a"}, "outcome tag"),
+        ({"": "a"}, "outcome tag"),
+        ({"x": "nowhere"}, "dangling"),
+    ])
+    def test_branch_tags_and_targets_checked(self, branches, match):
+        t = Transition("a", "a", "go", NOOP, outcome_branches=branches)
+        with pytest.raises(SpecError, match=match):
+            define_model("m", "a", [t], states=["a"])
 
     def test_labels_with_spaces_rejected(self):
         with pytest.raises(SpecError):
@@ -84,7 +78,7 @@ class TestDefineModel:
 class TestInstantiate:
     def test_constructor_runs_before_return(self):
         ran = []
-        spec = define_model("m", "s", [], Action(lambda ctx: ran.append(True)))
+        spec = define_model("m", "s", [], lambda ctx: ran.append(True))
         instantiate(spec, 1, {}, make_ctx)
         assert ran == [True]
 
@@ -101,7 +95,7 @@ class TestInstantiate:
         def boom(ctx):
             raise AdapterError(ErrorKind.CONNECTION_REFUSED)
 
-        spec = define_model("m", "s", [], Action(boom))
+        spec = define_model("m", "s", [], boom)
         with pytest.raises(PropertyViolation, match="constructor"):
             instantiate(spec, 1, {}, make_ctx)
 
@@ -110,7 +104,7 @@ class TestInstantiate:
             raise AdapterError(ErrorKind.CONNECTION_REFUSED)
 
         spec = define_model(
-            "m", "s", [Transition("s", "s", "spin", NOOP)], Action(boom),
+            "m", "s", [Transition("s", "s", "spin", NOOP)], boom,
             constructor_overrides={ErrorKind.CONNECTION_REFUSED: "failed"},
         )
         inst = instantiate(spec, 1, {}, make_ctx)
@@ -149,74 +143,71 @@ class TestEnabledTransitions:
 
 
 class TestFireTransition:
+    """Each path of the step-result table: ``(outcome, violation)`` and the
+    state the instance is left in."""
+
+    @staticmethod
+    def fire(transition, **vars):
+        spec = define_model("m", "a", [transition])
+        inst = ModelInstance(1, spec, vars)
+        return fire_transition(inst, spec.transitions[0], make_ctx(inst)), inst.current
+
     def test_plain_target(self):
-        spec = define_model("m", "a", [Transition("a", "b", "go", NOOP)])
-        inst = ModelInstance(1, spec, {})
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst))
-        assert out.kind is StepKind.COMPLETED and inst.current == "b"
+        assert self.fire(Transition("a", "b", "go", NOOP)) == (("-", None), "b")
 
     def test_outcome_tag_routes_to_branch(self):
-        act = Action(lambda ctx: ctx.vars["tag"], frozenset({"hit", "miss"}))
-        t = Transition("a", "a", "try", act,
+        t = Transition("a", "a", "try", lambda ctx: ctx.vars["tag"],
                        outcome_branches={"hit": "won", "miss": "a"})
-        spec = define_model("m", "a", [t])
-        inst = ModelInstance(1, spec, {"tag": "hit"})
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst))
-        assert out.outcome_tag == "hit" and inst.current == "won"
+        assert self.fire(t, tag="hit") == (("hit", None), "won")
+        assert self.fire(t, tag="miss") == (("miss", None), "a")
 
     def test_undeclared_tag_is_violation(self):
-        act = Action(lambda ctx: "other", frozenset({"hit"}))
-        t = Transition("a", "a", "try", act, outcome_branches={"hit": "a"})
-        spec = define_model("m", "a", [t])
-        inst = ModelInstance(1, spec, {})
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst))
-        assert out.kind is StepKind.VIOLATION and "undeclared" in out.message
+        t = Transition("a", "b", "try", lambda ctx: "other", outcome_branches={"hit": "b"})
+        assert self.fire(t) == (("-", "m.try emitted undeclared outcome tag 'other'"), "a")
+
+    def test_tag_without_branches_is_violation(self):
+        t = Transition("a", "b", "try", lambda ctx: "hit")
+        assert self.fire(t) == (("-", "m.try emitted undeclared outcome tag 'hit'"), "a")
 
     def test_tagged_action_must_emit(self):
-        act = Action(lambda ctx: None, frozenset({"hit"}))
-        t = Transition("a", "a", "try", act, outcome_branches={"hit": "a"})
-        spec = define_model("m", "a", [t])
-        inst = ModelInstance(1, spec, {})
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst))
-        assert out.kind is StepKind.VIOLATION
+        t = Transition("a", "b", "try", NOOP, outcome_branches={"hit": "b"})
+        assert self.fire(t) == (("-", "m.try declared outcome tags but emitted none"), "a")
 
     def test_mapped_error_takes_override_and_completes(self):
         def boom(ctx):
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "late read")
 
-        t = Transition("a", "b", "go", Action(boom),
+        t = Transition("a", "b", "go", boom,
                        exception_overrides={ErrorKind.CLOSED_CHANNEL: "err"})
-        spec = define_model("m", "a", [t])
-        inst = ModelInstance(1, spec, {})
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst))
-        assert out.kind is StepKind.COMPLETED
-        assert out.raised_error is ErrorKind.CLOSED_CHANNEL
-        assert inst.current == "err"
+        assert self.fire(t) == (("ClosedChannelError", None), "err")
 
     def test_unmapped_error_is_violation_and_state_unchanged(self):
         def boom(ctx):
             raise AdapterError(ErrorKind.PEER_CLOSED)
 
-        spec = define_model("m", "a", [Transition("a", "b", "go", Action(boom))])
-        inst = ModelInstance(1, spec, {})
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst))
-        assert out.kind is StepKind.VIOLATION
-        assert "unexpected exception" in out.message
-        assert inst.current == "a"
+        t = Transition("a", "b", "go", boom,
+                       exception_overrides={ErrorKind.CLOSED_CHANNEL: "err"})
+        assert self.fire(t) == (
+            ("PeerClosedError", "unexpected exception in m.go: PeerClosedError"), "a"
+        )
 
     def test_require_failure_is_violation(self):
         def check(ctx):
             ctx.require(False, "the oracle said no")
 
-        spec = define_model("m", "a", [Transition("a", "b", "go", Action(check))])
-        inst = ModelInstance(1, spec, {})
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst))
-        assert out.kind is StepKind.VIOLATION and "oracle said no" in out.message
+        assert self.fire(Transition("a", "b", "go", check)) == (
+            ("-", "m.go: the oracle said no"), "a"
+        )
+
+    def test_unclassified_exception_propagates(self):
+        def bug(ctx):
+            raise KeyError("conn")
+
+        with pytest.raises(KeyError):
+            self.fire(Transition("a", "b", "go", bug))
 
     def test_step_determinism(self):
-        act = Action(lambda ctx: ("hit" if ctx.rng.below(2) else "miss"),
-                     frozenset({"hit", "miss"}))
-        t = Transition("a", "a", "try", act,
+        t = Transition("a", "a", "try", lambda ctx: ("hit" if ctx.rng.below(2) else "miss"),
                        outcome_branches={"hit": "won", "miss": "a"})
         spec = define_model("m", "a", [t])
         results = []
@@ -227,21 +218,20 @@ class TestFireTransition:
             for _ in range(20):
                 inst.current = "a"
                 outs.append(fire_transition(inst, spec.transitions[0],
-                                            make_ctx(inst, rng=rng)).outcome_tag)
+                                            make_ctx(inst, rng=rng))[0])
             results.append(outs)
         assert results[0] == results[1]
 
     def test_launch_runs_child_constructor_inside_action(self):
         events = []
-        child = define_model("child", "c", [],
-                             Action(lambda ctx: events.append("child-ctor")))
+        child = define_model("child", "c", [], lambda ctx: events.append("child-ctor"))
 
         def parent_action(ctx):
             events.append("before")
             ctx.launch(child, {})
             events.append("after")
 
-        spec = define_model("m", "a", [Transition("a", "a", "go", Action(parent_action))])
+        spec = define_model("m", "a", [Transition("a", "a", "go", parent_action)])
         inst = ModelInstance(1, spec, {})
         children = []
 
@@ -250,7 +240,7 @@ class TestFireTransition:
             return children[-1]
 
         out = fire_transition(inst, spec.transitions[0], make_ctx(inst, launcher=launcher))
-        assert out.kind is StepKind.COMPLETED
+        assert out == ("-", None)
         assert events == ["before", "child-ctor", "after"]
         assert [c.spec.name for c in children] == ["child"]
 

@@ -8,8 +8,8 @@ from collections import Counter
 
 import pytest
 
-from netmbt.efsm import Action, ModelInstance, Transition, define_model
-from netmbt.errors import ConfigError, DivergenceError
+from netmbt.efsm import ModelInstance, Transition, define_model
+from netmbt.errors import BackendError, ConfigError, DivergenceError
 from netmbt.explorer import (
     SuiteConfig,
     coverage_from_traces,
@@ -26,7 +26,11 @@ from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
 from netmbt.simnet import FaultKind, FaultSpec
 
-NOOP = Action(lambda ctx: None)
+
+def NOOP(ctx):
+    return None
+
+
 SERVER_MAIN = MODEL_REGISTRY["server-main"]
 MINIMALIST = MODEL_REGISTRY["minimalist"]
 
@@ -271,6 +275,33 @@ class TestSuites:
                 else:
                     assert born[rec.instance_id] < rec.index
 
+    def test_unclassified_exception_fails_only_its_test(self, tmp_path):
+        opened = []
+
+        def bug(ctx):
+            ctx.env.ports.acquire()
+            opened.append(ctx.env.net.open_server())
+            raise KeyError("conn")
+
+        spec = define_model("buggy", "s", [Transition("s", "s", "bug", bug)])
+        p = tmp_path / "t.trace"
+        rep = run_suite(spec, SuiteConfig(seed=1, num_tests=3, trace_path=str(p)))
+        assert (rep.tests_run, rep.passed, rep.failed) == (3, 0, 3)
+        assert [f.trace.message for f in rep.failures] == ["unclassified KeyError: 'conn'"] * 3
+        assert [t.verdict for t in parse_traces(p.read_text())] == ["FAIL"] * 3
+        assert len(opened) == 3 and all(server.closed for server in opened)
+        pool = PortPool(20000, 20010)
+        result = run_single_test(spec, SuiteConfig(seed=1), derive_seed(1, 0), 0, pool)
+        assert not result.passed and pool.leased == frozenset()
+
+    def test_backend_error_still_aborts_the_suite(self):
+        def unusable(ctx):
+            raise BackendError("no loopback")
+
+        spec = define_model("m", "s", [Transition("s", "s", "go", unusable)])
+        with pytest.raises(BackendError, match="no loopback"):
+            run_suite(spec, SuiteConfig(seed=1, num_tests=3))
+
     def test_instance_ids_monotone_from_one(self):
         pool = PortPool(20000, 29999)
         result = run_single_test(SERVER_MAIN, SuiteConfig(seed=4), derive_seed(4, 0), 0, pool)
@@ -308,6 +339,27 @@ class TestTraceFormat:
             assert recomputed[name].transitions_fired == cov.transitions_fired
 
 
+    @pytest.mark.parametrize("text, error", [
+        ("netmbt-trace v1 seed=abc test=0 backend=sim\nverdict PASS\n", "line 1: invalid"),
+        ("netmbt-trace v1 seed=1 backend=sim\nverdict PASS\n", "line 1: trace header lacks test="),
+        ("hello\n", "line 1: record before trace header"),
+        ("verdict PASS\n", "line 1: record before trace header"),
+        ("netmbt-trace v1 seed=1 test=0 backend=sim\n\n0 1 m\n", "line 3: malformed step"),
+        ("netmbt-trace v1 seed=1 test=0 backend=sim\nx 1 m l - s\n", "line 2: invalid"),
+        ("netmbt-trace v1 seed=1 test=0 backend=sim\nverdict MAYBE\n",
+         "line 2: unknown verdict 'MAYBE'"),
+        ("netmbt-trace v1 seed=1 test=0 backend=sim\n0 1 m l - s\n"
+         "netmbt-trace v1 seed=2 test=1 backend=sim\nverdict PASS\n",
+         "line 3: trace header before the previous trace's verdict"),
+        ("netmbt-trace v1 seed=1 test=0 backend=sim\n0 1 m l - s\n",
+         "line 2: end of file before the verdict line"),
+    ])
+    def test_malformed_file_is_config_error_with_line(self, text, error):
+        with pytest.raises(ConfigError) as e:
+            parse_traces(text)
+        assert str(e.value).startswith(error)
+
+
 class TestReplay:
     def test_passing_trace_replays_identically(self, tmp_path):
         p = tmp_path / "t.trace"
@@ -330,8 +382,8 @@ class TestReplay:
     def test_failing_fault_trace_replays_to_same_step(self):
         cfg = SuiteConfig(seed=9, num_tests=200, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
-        assert rep.failing_traces
-        failing = rep.failing_traces[0]
+        assert rep.failures
+        failing = rep.failures[0].trace
         re_cfg = SuiteConfig(seed=0, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
         result = replay(failing, SERVER_MAIN, re_cfg)
         assert result.trace.verdict == "FAIL"

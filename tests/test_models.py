@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from netmbt.adapter import ConnChannel
-from netmbt.efsm import StepKind, enabled_transitions, fire_transition, instantiate
+from netmbt.efsm import enabled_transitions, fire_transition, instantiate
 from netmbt.errors import ErrorKind
 from netmbt.explorer import RunEnv, SuiteConfig, _PortLease, run_single_test, run_suite
 from netmbt.models import MODEL_REGISTRY, OracleLedger
@@ -57,7 +57,7 @@ class TestMinimalist:
         run = ManualRun(net)
         server = run.launch(MINIMALIST, {})
         out = run.fire(server, "session")
-        assert out.kind is StepKind.COMPLETED
+        assert out == ("-", None)
         assert [i.spec.name for i in run.instances] == ["minimalist", "client", "worker"]
         client, worker = run.instances[1], run.instances[2]
         # traffic both ways, then verify the ledger saw it
@@ -68,7 +68,7 @@ class TestMinimalist:
         net.advance()
         run.fire(worker, "read")
         out = run.fire(server, "close")
-        assert out.kind is StepKind.COMPLETED and server.current == "closed"
+        assert out == ("-", None) and server.current == "closed"
         assert not server.alive
         (entry,) = run.env.ledger.entries.values()
         assert entry["server"].wrote > 0 or entry["client"].wrote > 0
@@ -80,7 +80,7 @@ class TestMinimalist:
         run = ManualRun(net)
         server = run.launch(MINIMALIST, {})
         out = run.fire(server, "close")
-        assert out.kind is StepKind.COMPLETED
+        assert out == ("-", None)
         assert run.env.ledger.entries == {}
 
     def test_misordered_variant_deadlocks_on_sim(self):
@@ -105,10 +105,10 @@ class TestServerMain:
         run.fire(server, "configureSelector")
         run.fire(server, "startAccepting")
         out = run.fire(server, "acceptTry")
-        assert out.outcome_tag == "nullResult" and server.current == "accepting"
+        assert out == ("nullResult", None) and server.current == "accepting"
         net.advance()
         out = run.fire(server, "acceptTry")
-        assert out.outcome_tag == "connected" and server.current == "connected"
+        assert out == ("connected", None) and server.current == "connected"
 
     def test_hand_off_launches_worker_then_client(self):
         net = SimBackend(SeededRng(3), LatencyModel.zero())
@@ -128,12 +128,11 @@ class TestServerMain:
         run = ManualRun(net)
         server = run.launch(SERVER_MAIN, {})
         out = run.fire(server, "bindAgain")
-        assert out.kind is StepKind.COMPLETED
-        assert out.raised_error is ErrorKind.ALREADY_BOUND
+        assert out == (ErrorKind.ALREADY_BOUND.value, None)
         assert server.current == "bound"
         run.fire(server, "configureSelector")
         out = run.fire(server, "toggleBlockingConfigured")
-        assert out.raised_error is ErrorKind.ILLEGAL_BLOCKING_MODE
+        assert out == (ErrorKind.ILLEGAL_BLOCKING_MODE.value, None)
         assert server.current == "selectorConfigured"
 
     def test_closed_state_probes_reach_err(self):
@@ -142,7 +141,7 @@ class TestServerMain:
         server = run.launch(SERVER_MAIN, {})
         run.fire(server, "closeFromBound")
         out = run.fire(server, "acceptAfterClose")
-        assert out.raised_error is ErrorKind.CLOSED_CHANNEL
+        assert out == (ErrorKind.CLOSED_CHANNEL.value, None)
         assert server.current == "err"
         assert not server.alive
 
@@ -163,15 +162,15 @@ class TestWorker:
         run.env.ledger.record_write(cli, 99, 5)
         net.write(cli, b"abcde")
         out = run.fire(worker, "read")
-        assert out.kind is StepKind.COMPLETED
+        assert out == ("-", None)
 
     def test_read_beyond_ledger_is_violation(self):
         net = SimBackend(SeededRng(4), LatencyModel.zero())
         run, worker, cli, _ = self.make_worker(net)
         net.write(cli, b"abcde")  # delivered but never recorded by a client model
         out = run.fire(worker, "read")
-        assert out.kind is StepKind.VIOLATION
-        assert "oracle" in out.message
+        outcome, violation = out
+        assert outcome == "-" and "oracle" in violation
 
     def test_half_close_probe_edges(self):
         net = SimBackend(SeededRng(4), LatencyModel.zero())
@@ -179,12 +178,12 @@ class TestWorker:
         run.fire(worker, "shutdownInput")
         assert worker.current == "inShut"
         out = run.fire(worker, "readAfterInShut")
-        assert out.raised_error is ErrorKind.INPUT_SHUTDOWN
+        assert out == (ErrorKind.INPUT_SHUTDOWN.value, None)
         assert worker.current == "inShut"
         run.fire(worker, "shutdownOutputInShut")
         assert worker.current == "bothShut"
         out = run.fire(worker, "writeBothShut")
-        assert out.raised_error is ErrorKind.OUTPUT_SHUTDOWN
+        assert out == (ErrorKind.OUTPUT_SHUTDOWN.value, None)
         out = run.fire(worker, "closeBothShut")
         assert worker.current == "closed" and not worker.alive
 
@@ -194,14 +193,13 @@ class TestWorker:
         run.fire(worker, "write")  # unread data at the client
         net.close_conn(cli)  # abortive
         out = run.fire(worker, "read")
-        assert out.kind is StepKind.COMPLETED
-        assert out.raised_error is ErrorKind.PEER_CLOSED
+        assert out == (ErrorKind.PEER_CLOSED.value, None)
         assert worker.current == "peerGone"
         # probes in peerGone keep failing with mapped kinds, never violations
         out = run.fire(worker, "writePeerGone")
-        assert out.kind is StepKind.COMPLETED
+        assert out[1] is None
         out = run.fire(worker, "readPeerGone")
-        assert out.kind is StepKind.COMPLETED
+        assert out[1] is None
 
 
 class TestClient:
@@ -212,7 +210,7 @@ class TestClient:
         port = net.bind(srv, 0)
         client = run.launch(CLIENT, {"port": port})
         out = run.fire(client, "mayClose")
-        assert out.outcome_tag == "closed"
+        assert out == ("closed", None)
         assert client.current == "closed" and not client.alive
 
     def test_stay_probability_zero(self):
@@ -222,7 +220,7 @@ class TestClient:
         port = net.bind(srv, 0)
         client = run.launch(CLIENT, {"port": port})
         for _ in range(10):
-            assert run.fire(client, "mayClose").outcome_tag == "stay"
+            assert run.fire(client, "mayClose") == ("stay", None)
 
     def test_eof_after_server_close_and_drain(self):
         net = SimBackend(SeededRng(6), LatencyModel.zero())
@@ -237,9 +235,8 @@ class TestClient:
         run.fire(client, "read")  # drains the payload (or part of it)
         for _ in range(30):
             out = run.fire(client, "read")
-            assert out.kind is StepKind.COMPLETED
-            if out.raised_error is not None:
-                pytest.fail("unexpected classified error")
+            if out != ("-", None):
+                pytest.fail(f"unexpected step result {out}")
             if client.current != "active":
                 break
         entry = run.env.ledger.entries[sc.connection_id]
@@ -304,7 +301,7 @@ class TestOracleLedger:
 class TestOracleProperties:
     def test_no_faults_no_violations_1000_tests(self):
         rep = run_suite(SERVER_MAIN, SuiteConfig(seed=123, num_tests=1000), MODEL_REGISTRY)
-        assert rep.failed == 0, rep.failures[:3]
+        assert rep.failed == 0, [f.trace.message for f in rep.failures[:3]]
 
     def test_eof_implies_peer_shut_and_full_delivery(self):
         # Fault-free: a side that saw end-of-stream has read exactly what the
@@ -347,7 +344,7 @@ class TestFaultDetection:
                           abort_on_first_failure=True)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failed >= 1
-        assert "oracle" in rep.failures[0].message
+        assert "oracle" in rep.failures[0].trace.message
 
     def test_phantom_readiness_detected_within_1000_tests(self):
         cfg = SuiteConfig(seed=9, num_tests=1000,
@@ -355,7 +352,7 @@ class TestFaultDetection:
                           abort_on_first_failure=True)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failed >= 1
-        assert "oracle" in rep.failures[0].message
+        assert "oracle" in rep.failures[0].trace.message
 
     def test_drop_bytes_not_detected(self):
         cfg = SuiteConfig(seed=9, num_tests=1000,
@@ -444,14 +441,12 @@ def _by_kind(overrides) -> dict:
 
 
 def _describe(spec) -> list[str]:
-    ctor = getattr(spec.constructor, "fn", spec.constructor)
     lines = [f"{spec.name} {spec.initial} {' '.join(spec.states)} | "
-             f"{ctor.__qualname__} {_pairs(_by_kind(spec.constructor_overrides))}"]
+             f"{spec.constructor.__qualname__} {_pairs(_by_kind(spec.constructor_overrides))}"]
     for t in spec.transitions:
-        action = getattr(t.action, "fn", t.action)
         lines.append(
             f"  {t.source}>{t.target} {t.label} {t.weight} "
-            f"{'-' if t.guard is None else 'guarded'} {action.__qualname__} "
+            f"{'-' if t.guard is None else 'guarded'} {t.action.__qualname__} "
             f"{_pairs(_by_kind(t.exception_overrides))} {_pairs(t.outcome_branches)}"
         )
     return lines

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from netmbt import explorer
 from netmbt.efsm import (
-    Action,
     ModelInstance,
     Transition,
     define_model,
@@ -24,7 +23,11 @@ from netmbt.models import MODEL_REGISTRY
 from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
 
-NOOP = Action(lambda ctx: None)
+
+def NOOP(ctx):
+    return None
+
+
 WEIGHTS = (0.1, 0.3, 0.5, 1.0, 2.0, 3.0)
 
 
@@ -146,7 +149,7 @@ class TestTableInvalidation:
         def flip(value):
             def fn(ctx):
                 ctx.vars["open"] = value
-            return Action(fn)
+            return fn
 
         spec = define_model("gate", "s", [
             Transition("s", "s", "open", flip(True), guard=lambda v: not v.get("open")),
@@ -165,7 +168,7 @@ class TestTableInvalidation:
             ctx.launch(child)
 
         parent = define_model("parent", "s", [
-            Transition("s", "s", "spawn", Action(spawn), weight=0.001),
+            Transition("s", "s", "spawn", spawn, weight=0.001),
         ])
         steps, result = _run(parent)
         assert result.passed
@@ -193,7 +196,7 @@ class TestTableInvalidation:
             ctx.launch(guarded)
 
         root = define_model("root", "s", [
-            Transition("s", "t", "spawn", Action(spawn)),
+            Transition("s", "t", "spawn", spawn),
             Transition("t", "t", "idle", NOOP),
         ])
         calls = _counting_enabled(monkeypatch)
