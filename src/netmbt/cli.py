@@ -14,6 +14,7 @@ import argparse
 import secrets
 import sys
 
+from .efsm import ModelSpec
 from .errors import BackendError, ConfigError, DivergenceError
 from .explorer import (
     SuiteConfig,
@@ -27,13 +28,6 @@ from .explorer import (
 )
 from .models import MODEL_REGISTRY, ROOT_MODELS
 from .simnet import FaultKind, FaultSpec
-
-_FAULTS = {
-    "none": None,
-    "duplicate-bytes": FaultKind.DUPLICATE_BYTES,
-    "drop-bytes": FaultKind.DROP_BYTES,
-    "phantom-readiness": FaultKind.PHANTOM_READINESS,
-}
 
 DEFAULT_FAILURE_TRACE_PATH = "netmbt-failures.trace"
 
@@ -65,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--max-steps", type=int, default=100)
     shared.add_argument("--port-range", type=_port_range, default=(20000, 29999),
                         metavar="LO:HI")
-    shared.add_argument("--fault", choices=sorted(_FAULTS), default="none")
+    shared.add_argument("--fault", choices=sorted(["none", *(k.value for k in FaultKind)]),
+                        default="none")
     shared.add_argument("--latency", choices=["zero", "default"], default="default")
     shared.add_argument("--p-close", type=float, default=0.1,
                         help="client's per-opportunity close probability")
@@ -93,21 +88,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    spec = MODEL_REGISTRY.get(args.model)
+def _model(name: str, root: bool = True) -> ModelSpec:
+    """The registered model ``name``; with ``root``, one that runs standalone."""
+    spec = MODEL_REGISTRY.get(name)
     if spec is None:
-        print(f"unknown model {args.model!r}; see list-models", file=sys.stderr)
-        return 2
-    if args.model not in ROOT_MODELS:
-        print(
-            f"model {args.model!r} needs a live connection/port argument and cannot "
-            "run standalone; runnable roots: " + ", ".join(ROOT_MODELS),
-            file=sys.stderr,
+        raise ConfigError(f"unknown model {name!r}; see list-models")
+    if root and name not in ROOT_MODELS:
+        raise ConfigError(
+            f"model {name!r} needs a live connection/port argument and cannot "
+            "run standalone; runnable roots: " + ", ".join(ROOT_MODELS)
         )
-        return 2
+    return spec
+
+
+def _fault(name: str) -> FaultSpec | None:
+    return None if name == "none" else FaultSpec(FaultKind(name))
+
+
+def _cmd_run(args) -> int:
+    spec = _model(args.model)
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     print(f"seed {seed}")
-    fault_kind = _FAULTS[args.fault]
     config = SuiteConfig(
         seed=seed,
         num_tests=args.tests,
@@ -117,7 +118,7 @@ def _cmd_run(args) -> int:
         trace_path=args.trace_out,
         port_range=args.port_range,
         latency=args.latency,
-        fault=FaultSpec(fault_kind) if fault_kind else None,
+        fault=_fault(args.fault),
         p_close=args.p_close,
     )
     report = run_suite(spec, config, MODEL_REGISTRY)
@@ -143,11 +144,7 @@ def _cmd_replay(args) -> int:
                   file=sys.stderr)
             return 2
         model_name = traces[0].steps[0].model
-    spec = MODEL_REGISTRY.get(model_name)
-    if spec is None:
-        print(f"unknown model {model_name!r}", file=sys.stderr)
-        return 2
-    fault_kind = _FAULTS[args.fault]
+    spec = _model(model_name)
     any_real = any(t.backend == "real" for t in traces)
     if any_real:
         print("note: real-backend replay is best-effort; latency may change outcomes")
@@ -161,7 +158,7 @@ def _cmd_replay(args) -> int:
             backend=trace.backend,
             port_range=args.port_range,
             latency=args.latency,
-            fault=FaultSpec(fault_kind) if fault_kind else None,
+            fault=_fault(args.fault),
             p_close=args.p_close,
         )
         if pool is None:
@@ -182,15 +179,6 @@ def _cmd_replay(args) -> int:
     return 1 if any_failed else 0
 
 
-def _cmd_export_dot(args) -> int:
-    spec = MODEL_REGISTRY.get(args.model)
-    if spec is None:
-        print(f"unknown model {args.model!r}; see list-models", file=sys.stderr)
-        return 2
-    sys.stdout.write(export_dot(spec))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -200,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _cmd_replay(args)
         if args.command == "export-dot":
-            return _cmd_export_dot(args)
+            sys.stdout.write(export_dot(_model(args.model, root=False)))
+            return 0
         if args.command == "list-models":
             for name in MODEL_REGISTRY:
                 print(name)

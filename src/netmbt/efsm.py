@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from .errors import AdapterError, ErrorKind, PropertyViolation, SpecError
-from .rng import SeededRng
+from .errors import (AdapterError, BackendError, ErrorKind, PropertyViolation, SpecError,
+                     WatchdogTimeout)
 from .rng import maybe as _maybe
 
 Guard = Callable[[dict], bool]
@@ -52,7 +52,6 @@ class ModelSpec:
     states: tuple[str, ...]
     transitions: tuple[Transition, ...]
     constructor: ActionFn | None
-    constructor_overrides: dict[ErrorKind, str]
     outgoing: dict[str, tuple[Transition, ...]]
 
 
@@ -68,7 +67,6 @@ def define_model(
     constructor: ActionFn | None = None,
     *,
     states: list[str] | None = None,
-    constructor_overrides: Mapping[ErrorKind, str] | None = None,
 ) -> ModelSpec:
     """Validate and freeze a model definition.
 
@@ -107,10 +105,6 @@ def define_model(
             _check_identifier("outcome tag", tag)
             ref(target)
 
-    ctor_overrides = dict(constructor_overrides or {})
-    for kind, target in ctor_overrides.items():
-        ref(target)
-
     if states is None:
         declared = tuple(referenced)
     else:
@@ -131,7 +125,6 @@ def define_model(
         states=declared,
         transitions=tuple(transitions),
         constructor=constructor,
-        constructor_overrides=ctor_overrides,
         outgoing={s: tuple(ts) for s, ts in outgoing.items()},
     )
 
@@ -139,14 +132,13 @@ def define_model(
 class ModelInstance:
     """A live execution of a ModelSpec: current state plus local variables."""
 
-    __slots__ = ("id", "spec", "current", "vars", "ctor_error")
+    __slots__ = ("id", "spec", "current", "vars")
 
     def __init__(self, instance_id: int, spec: ModelSpec, args: Mapping[str, Any]):
         self.id = instance_id
         self.spec = spec
         self.current = spec.initial
         self.vars: dict[str, Any] = dict(args)
-        self.ctor_error: ErrorKind | None = None
 
     @property
     def alive(self) -> bool:
@@ -160,24 +152,24 @@ class ModelInstance:
 class ActionContext:
     """Services visible to a model action (and to constructor actions).
 
-    ``env`` is an opaque namespace supplied by the test runner; the bundled
-    models expect it to carry the network backend, the oracle ledger, the
-    port allocator, and tuning knobs.
+    ``env`` is the test runner's per-test object.  It must carry ``rng``
+    and ``launch(spec, args)``; the bundled models also use its ``net``
+    (the network backend), ``ledger`` (the oracle ledger), ``p_close``
+    and ``acquire_port()``.
     """
 
-    __slots__ = ("instance", "vars", "rng", "env", "_launcher")
+    __slots__ = ("instance", "vars", "rng", "env")
 
-    def __init__(self, instance: ModelInstance, rng: SeededRng, env: Any, launcher):
+    def __init__(self, instance: ModelInstance, env: Any):
         self.instance = instance
         self.vars = instance.vars
-        self.rng = rng
+        self.rng = env.rng
         self.env = env
-        self._launcher = launcher
 
     def launch(self, spec: ModelSpec, args: Mapping[str, Any] | None = None) -> ModelInstance:
         """Instantiate a child model now; its constructor has completed when
         this returns, so its effects (e.g. a connect) are already visible."""
-        return self._launcher(spec, dict(args or {}))
+        return self.env.launch(spec, args or {})
 
     def require(self, condition: bool, message: str) -> None:
         if not condition:
@@ -188,31 +180,19 @@ class ActionContext:
 
 
 def instantiate(
-    spec: ModelSpec,
-    instance_id: int,
-    args: Mapping[str, Any],
-    make_ctx: Callable[[ModelInstance], ActionContext],
+    spec: ModelSpec, instance_id: int, args: Mapping[str, Any], env: Any
 ) -> ModelInstance:
-    """Create an instance and run its constructor action synchronously.
-
-    A classified error from the constructor lands the instance in the
-    mapped override state when one is declared; otherwise it aborts the
-    test as a PropertyViolation.
+    """Create an instance and run its constructor action synchronously on
+    ``env``.  A classified error from the constructor, or an outcome tag,
+    fails the test as a PropertyViolation.
     """
     inst = ModelInstance(instance_id, spec, args)
     if spec.constructor is None:
         return inst
     try:
-        tag = spec.constructor(make_ctx(inst))
+        tag = spec.constructor(ActionContext(inst, env))
     except AdapterError as exc:
-        target = spec.constructor_overrides.get(exc.kind)
-        if target is None:
-            raise PropertyViolation(
-                f"constructor of {spec.name} raised unexpected {exc}"
-            ) from exc
-        inst.current = target
-        inst.ctor_error = exc.kind
-        return inst
+        raise PropertyViolation(f"constructor of {spec.name} raised unexpected {exc}") from exc
     if tag is not None:
         raise PropertyViolation(
             f"constructor of {spec.name} returned unexpected outcome tag {tag!r}"
@@ -254,8 +234,9 @@ def fire_transition(
     otherwise the transition's static target applies.  Returns ``(outcome,
     violation)``: the step's trace field (the tag, the ErrorKind value, or
     "-") and the violation message, or None when the step completed.  On a
-    violation the state is unchanged.  WatchdogTimeout is deliberately not
-    handled here - the explorer turns it into a verdict.
+    violation the state is unchanged.  A WatchdogTimeout or any other
+    exception is a violation too; only BackendError propagates, because it
+    means no test can run.
     """
     try:
         tag = transition.action(ctx)
@@ -267,6 +248,13 @@ def fire_transition(
         return exc.kind.value, None
     except PropertyViolation as exc:
         return "-", f"{_name(instance, transition)}: {exc}"
+    except WatchdogTimeout as exc:
+        return "-", f"watchdog: {_name(instance, transition)}: {exc}"
+    except BackendError:
+        raise
+    except Exception as exc:
+        # A model bug or an unclassified OS error fails this test only.
+        return "-", f"unclassified {type(exc).__name__}: {exc}"
 
     branches = transition.outcome_branches
     if tag is None:

@@ -189,34 +189,6 @@ def parse_traces(text: str) -> list[Trace]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunEnv:
-    """Services handed to model actions via ActionContext.env."""
-
-    net: object
-    ledger: OracleLedger
-    ports: "_PortLease"
-    p_close: float
-
-
-class _PortLease:
-    """Per-test view of the suite's port pool; releases everything at test end."""
-
-    def __init__(self, pool: PortPool):
-        self._pool = pool
-        self._leased: list[int] = []
-
-    def acquire(self) -> int:
-        port = self._pool.acquire()
-        self._leased.append(port)
-        return port
-
-    def release_all(self) -> None:
-        for port in self._leased:
-            self._pool.release(port)
-        self._leased.clear()
-
-
 def _make_backend(config: SuiteConfig, test_seed: int):
     if config.backend == "sim":
         latency = LatencyModel.zero() if config.latency == "zero" else LatencyModel.default()
@@ -225,28 +197,46 @@ def _make_backend(config: SuiteConfig, test_seed: int):
 
 
 class _TestRun:
-    def __init__(self, env: RunEnv, rng: SeededRng):
-        self.env = env
+    """One test in progress, and the ``env`` its actions see: the network
+    backend, the oracle ledger, the client close probability, the rng, the
+    live instances, the step records, and the ports leased from the suite's
+    pool, all of which release_ports() returns at test end."""
+
+    __slots__ = ("net", "ledger", "p_close", "rng", "pool", "ports",
+                 "instances", "records", "fired", "_last_id")
+
+    def __init__(self, net, pool: PortPool, rng: SeededRng, p_close: float):
+        self.net = net
+        self.ledger = OracleLedger()
+        self.p_close = p_close
         self.rng = rng
+        self.pool = pool
+        self.ports: list[int] = []
         self.instances: list[ModelInstance] = []
         self.records: list[StepRecord] = []
         self.fired = 0
-        self._next_id = 1
+        self._last_id = 0
 
-    def launch(self, spec: ModelSpec, args: dict) -> ModelInstance:
-        """Instantiate a model (constructor runs now) and schedule it."""
-        instance_id = self._next_id
-        self._next_id += 1
-        inst = instantiate(spec, instance_id, args, self._make_ctx)
+    def acquire_port(self) -> int:
+        port = self.pool.acquire()
+        self.ports.append(port)
+        return port
+
+    def release_ports(self) -> None:
+        for port in self.ports:
+            self.pool.release(port)
+        self.ports.clear()
+
+    def launch(self, spec: ModelSpec, args: Mapping) -> ModelInstance:
+        """Instantiate a model (its constructor runs now), schedule it and
+        record its ``<init>`` step."""
+        self._last_id += 1
+        inst = instantiate(spec, self._last_id, args, self)
         self.instances.append(inst)
-        outcome = inst.ctor_error.value if inst.ctor_error else "-"
         self.records.append(
-            StepRecord(len(self.records), inst.id, spec.name, INIT_LABEL, outcome, inst.current)
+            StepRecord(len(self.records), inst.id, spec.name, INIT_LABEL, "-", inst.current)
         )
         return inst
-
-    def _make_ctx(self, inst: ModelInstance) -> ActionContext:
-        return ActionContext(inst, self.rng, self.env, self.launch)
 
 
 class EnabledTable:
@@ -318,10 +308,7 @@ def run_single_test(
 ) -> TestResult:
     """One test, reproducible from (root model, config, test_seed) alone."""
     backend = _make_backend(config, test_seed)
-    ledger = OracleLedger()
-    lease = _PortLease(pool)
-    env = RunEnv(net=backend, ledger=ledger, ports=lease, p_close=config.p_close)
-    run = _TestRun(env, SeededRng(derive_seed(test_seed, 0)))
+    run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     verdict, message = "PASS", ""
     try:
         run.launch(root_spec, {})
@@ -334,25 +321,19 @@ def run_single_test(
                 break
             inst, transition = pick
             state, launched = inst.current, len(run.instances)
-            ctx = run._make_ctx(inst)
-            try:
-                outcome, violation = fire_transition(inst, transition, ctx)
-            except WatchdogTimeout as exc:
-                verdict = "FAIL"
-                message = f"watchdog: {inst.spec.name}.{transition.label}: {exc}"
-                break
+            outcome, violation = fire_transition(inst, transition, ActionContext(inst, run))
             run.fired += 1
-            if table.guarded:
-                table = None
-            elif inst.current != state or len(run.instances) != launched:
-                table.refresh(run.instances, inst)
-            backend.advance()
             run.records.append(
                 StepRecord(
                     len(run.records), inst.id, inst.spec.name,
                     transition.label, outcome, inst.current,
                 )
             )
+            if table.guarded:
+                table = None
+            elif inst.current != state or len(run.instances) != launched:
+                table.refresh(run.instances, inst)
+            backend.advance()
             if violation is not None:
                 verdict, message = "FAIL", violation
                 break
@@ -363,15 +344,16 @@ def run_single_test(
     except BackendError:
         raise  # the network facility is unusable: no test can run
     except Exception as exc:
-        # A model bug or an unclassified OS error fails this test only.
+        # Raised outside an action (by the root constructor, say): this test
+        # fails, the suite goes on.
         verdict, message = "FAIL", f"unclassified {type(exc).__name__}: {exc}"
     finally:
-        lease.release_all()
+        run.release_ports()
         backend.force_close_all()
     trace = Trace(test_seed, test_index, config.backend, run.records, verdict, message)
     diagnostics = list(getattr(backend, "fault_events", ()))
     flow_stats = backend.flow_stats() if isinstance(backend, SimBackend) else []
-    return TestResult(trace, ledger, run.fired, diagnostics, flow_stats)
+    return TestResult(trace, run.ledger, run.fired, diagnostics, flow_stats)
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ def client_model() -> ModelSpec:
 def _bind_ctor(ctx: ActionContext) -> None:
     net = ctx.env.net
     server = net.open_server()
-    port = ctx.env.ports.acquire()
+    port = ctx.env.acquire_port()
     net.bind(server, port)
     ctx.vars["server"] = server
     ctx.vars["port"] = port

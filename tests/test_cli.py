@@ -42,9 +42,19 @@ class TestRunCommand:
         assert first_line.startswith("seed ")
         int(first_line.split()[1])  # parses as an integer
 
-    def test_non_root_model_is_config_error(self, capsys):
-        assert main(["run", "--model", "worker", "--tests", "1"]) == 2
-        assert "cannot run standalone" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "worker", "--tests", "1"],
+        ["replay", "--replay", "{trace}", "--model", "worker"],
+        ["replay", "--replay", "{trace}"],  # the model named by the trace
+    ])
+    def test_non_root_model_is_config_error(self, argv, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        trace.write_text("netmbt-trace v1 seed=1 test=0 backend=sim\n"
+                         "0 1 worker <init> - connected\nverdict PASS\n")
+        assert main([arg.format(trace=trace) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert "cannot run standalone" in captured.err
+        assert "DIVERGED" not in captured.out
 
     def test_unknown_model_is_config_error(self):
         assert main(["run", "--model", "nonesuch", "--tests", "1"]) == 2

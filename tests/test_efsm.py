@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from netmbt.efsm import (
     fire_transition,
     instantiate,
 )
-from netmbt.errors import AdapterError, ErrorKind, PropertyViolation, SpecError
+from netmbt.errors import (AdapterError, BackendError, ErrorKind, PropertyViolation, SpecError,
+                           WatchdogTimeout)
 from netmbt.rng import SeededRng
 
 
@@ -23,8 +26,13 @@ def NOOP(ctx):
     return None
 
 
-def make_ctx(inst, rng=None, env=None, launcher=None):
-    return ActionContext(inst, rng or SeededRng(0), env, launcher or (lambda s, a: None))
+def make_env(rng=None, launch=None):
+    """The least an action's ``env`` carries: an rng and a launcher."""
+    return SimpleNamespace(rng=rng or SeededRng(0), launch=launch or (lambda s, a: None))
+
+
+def make_ctx(inst, rng=None, launch=None):
+    return ActionContext(inst, make_env(rng, launch))
 
 
 class TestDefineModel:
@@ -79,17 +87,17 @@ class TestInstantiate:
     def test_constructor_runs_before_return(self):
         ran = []
         spec = define_model("m", "s", [], lambda ctx: ran.append(True))
-        instantiate(spec, 1, {}, make_ctx)
+        instantiate(spec, 1, {}, make_env())
         assert ran == [True]
 
     def test_args_become_vars(self):
         spec = define_model("m", "s", [])
-        inst = instantiate(spec, 1, {"port": 1234}, make_ctx)
+        inst = instantiate(spec, 1, {"port": 1234}, make_env())
         assert inst.vars["port"] == 1234
 
     def test_empty_spec_is_dead_on_arrival(self):
         spec = define_model("m", "s", [])
-        assert instantiate(spec, 1, {}, make_ctx).alive is False
+        assert instantiate(spec, 1, {}, make_env()).alive is False
 
     def test_unmapped_constructor_error_is_violation(self):
         def boom(ctx):
@@ -97,19 +105,7 @@ class TestInstantiate:
 
         spec = define_model("m", "s", [], boom)
         with pytest.raises(PropertyViolation, match="constructor"):
-            instantiate(spec, 1, {}, make_ctx)
-
-    def test_mapped_constructor_error_takes_override(self):
-        def boom(ctx):
-            raise AdapterError(ErrorKind.CONNECTION_REFUSED)
-
-        spec = define_model(
-            "m", "s", [Transition("s", "s", "spin", NOOP)], boom,
-            constructor_overrides={ErrorKind.CONNECTION_REFUSED: "failed"},
-        )
-        inst = instantiate(spec, 1, {}, make_ctx)
-        assert inst.current == "failed"
-        assert inst.ctor_error is ErrorKind.CONNECTION_REFUSED
+            instantiate(spec, 1, {}, make_env())
 
 
 class TestEnabledTransitions:
@@ -199,12 +195,28 @@ class TestFireTransition:
             ("-", "m.go: the oracle said no"), "a"
         )
 
-    def test_unclassified_exception_propagates(self):
+    def test_unclassified_exception_is_violation_and_state_unchanged(self):
         def bug(ctx):
             raise KeyError("conn")
 
-        with pytest.raises(KeyError):
-            self.fire(Transition("a", "b", "go", bug))
+        assert self.fire(Transition("a", "b", "go", bug)) == (
+            ("-", "unclassified KeyError: 'conn'"), "a"
+        )
+
+    def test_watchdog_timeout_is_violation_and_state_unchanged(self):
+        def stuck(ctx):
+            raise WatchdogTimeout("accept blocked for 5.0s")
+
+        assert self.fire(Transition("a", "b", "go", stuck)) == (
+            ("-", "watchdog: m.go: accept blocked for 5.0s"), "a"
+        )
+
+    def test_backend_error_propagates(self):
+        def unusable(ctx):
+            raise BackendError("no loopback")
+
+        with pytest.raises(BackendError, match="no loopback"):
+            self.fire(Transition("a", "b", "go", unusable))
 
     def test_step_determinism(self):
         t = Transition("a", "a", "try", lambda ctx: ("hit" if ctx.rng.below(2) else "miss"),
@@ -235,11 +247,12 @@ class TestFireTransition:
         inst = ModelInstance(1, spec, {})
         children = []
 
-        def launcher(s, args):
-            children.append(instantiate(s, 2, args, make_ctx))
+        def launch(s, args):
+            children.append(instantiate(s, 2, args, env))
             return children[-1]
 
-        out = fire_transition(inst, spec.transitions[0], make_ctx(inst, launcher=launcher))
+        env = make_env(launch=launch)
+        out = fire_transition(inst, spec.transitions[0], ActionContext(inst, env))
         assert out == ("-", None)
         assert events == ["before", "child-ctor", "after"]
         assert [c.spec.name for c in children] == ["child"]

@@ -14,6 +14,7 @@ from netmbt.explorer import (
     SuiteConfig,
     coverage_from_traces,
     export_dot,
+    format_report,
     parse_traces,
     pick_next,
     replay,
@@ -279,7 +280,7 @@ class TestSuites:
         opened = []
 
         def bug(ctx):
-            ctx.env.ports.acquire()
+            ctx.env.acquire_port()
             opened.append(ctx.env.net.open_server())
             raise KeyError("conn")
 
@@ -288,7 +289,14 @@ class TestSuites:
         rep = run_suite(spec, SuiteConfig(seed=1, num_tests=3, trace_path=str(p)))
         assert (rep.tests_run, rep.passed, rep.failed) == (3, 0, 3)
         assert [f.trace.message for f in rep.failures] == ["unclassified KeyError: 'conn'"] * 3
-        assert [t.verdict for t in parse_traces(p.read_text())] == ["FAIL"] * 3
+        traces = parse_traces(p.read_text())
+        assert [t.verdict for t in traces] == ["FAIL"] * 3
+        # the step that raised is recorded, and is the failing step
+        assert [t.steps[-1].line() for t in traces] == ["1 1 buggy bug - s"] * 3
+        assert [t.failing_step_index for t in traces] == [1] * 3
+        report = format_report(rep, "buggy")
+        assert "coverage buggy states 1/1 transitions 1/1" in report
+        assert report.count(" step 1: unclassified KeyError") == 3
         assert len(opened) == 3 and all(server.closed for server in opened)
         pool = PortPool(20000, 20010)
         result = run_single_test(spec, SuiteConfig(seed=1), derive_seed(1, 0), 0, pool)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from netmbt.adapter import ConnChannel
-from netmbt.efsm import enabled_transitions, fire_transition, instantiate
+from netmbt.efsm import ActionContext, enabled_transitions, fire_transition
 from netmbt.errors import ErrorKind
-from netmbt.explorer import RunEnv, SuiteConfig, _PortLease, run_single_test, run_suite
+from netmbt.explorer import SuiteConfig, _TestRun, run_single_test, run_suite
 from netmbt.models import MODEL_REGISTRY, OracleLedger
 from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
@@ -20,35 +20,16 @@ CLIENT = MODEL_REGISTRY["client"]
 MISORDERED = MODEL_REGISTRY["minimalist-misordered"]
 
 
-def make_env(net, p_close=0.1):
-    pool = PortPool(20000, 20999)
-    return RunEnv(net=net, ledger=OracleLedger(), ports=_PortLease(pool), p_close=p_close)
-
-
-class ManualRun:
+class ManualRun(_TestRun):
     """Drive specific transitions by label instead of random scheduling."""
 
     def __init__(self, net, p_close=0.1, seed=0):
-        self.env = make_env(net, p_close)
-        self.rng = SeededRng(seed)
-        self.instances = []
-        self._next_id = 1
-
-    def launch(self, spec, args):
-        inst = instantiate(spec, self._next_id, dict(args), self.ctx)
-        self._next_id += 1
-        self.instances.append(inst)
-        return inst
-
-    def ctx(self, inst):
-        from netmbt.efsm import ActionContext
-
-        return ActionContext(inst, self.rng, self.env, self.launch)
+        super().__init__(net, PortPool(20000, 20999), SeededRng(seed), p_close)
 
     def fire(self, inst, label):
         options = {t.label: t for t in enabled_transitions(inst)}
         assert label in options, f"{label} not enabled in {inst.current}: {sorted(options)}"
-        return fire_transition(inst, options[label], self.ctx(inst))
+        return fire_transition(inst, options[label], ActionContext(inst, self))
 
 
 class TestMinimalist:
@@ -70,7 +51,7 @@ class TestMinimalist:
         out = run.fire(server, "close")
         assert out == ("-", None) and server.current == "closed"
         assert not server.alive
-        (entry,) = run.env.ledger.entries.values()
+        (entry,) = run.ledger.entries.values()
         assert entry["server"].wrote > 0 or entry["client"].wrote > 0
         assert entry["server"].read <= entry["client"].wrote
         assert entry["client"].read <= entry["server"].wrote
@@ -81,7 +62,7 @@ class TestMinimalist:
         server = run.launch(MINIMALIST, {})
         out = run.fire(server, "close")
         assert out == ("-", None)
-        assert run.env.ledger.entries == {}
+        assert run.ledger.entries == {}
 
     def test_misordered_variant_deadlocks_on_sim(self):
         pool = PortPool(20000, 20999)
@@ -89,6 +70,8 @@ class TestMinimalist:
         result = run_single_test(MISORDERED, cfg, derive_seed(5, 0), 0, pool)
         assert not result.passed
         assert "watchdog" in result.trace.message
+        last = result.trace.steps[-1]
+        assert (last.label, last.outcome, last.state) == ("session", "-", "bound")
 
     def test_ordered_variant_never_deadlocks(self):
         rep = run_suite(MINIMALIST, SuiteConfig(seed=5, num_tests=300), MODEL_REGISTRY)
@@ -159,7 +142,7 @@ class TestWorker:
     def test_read_within_ledger_passes(self):
         net = SimBackend(SeededRng(4), LatencyModel.zero())
         run, worker, cli, _ = self.make_worker(net)
-        run.env.ledger.record_write(cli, 99, 5)
+        run.ledger.record_write(cli, 99, 5)
         net.write(cli, b"abcde")
         out = run.fire(worker, "read")
         assert out == ("-", None)
@@ -239,7 +222,7 @@ class TestClient:
                 pytest.fail(f"unexpected step result {out}")
             if client.current != "active":
                 break
-        entry = run.env.ledger.entries[sc.connection_id]
+        entry = run.ledger.entries[sc.connection_id]
         # the worker's close recorded its output as shut before any EOF
         assert entry["server"].output_shut
 
@@ -361,16 +344,16 @@ class TestFaultDetection:
         assert rep.failed == 0
 
 
-# One line per model (name, initial state, states | constructor, constructor
-# overrides), then one per transition in declaration order (source>target,
-# label, weight, guard, action, sorted exception overrides, outcome branches).
+# One line per model (name, initial state, states | constructor), then one
+# per transition in declaration order (source>target, label, weight, guard,
+# action, sorted exception overrides, outcome branches).
 # The trace digests never fire some of these edges, and never run
 # minimalist-misordered at all, so this is what guards an edit to the models.
 PINNED_MODELS = """\
-minimalist bound bound closed | _bind_ctor -
+minimalist bound bound closed | _bind_ctor
   bound>bound session 3.0 - _session - -
   bound>closed close 1.0 - _close_server - -
-server-main bound bound selectorConfigured closed accepting connected err | _bind_ctor -
+server-main bound bound selectorConfigured closed accepting connected err | _bind_ctor
   bound>selectorConfigured configureSelector 1.0 - _configure_selector - -
   bound>bound toggleBlockingBound 1.0 - _sm_toggle_free - -
   bound>bound checkSelectorBound 1.0 - _sm_check_selector - -
@@ -394,7 +377,7 @@ server-main bound bound selectorConfigured closed accepting connected err | _bin
   connected>closed closeFromConnected 0.3 - _close_server - -
   closed>err acceptAfterClose 1.0 - _sm_accept_closed ClosedChannelError:err -
   closed>err getLocalPortAfterClose 1.0 - _sm_port_closed ClosedChannelError:err -
-worker connected connected peerGone inShut outShut closed bothShut | _watch_conn -
+worker connected connected peerGone inShut outShut closed bothShut | _watch_conn
   connected>connected read 2.0 - _checked_read PeerClosedError:peerGone -
   connected>connected write 2.0 - _checked_write PeerClosedError:peerGone -
   connected>connected checkSelector 2.0 - _poll_then_read PeerClosedError:peerGone -
@@ -419,12 +402,12 @@ worker connected connected peerGone inShut outShut closed bothShut | _watch_conn
   peerGone>peerGone writePeerGone 1.0 - _checked_write OutputShutdownError:peerGone,PeerClosedError:peerGone -
   peerGone>peerGone checkSelectorPeerGone 1.0 - _poll_then_read PeerClosedError:peerGone -
   peerGone>closed closePeerGone 0.5 - _close_conn - -
-client active active closed reset | _client_ctor -
+client active active closed reset | _client_ctor
   active>active read 1.0 - _checked_read PeerClosedError:reset -
   active>active write 0.5 - _checked_write PeerClosedError:reset -
   active>active checkSelector 1.0 - _poll_then_read PeerClosedError:reset -
   active>active mayClose 1.0 - _c_may_close - stay:active,closed:closed
-minimalist-misordered bound bound closed | _bind_ctor -
+minimalist-misordered bound bound closed | _bind_ctor
   bound>bound session 1.0 - _session_misordered - -
   bound>closed close 0.1 - _close_server - -
 """
@@ -442,7 +425,7 @@ def _by_kind(overrides) -> dict:
 
 def _describe(spec) -> list[str]:
     lines = [f"{spec.name} {spec.initial} {' '.join(spec.states)} | "
-             f"{spec.constructor.__qualname__} {_pairs(_by_kind(spec.constructor_overrides))}"]
+             f"{spec.constructor.__qualname__}"]
     for t in spec.transitions:
         lines.append(
             f"  {t.source}>{t.target} {t.label} {t.weight} "
