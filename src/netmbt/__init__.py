@@ -44,7 +44,7 @@ from .explorer import (
     run_suite,
     serialize_trace,
 )
-from .models import CORE_MODELS, MODEL_REGISTRY, OracleLedger, ROOT_MODELS
+from .models import MODEL_REGISTRY, OracleLedger, ROOT_MODELS
 from .portman import PortPool
 from .realnet import RealBackend
 from .rng import SeededRng, derive_seed, maybe

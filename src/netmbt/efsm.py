@@ -1,7 +1,7 @@
 """Extended finite-state machine definitions and single-step execution.
 
-A model is a set of named states plus guarded, weighted transitions whose
-actions run against the system under test.  An action is a plain callable
+A model is a set of named states plus weighted transitions whose actions
+run against the system under test.  An action is a plain callable
 that takes an ActionContext and returns None or one outcome tag; the keys
 of the transition's ``outcome_branches`` are its tags, and each names the
 state that tag leads to.  Actions may assert oracle conditions, may signal
@@ -9,9 +9,10 @@ classified errors (redirected through per-transition exception overrides),
 and may launch child model instances whose constructors run synchronously
 at launch time.
 
-Guards are pure predicates over instance-local variables; all side effects
-belong to actions.  That split keeps transition enumeration repeatable,
-which the replay machinery relies on.
+Enabledness is static: every transition leaving an instance's current state
+is enabled, whatever its variables hold.  define_model() therefore
+compiles each state's transitions and weights into tuples once, and the
+scheduler only enumerates an instance again after it changed state.
 """
 
 from __future__ import annotations
@@ -23,21 +24,19 @@ from .errors import (AdapterError, BackendError, ErrorKind, PropertyViolation, S
                      WatchdogTimeout)
 from .rng import maybe as _maybe
 
-Guard = Callable[[dict], bool]
 ActionFn = Callable[["ActionContext"], Optional[str]]
 
 
 @dataclass(eq=False)
 class Transition:
-    """A guarded, weighted edge.  ``action`` returns None, which leads to
-    ``target``, or one of the keys of ``outcome_branches``, which leads to
-    the state that key maps to."""
+    """A weighted edge, enabled whenever its instance is in ``source``.
+    ``action`` returns None, which leads to ``target``, or one of the keys
+    of ``outcome_branches``, which leads to the state that key maps to."""
 
     source: str
     target: str
     label: str
     action: ActionFn
-    guard: Guard | None = None
     weight: float = 1.0
     exception_overrides: dict[ErrorKind, str] = field(default_factory=dict)
     outcome_branches: dict[str, str] | None = None
@@ -45,7 +44,9 @@ class Transition:
 
 @dataclass(eq=False)
 class ModelSpec:
-    """Validated model definition; construct through define_model()."""
+    """Validated model definition; construct through define_model().
+    ``outgoing`` and ``weights`` map every state to its transitions and
+    their weights, in declaration order."""
 
     name: str
     initial: str
@@ -53,6 +54,7 @@ class ModelSpec:
     transitions: tuple[Transition, ...]
     constructor: ActionFn | None
     outgoing: dict[str, tuple[Transition, ...]]
+    weights: dict[str, tuple[float, ...]]
 
 
 def _check_identifier(kind: str, value: str) -> None:
@@ -126,6 +128,7 @@ def define_model(
         transitions=tuple(transitions),
         constructor=constructor,
         outgoing={s: tuple(ts) for s, ts in outgoing.items()},
+        weights={s: tuple(t.weight for t in ts) for s, ts in outgoing.items()},
     )
 
 
@@ -200,23 +203,9 @@ def instantiate(
     return inst
 
 
-def enabled_transitions(instance: ModelInstance) -> list[Transition]:
-    """Transitions leaving the current state whose guard holds, in
-    declaration order.  A guard that raises is a property violation."""
-    out = []
-    for t in instance.spec.outgoing.get(instance.current, ()):
-        if t.guard is None:
-            out.append(t)
-        else:
-            try:
-                ok = t.guard(instance.vars)
-            except Exception as exc:
-                raise PropertyViolation(
-                    f"guard of {instance.spec.name}.{t.label} raised {exc!r}"
-                ) from exc
-            if ok:
-                out.append(t)
-    return out
+def enabled_transitions(instance: ModelInstance) -> tuple[Transition, ...]:
+    """Transitions leaving the current state, in declaration order."""
+    return instance.spec.outgoing[instance.current]
 
 
 def _name(instance: ModelInstance, transition: Transition) -> str:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .efsm import (
@@ -239,43 +240,55 @@ class _TestRun:
         return inst
 
 
+def _group(inst: ModelInstance) -> tuple[tuple, tuple[float, ...]]:
+    """An instance's (instance, transition) pairs and their weights; a dead
+    instance has none and is not enumerated."""
+    weights = inst.spec.weights[inst.current]
+    # A module global, so a wrapper on explorer.enabled_transitions sees
+    # every enumeration; its result is spec.outgoing[state], in that order.
+    return (tuple(zip(repeat(inst), enabled_transitions(inst))), weights) if weights else ((), ())
+
+
 class EnabledTable:
     """The enabled (instance, transition) pairs of a test, ready for picking.
 
-    ``groups`` pairs every instance, in the given order, with its enabled
-    transitions (none when it is dead); ``pairs`` flattens them in that
-    order and ``accs`` holds their cumulative weights from one left-to-right
-    float accumulation.  ``guarded`` is set when some instance sits in a
-    state with a guarded transition: a guard may read variables that an
-    action changes, so such a table is good for one pick only.
+    ``groups`` holds every instance's pairs and weights, in the given order
+    (none when it is dead), and ``starts`` the index of each group's first
+    pair; ``pairs`` flattens the groups in that order and ``accs`` holds
+    their running weight sums from one left-to-right float accumulation.
     """
 
-    __slots__ = ("groups", "pairs", "accs", "guarded")
+    __slots__ = ("groups", "starts", "pairs", "accs")
 
     def __init__(self, instances: Iterable[ModelInstance]):
-        self.guarded = False
-        self.groups = [self._group(inst) for inst in instances]
-        self._flatten()
+        self.groups = [_group(inst) for inst in instances]
+        self.starts, self.pairs, self.accs = [], [], []
+        self._accumulate(0)
 
     def refresh(self, instances: list[ModelInstance], fired: ModelInstance) -> None:
         """Re-enumerate ``fired`` and the instances appended to ``instances``
         since the last enumeration; every other instance kept its state."""
         groups = self.groups
-        groups[instances.index(fired)] = self._group(fired)
-        groups.extend(self._group(inst) for inst in instances[len(groups):])
-        self._flatten()
+        k = instances.index(fired)
+        groups[k] = _group(fired)
+        groups.extend(map(_group, instances[len(groups):]))
+        self._accumulate(k)
 
-    def _group(self, inst: ModelInstance) -> tuple[ModelInstance, list[Transition]]:
-        outgoing = inst.spec.outgoing.get(inst.current, ())
-        if not self.guarded:
-            self.guarded = any(t.guard is not None for t in outgoing)
-        # Looked up as a module global on every call, so a wrapper installed
-        # on explorer.enabled_transitions sees each enumeration.
-        return inst, enabled_transitions(inst) if outgoing else []
-
-    def _flatten(self) -> None:
-        pairs = self.pairs = [(inst, t) for inst, ts in self.groups for t in ts]
-        self.accs = list(accumulate([t.weight for _, t in pairs]))
+    def _accumulate(self, k: int) -> None:
+        """Rebuild pairs and sums from group ``k`` on.  The new sums continue
+        from the last kept one, in the order a full accumulation adds them."""
+        starts, pairs, accs = self.starts, self.pairs, self.accs
+        start = starts[k] if starts else 0
+        del starts[k:], pairs[start:]
+        weights: list[float] = []
+        for group_pairs, group_weights in self.groups[k:]:
+            starts.append(len(pairs))
+            pairs += group_pairs
+            weights += group_weights
+        if start:
+            accs[start - 1:] = accumulate(weights, initial=accs[start - 1])
+        else:
+            accs[:] = accumulate(weights)
 
 
 def pick_next(
@@ -309,30 +322,29 @@ def run_single_test(
     """One test, reproducible from (root model, config, test_seed) alone."""
     backend = _make_backend(config, test_seed)
     run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
+    instances, records, rng = run.instances, run.records, run.rng
+    # One context per instance.  Kept here and nowhere on the run, so a
+    # context (which refers to the run) never forms a reference cycle.
+    contexts: dict[ModelInstance, ActionContext] = {}
     verdict, message = "PASS", ""
     try:
         run.launch(root_spec, {})
-        table: EnabledTable | None = None
+        table = EnabledTable(instances)
         while run.fired < config.max_steps_per_test:
-            if table is None:
-                table = EnabledTable(run.instances)
-            pick = pick_next(run.instances, run.rng, table)
+            pick = pick_next(instances, rng, table)
             if pick is None:
                 break
             inst, transition = pick
-            state, launched = inst.current, len(run.instances)
-            outcome, violation = fire_transition(inst, transition, ActionContext(inst, run))
+            ctx = contexts.get(inst)
+            if ctx is None:
+                ctx = contexts[inst] = ActionContext(inst, run)
+            state, launched = inst.current, len(instances)
+            outcome, violation = fire_transition(inst, transition, ctx)
             run.fired += 1
-            run.records.append(
-                StepRecord(
-                    len(run.records), inst.id, inst.spec.name,
-                    transition.label, outcome, inst.current,
-                )
-            )
-            if table.guarded:
-                table = None
-            elif inst.current != state or len(run.instances) != launched:
-                table.refresh(run.instances, inst)
+            records.append(StepRecord(len(records), inst.id, inst.spec.name,
+                                      transition.label, outcome, inst.current))
+            if inst.current != state or len(instances) != launched:
+                table.refresh(instances, inst)
             backend.advance()
             if violation is not None:
                 verdict, message = "FAIL", violation
@@ -368,11 +380,6 @@ class ModelCoverage:
     states_total: int | None = None
     transitions_total: int | None = None
 
-    def merge_step(self, record: StepRecord) -> None:
-        self.states_visited.add(record.state)
-        if record.label != INIT_LABEL:
-            self.transitions_fired.add(record.label)
-
 
 @dataclass
 class SuiteReport:
@@ -389,26 +396,35 @@ class SuiteReport:
         return self.failed == 0
 
 
-def coverage_from_traces(
-    traces: Iterable[Trace], spec_index: Mapping[str, ModelSpec] | None = None
-) -> dict[str, ModelCoverage]:
-    """Coverage is a pure function of recorded traces; totals come from the
-    spec index when the model is known there."""
+# A StepRecord's (model, label, state): its coverage key.
+_COVERAGE_KEY = itemgetter(2, 3, 5)
+
+
+def _coverage(keys: set, spec_index: Mapping[str, ModelSpec]) -> dict[str, ModelCoverage]:
+    """Per-model coverage from the coverage keys of any number of traces;
+    totals come from the spec index when the model is known there."""
     coverage: dict[str, ModelCoverage] = {}
-    for trace in traces:
-        for record in trace.steps:
-            cov = coverage.setdefault(record.model, ModelCoverage())
-            cov.merge_step(record)
-    _set_totals(coverage, spec_index or {})
-    return coverage
-
-
-def _set_totals(coverage: dict[str, ModelCoverage], spec_index: Mapping[str, ModelSpec]) -> None:
+    for model, label, state in sorted(keys):
+        cov = coverage.setdefault(model, ModelCoverage())
+        cov.states_visited.add(state)
+        if label != INIT_LABEL:
+            cov.transitions_fired.add(label)
     for name, cov in coverage.items():
         spec = spec_index.get(name)
         if spec is not None:
             cov.states_total = len(spec.states)
             cov.transitions_total = len(spec.transitions)
+    return coverage
+
+
+def coverage_from_traces(
+    traces: Iterable[Trace], spec_index: Mapping[str, ModelSpec] | None = None
+) -> dict[str, ModelCoverage]:
+    """Coverage is a pure function of recorded traces."""
+    keys: set[tuple[str, str, str]] = set()
+    for trace in traces:
+        keys.update(map(_COVERAGE_KEY, trace.steps))
+    return _coverage(keys, spec_index or {})
 
 
 def port_pool(config: SuiteConfig, probe: bool | None = None) -> PortPool:
@@ -430,7 +446,7 @@ def run_suite(
 ) -> SuiteReport:
     """Run the whole suite; traces stream to config.trace_path when set."""
     pool = port_pool(config)
-    coverage: dict[str, ModelCoverage] = {}
+    keys: set[tuple[str, str, str]] = set()  # coverage keys
     failures: list[TestResult] = []
     passed = failed = tests_run = 0
     started = time.perf_counter()
@@ -444,8 +460,7 @@ def run_suite(
             trace = result.trace
             if writer:
                 writer.write(serialize_trace(trace))
-            for record in trace.steps:
-                coverage.setdefault(record.model, ModelCoverage()).merge_step(record)
+            keys.update(map(_COVERAGE_KEY, trace.steps))
             if result.passed:
                 passed += 1
             else:
@@ -456,14 +471,13 @@ def run_suite(
     finally:
         if writer:
             writer.close()
-    _set_totals(coverage, {root_spec.name: root_spec, **(spec_index or {})})
     return SuiteReport(
         config=config,
         tests_run=tests_run,
         passed=passed,
         failed=failed,
         failures=failures,
-        coverage=coverage,
+        coverage=_coverage(keys, {root_spec.name: root_spec, **(spec_index or {})}),
         elapsed_seconds=time.perf_counter() - started,
     )
 

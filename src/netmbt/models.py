@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .adapter import READ, ConnChannel, Interest, ReadResult
 from .efsm import ActionContext, ModelSpec, Transition, define_model
-from .errors import ErrorKind
+from .errors import ErrorKind, PropertyViolation
 
 E = ErrorKind
 
@@ -49,43 +49,42 @@ class OracleLedger:
     """Model-side view of every connection's byte traffic.
 
     Keyed by the backend-assigned connection id; each entry maps a role
-    ("client", "server") to that side's SideRecord.  ``touches`` records
-    which instance touched which entry, feeding the locality invariant check.
+    ("client", "server") to that side's SideRecord.  Every method takes the
+    calling instance's id as well, so a subclass can check which instance
+    touches which side; the ledger itself does not keep it.
     """
 
-    __slots__ = ("entries", "touches")
+    __slots__ = ("entries",)
 
     def __init__(self):
         self.entries: dict[int, dict[str, SideRecord]] = {}
-        self.touches: set[tuple[int, str, int]] = set()  # (conn id, side, instance id)
 
-    def _entry(self, conn: ConnChannel, instance_id: int) -> dict[str, SideRecord]:
+    def _entry(self, conn: ConnChannel) -> dict[str, SideRecord]:
         entry = self.entries.get(conn.connection_id)
         if entry is None:
             entry = {"client": SideRecord(), "server": SideRecord()}
             self.entries[conn.connection_id] = entry
-        self.touches.add((conn.connection_id, conn.role, instance_id))
         return entry
 
     def record_write(self, conn: ConnChannel, instance_id: int, count: int) -> None:
-        self._entry(conn, instance_id)[conn.role].wrote += count
+        self._entry(conn)[conn.role].wrote += count
 
     def record_read(self, conn: ConnChannel, instance_id: int, count: int) -> None:
-        self._entry(conn, instance_id)[conn.role].read += count
+        self._entry(conn)[conn.role].read += count
 
     def record_output_shut(self, conn: ConnChannel, instance_id: int) -> None:
-        self._entry(conn, instance_id)[conn.role].output_shut = True
+        self._entry(conn)[conn.role].output_shut = True
 
     def record_eof(self, conn: ConnChannel, instance_id: int) -> None:
-        self._entry(conn, instance_id)[conn.role].saw_eof = True
+        self._entry(conn)[conn.role].saw_eof = True
 
     def available_to(self, conn: ConnChannel, instance_id: int) -> int:
         """Bytes the holder of ``conn`` may still legally read."""
-        e = self._entry(conn, instance_id)
+        e = self._entry(conn)
         return e[_PEER_ROLE[conn.role]].wrote - e[conn.role].read
 
     def peer_output_shut(self, conn: ConnChannel, instance_id: int) -> bool:
-        return self._entry(conn, instance_id)[_PEER_ROLE[conn.role]].output_shut
+        return self._entry(conn)[_PEER_ROLE[conn.role]].output_shut
 
 
 # ---------------------------------------------------------------------------
@@ -95,21 +94,23 @@ class OracleLedger:
 
 def _account_read(ctx: ActionContext, conn: ConnChannel, result: ReadResult) -> None:
     """The latency-tolerant byte-accounting oracle for one read result."""
+    # The oracle checks here and in the actions below raise directly rather
+    # than through ctx.require, so a message is formatted only on failure.
     ledger = ctx.env.ledger
     if result.is_eof:
-        ctx.require(
-            ledger.peer_output_shut(conn, ctx.instance.id),
-            f"oracle: end-of-stream on connection {conn.connection_id} "
-            "but the peer never shut its output",
-        )
+        if not ledger.peer_output_shut(conn, ctx.instance.id):
+            raise PropertyViolation(
+                f"oracle: end-of-stream on connection {conn.connection_id} "
+                "but the peer never shut its output"
+            )
         ledger.record_eof(conn, ctx.instance.id)
         return
     available = ledger.available_to(conn, ctx.instance.id)
-    ctx.require(
-        result.count <= available,
-        f"oracle: read {result.count} bytes on connection {conn.connection_id} "
-        f"but only {available} unread bytes were ever written",
-    )
+    if result.count > available:
+        raise PropertyViolation(
+            f"oracle: read {result.count} bytes on connection {conn.connection_id} "
+            f"but only {available} unread bytes were ever written"
+        )
     ledger.record_read(conn, ctx.instance.id, result.count)
 
 
@@ -122,10 +123,10 @@ def _checked_write(ctx: ActionContext) -> None:
     conn = ctx.vars["conn"]
     payload = ctx.rng.payload(ctx.rng.randint(1, MAX_CHUNK))
     written = ctx.env.net.write(conn, payload)
-    ctx.require(
-        0 <= written <= len(payload),
-        f"oracle: write returned {written} for a {len(payload)}-byte payload",
-    )
+    if not 0 <= written <= len(payload):
+        raise PropertyViolation(
+            f"oracle: write returned {written} for a {len(payload)}-byte payload"
+        )
     ctx.env.ledger.record_write(conn, ctx.instance.id, written)
 
 
@@ -140,11 +141,10 @@ def _poll_then_read(ctx: ActionContext) -> None:
     if key not in ready or not (key.ready & READ):
         return
     result = net.read(conn, ctx.rng.randint(1, MAX_CHUNK))
-    if net.is_sim and not result.is_eof:
-        ctx.require(
-            result.count >= 1,
+    if net.is_sim and not result.is_eof and result.count < 1:
+        raise PropertyViolation(
             f"oracle: selector reported READ on connection {conn.connection_id} "
-            "but the channel had no data",
+            "but the channel had no data"
         )
     _account_read(ctx, conn, result)
 
@@ -495,5 +495,3 @@ MODEL_REGISTRY: dict[str, ModelSpec] = {
 # Roots are self-contained; worker and client need a live channel/port and
 # exist standalone only for DOT export.
 ROOT_MODELS = ("minimalist", "server-main", "minimalist-misordered")
-
-CORE_MODELS = ("minimalist", "server-main", "worker", "client")

@@ -109,26 +109,19 @@ class TestInstantiate:
 
 
 class TestEnabledTransitions:
-    def test_declaration_order_no_guards(self):
+    def test_declaration_order(self):
         ts = [Transition("s", "s", f"t{i}", NOOP) for i in range(3)]
         inst = ModelInstance(1, define_model("m", "s", ts), {})
         assert [t.label for t in enabled_transitions(inst)] == ["t0", "t1", "t2"]
 
-    def test_guard_filters(self):
-        ts = [
-            Transition("s", "s", "small", NOOP, guard=lambda v: v["n"] < 3),
-            Transition("s", "s", "always", NOOP),
-        ]
-        inst = ModelInstance(1, define_model("m", "s", ts), {"n": 5})
-        assert [t.label for t in enabled_transitions(inst)] == ["always"]
-        inst.vars["n"] = 1
-        assert len(enabled_transitions(inst)) == 2
-
-    def test_raising_guard_is_violation(self):
-        t = Transition("s", "s", "go", NOOP, guard=lambda v: v["missing"])
-        inst = ModelInstance(1, define_model("m", "s", t and [t]), {})
-        with pytest.raises(PropertyViolation, match="guard"):
-            enabled_transitions(inst)
+    def test_enabled_set_is_the_compiled_state_table(self):
+        ts = [Transition("a", "b", "go", NOOP, weight=0.5), Transition("b", "b", "stay", NOOP),
+              Transition("a", "a", "spin", NOOP, weight=2.0)]
+        spec = define_model("m", "a", ts, states=["a", "b", "c"])
+        assert spec.outgoing == {"a": (ts[0], ts[2]), "b": (ts[1],), "c": ()}
+        assert spec.weights == {"a": (0.5, 2.0), "b": (1.0,), "c": ()}
+        inst = ModelInstance(1, spec, {})
+        assert enabled_transitions(inst) is spec.outgoing["a"]
 
     def test_dead_states_have_no_transitions(self):
         spec = define_model("m", "a", [Transition("a", "b", "go", NOOP)])

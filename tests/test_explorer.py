@@ -346,6 +346,15 @@ class TestTraceFormat:
             assert recomputed[name].states_visited == cov.states_visited
             assert recomputed[name].transitions_fired == cov.transitions_fired
 
+    def test_coverage_from_traces_equals_suite_coverage_with_failures(self, tmp_path):
+        p = tmp_path / "t.trace"
+        cfg = SuiteConfig(seed=42, num_tests=500, trace_path=str(p),
+                          fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
+        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        traces = parse_traces(p.read_text())
+        assert rep.failed > 0 and sum(t.verdict == "FAIL" for t in traces) == rep.failed
+        assert coverage_from_traces(traces, MODEL_REGISTRY) == rep.coverage
+
 
     @pytest.mark.parametrize("text, error", [
         ("netmbt-trace v1 seed=abc test=0 backend=sim\nverdict PASS\n", "line 1: invalid"),

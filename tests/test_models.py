@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from netmbt import explorer
 from netmbt.adapter import ConnChannel
 from netmbt.efsm import ActionContext, enabled_transitions, fire_transition
 from netmbt.errors import ErrorKind
@@ -18,6 +19,28 @@ SERVER_MAIN = MODEL_REGISTRY["server-main"]
 WORKER = MODEL_REGISTRY["worker"]
 CLIENT = MODEL_REGISTRY["client"]
 MISORDERED = MODEL_REGISTRY["minimalist-misordered"]
+
+
+class RecordingLedger(OracleLedger):
+    """An OracleLedger that also notes which instance touched which side of
+    which connection, for the locality check."""
+
+    def __init__(self):
+        super().__init__()
+        self.touches: set[tuple[int, str, int]] = set()  # (conn id, side, instance id)
+
+
+def _recording(method):
+    def recorded(self, conn, instance_id, *args):
+        self.touches.add((conn.connection_id, conn.role, instance_id))
+        return method(self, conn, instance_id, *args)
+    return recorded
+
+
+LEDGER_CALLS = ("record_write", "record_read", "record_output_shut", "record_eof",
+                "available_to", "peer_output_shut")
+for _call in LEDGER_CALLS:
+    setattr(RecordingLedger, _call, _recording(getattr(OracleLedger, _call)))
 
 
 class ManualRun(_TestRun):
@@ -265,7 +288,7 @@ class TestOracleLedger:
         assert entry["server"].saw_eof and not entry["client"].saw_eof
 
     def test_every_call_adds_one_touch(self):
-        ledger = self.ledger
+        ledger = RecordingLedger()
         calls = [
             (ledger.record_write, self.client, (4,)),
             (ledger.record_read, self.server, (1,)),
@@ -307,9 +330,11 @@ class TestOracleProperties:
                     assert entry["client"].read == entry["server"].wrote
         assert eof_seen > 0  # the property was actually exercised
 
-    def test_ledger_locality_one_instance_per_side(self):
+    def test_ledger_locality_one_instance_per_side(self, monkeypatch):
+        monkeypatch.setattr(explorer, "OracleLedger", RecordingLedger)
         pool = PortPool(20000, 29999)
         cfg = SuiteConfig(seed=555, num_tests=200)
+        touched = 0
         for i in range(cfg.num_tests):
             result = run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, pool)
             pool.next_test()
@@ -318,6 +343,8 @@ class TestOracleProperties:
                 owners.setdefault((conn_id, side), set()).add(instance_id)
             for (conn_id, side), ids in owners.items():
                 assert len(ids) == 1, f"connection {conn_id} {side} touched by {ids}"
+            touched += len(result.ledger.touches)
+        assert touched > 0  # the check was actually exercised
 
 
 class TestFaultDetection:
@@ -345,71 +372,71 @@ class TestFaultDetection:
 
 
 # One line per model (name, initial state, states | constructor), then one
-# per transition in declaration order (source>target, label, weight, guard,
-# action, sorted exception overrides, outcome branches).
+# per transition in declaration order (source>target, label, weight, action,
+# sorted exception overrides, outcome branches).
 # The trace digests never fire some of these edges, and never run
 # minimalist-misordered at all, so this is what guards an edit to the models.
 PINNED_MODELS = """\
 minimalist bound bound closed | _bind_ctor
-  bound>bound session 3.0 - _session - -
-  bound>closed close 1.0 - _close_server - -
+  bound>bound session 3.0 _session - -
+  bound>closed close 1.0 _close_server - -
 server-main bound bound selectorConfigured closed accepting connected err | _bind_ctor
-  bound>selectorConfigured configureSelector 1.0 - _configure_selector - -
-  bound>bound toggleBlockingBound 1.0 - _sm_toggle_free - -
-  bound>bound checkSelectorBound 1.0 - _sm_check_selector - -
-  bound>bound getLocalPortBound 1.0 - _sm_get_port - -
-  bound>bound bindAgain 1.0 - _sm_bind_again AlreadyBoundError:bound -
-  bound>closed closeFromBound 0.3 - _close_server - -
-  selectorConfigured>accepting startAccepting 2.0 - _sm_start_accepting - -
-  selectorConfigured>selectorConfigured toggleBlockingConfigured 1.0 - _sm_toggle_registered IllegalBlockingModeError:selectorConfigured -
-  selectorConfigured>selectorConfigured checkSelectorConfigured 1.0 - _sm_check_selector - -
-  selectorConfigured>selectorConfigured getLocalPortConfigured 1.0 - _sm_get_port - -
-  selectorConfigured>closed closeFromConfigured 0.3 - _close_server - -
-  accepting>accepting acceptTry 3.0 - _sm_accept_try - nullResult:accepting,connected:connected
-  accepting>accepting toggleBlockingAccepting 1.0 - _sm_toggle_registered IllegalBlockingModeError:accepting -
-  accepting>accepting checkSelectorAccepting 1.0 - _sm_check_selector - -
-  accepting>accepting getLocalPortAccepting 1.0 - _sm_get_port - -
-  accepting>closed closeFromAccepting 0.3 - _close_server - -
-  connected>accepting handOff 3.0 - _sm_hand_off - -
-  connected>connected toggleBlockingConnected 1.0 - _sm_toggle_registered IllegalBlockingModeError:connected -
-  connected>connected checkSelectorConnected 1.0 - _sm_check_selector - -
-  connected>connected getLocalPortConnected 1.0 - _sm_get_port - -
-  connected>closed closeFromConnected 0.3 - _close_server - -
-  closed>err acceptAfterClose 1.0 - _sm_accept_closed ClosedChannelError:err -
-  closed>err getLocalPortAfterClose 1.0 - _sm_port_closed ClosedChannelError:err -
+  bound>selectorConfigured configureSelector 1.0 _configure_selector - -
+  bound>bound toggleBlockingBound 1.0 _sm_toggle_free - -
+  bound>bound checkSelectorBound 1.0 _sm_check_selector - -
+  bound>bound getLocalPortBound 1.0 _sm_get_port - -
+  bound>bound bindAgain 1.0 _sm_bind_again AlreadyBoundError:bound -
+  bound>closed closeFromBound 0.3 _close_server - -
+  selectorConfigured>accepting startAccepting 2.0 _sm_start_accepting - -
+  selectorConfigured>selectorConfigured toggleBlockingConfigured 1.0 _sm_toggle_registered IllegalBlockingModeError:selectorConfigured -
+  selectorConfigured>selectorConfigured checkSelectorConfigured 1.0 _sm_check_selector - -
+  selectorConfigured>selectorConfigured getLocalPortConfigured 1.0 _sm_get_port - -
+  selectorConfigured>closed closeFromConfigured 0.3 _close_server - -
+  accepting>accepting acceptTry 3.0 _sm_accept_try - nullResult:accepting,connected:connected
+  accepting>accepting toggleBlockingAccepting 1.0 _sm_toggle_registered IllegalBlockingModeError:accepting -
+  accepting>accepting checkSelectorAccepting 1.0 _sm_check_selector - -
+  accepting>accepting getLocalPortAccepting 1.0 _sm_get_port - -
+  accepting>closed closeFromAccepting 0.3 _close_server - -
+  connected>accepting handOff 3.0 _sm_hand_off - -
+  connected>connected toggleBlockingConnected 1.0 _sm_toggle_registered IllegalBlockingModeError:connected -
+  connected>connected checkSelectorConnected 1.0 _sm_check_selector - -
+  connected>connected getLocalPortConnected 1.0 _sm_get_port - -
+  connected>closed closeFromConnected 0.3 _close_server - -
+  closed>err acceptAfterClose 1.0 _sm_accept_closed ClosedChannelError:err -
+  closed>err getLocalPortAfterClose 1.0 _sm_port_closed ClosedChannelError:err -
 worker connected connected peerGone inShut outShut closed bothShut | _watch_conn
-  connected>connected read 2.0 - _checked_read PeerClosedError:peerGone -
-  connected>connected write 2.0 - _checked_write PeerClosedError:peerGone -
-  connected>connected checkSelector 2.0 - _poll_then_read PeerClosedError:peerGone -
-  connected>inShut shutdownInput 0.5 - _w_shut_in - -
-  connected>outShut shutdownOutput 0.5 - _w_shut_out PeerClosedError:peerGone -
-  connected>closed close 0.5 - _close_conn - -
-  inShut>inShut readAfterInShut 1.0 - _expect_failure.<locals>.run InputShutdownError:inShut -
-  inShut>inShut writeInShut 2.0 - _checked_write PeerClosedError:peerGone -
-  inShut>inShut checkSelectorInShut 1.0 - _poll_then_read PeerClosedError:peerGone -
-  inShut>bothShut shutdownOutputInShut 0.5 - _w_shut_out PeerClosedError:peerGone -
-  inShut>closed closeInShut 0.5 - _close_conn - -
-  outShut>outShut writeAfterOutShut 1.0 - _expect_failure.<locals>.run OutputShutdownError:outShut -
-  outShut>outShut readOutShut 2.0 - _checked_read PeerClosedError:peerGone -
-  outShut>outShut checkSelectorOutShut 1.0 - _poll_then_read PeerClosedError:peerGone -
-  outShut>bothShut shutdownInputOutShut 0.5 - _w_shut_in - -
-  outShut>closed closeOutShut 0.5 - _close_conn - -
-  bothShut>bothShut readBothShut 1.0 - _expect_failure.<locals>.run InputShutdownError:bothShut -
-  bothShut>bothShut writeBothShut 1.0 - _expect_failure.<locals>.run OutputShutdownError:bothShut -
-  bothShut>bothShut checkSelectorBothShut 1.0 - _poll_then_read - -
-  bothShut>closed closeBothShut 1.0 - _close_conn - -
-  peerGone>peerGone readPeerGone 1.0 - _checked_read InputShutdownError:peerGone,PeerClosedError:peerGone -
-  peerGone>peerGone writePeerGone 1.0 - _checked_write OutputShutdownError:peerGone,PeerClosedError:peerGone -
-  peerGone>peerGone checkSelectorPeerGone 1.0 - _poll_then_read PeerClosedError:peerGone -
-  peerGone>closed closePeerGone 0.5 - _close_conn - -
+  connected>connected read 2.0 _checked_read PeerClosedError:peerGone -
+  connected>connected write 2.0 _checked_write PeerClosedError:peerGone -
+  connected>connected checkSelector 2.0 _poll_then_read PeerClosedError:peerGone -
+  connected>inShut shutdownInput 0.5 _w_shut_in - -
+  connected>outShut shutdownOutput 0.5 _w_shut_out PeerClosedError:peerGone -
+  connected>closed close 0.5 _close_conn - -
+  inShut>inShut readAfterInShut 1.0 _expect_failure.<locals>.run InputShutdownError:inShut -
+  inShut>inShut writeInShut 2.0 _checked_write PeerClosedError:peerGone -
+  inShut>inShut checkSelectorInShut 1.0 _poll_then_read PeerClosedError:peerGone -
+  inShut>bothShut shutdownOutputInShut 0.5 _w_shut_out PeerClosedError:peerGone -
+  inShut>closed closeInShut 0.5 _close_conn - -
+  outShut>outShut writeAfterOutShut 1.0 _expect_failure.<locals>.run OutputShutdownError:outShut -
+  outShut>outShut readOutShut 2.0 _checked_read PeerClosedError:peerGone -
+  outShut>outShut checkSelectorOutShut 1.0 _poll_then_read PeerClosedError:peerGone -
+  outShut>bothShut shutdownInputOutShut 0.5 _w_shut_in - -
+  outShut>closed closeOutShut 0.5 _close_conn - -
+  bothShut>bothShut readBothShut 1.0 _expect_failure.<locals>.run InputShutdownError:bothShut -
+  bothShut>bothShut writeBothShut 1.0 _expect_failure.<locals>.run OutputShutdownError:bothShut -
+  bothShut>bothShut checkSelectorBothShut 1.0 _poll_then_read - -
+  bothShut>closed closeBothShut 1.0 _close_conn - -
+  peerGone>peerGone readPeerGone 1.0 _checked_read InputShutdownError:peerGone,PeerClosedError:peerGone -
+  peerGone>peerGone writePeerGone 1.0 _checked_write OutputShutdownError:peerGone,PeerClosedError:peerGone -
+  peerGone>peerGone checkSelectorPeerGone 1.0 _poll_then_read PeerClosedError:peerGone -
+  peerGone>closed closePeerGone 0.5 _close_conn - -
 client active active closed reset | _client_ctor
-  active>active read 1.0 - _checked_read PeerClosedError:reset -
-  active>active write 0.5 - _checked_write PeerClosedError:reset -
-  active>active checkSelector 1.0 - _poll_then_read PeerClosedError:reset -
-  active>active mayClose 1.0 - _c_may_close - stay:active,closed:closed
+  active>active read 1.0 _checked_read PeerClosedError:reset -
+  active>active write 0.5 _checked_write PeerClosedError:reset -
+  active>active checkSelector 1.0 _poll_then_read PeerClosedError:reset -
+  active>active mayClose 1.0 _c_may_close - stay:active,closed:closed
 minimalist-misordered bound bound closed | _bind_ctor
-  bound>bound session 1.0 - _session_misordered - -
-  bound>closed close 0.1 - _close_server - -
+  bound>bound session 1.0 _session_misordered - -
+  bound>closed close 0.1 _close_server - -
 """
 
 
@@ -428,8 +455,7 @@ def _describe(spec) -> list[str]:
              f"{spec.constructor.__qualname__}"]
     for t in spec.transitions:
         lines.append(
-            f"  {t.source}>{t.target} {t.label} {t.weight} "
-            f"{'-' if t.guard is None else 'guarded'} {t.action.__qualname__} "
+            f"  {t.source}>{t.target} {t.label} {t.weight} {t.action.__qualname__} "
             f"{_pairs(_by_kind(t.exception_overrides))} {_pairs(t.outcome_branches)}"
         )
     return lines

@@ -78,6 +78,16 @@ class TestBoundedDraws:
         assert len(SeededRng(9).payload(13)) == 13
         assert SeededRng(9).payload(13) == SeededRng(9).payload(13)
 
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 16, 63, 64])
+    def test_payload_and_randint_are_their_draws(self, length):
+        # payload: the little-endian bytes of ceil(length/8) draws, cut to
+        # length; randint(lo, hi): lo + below(hi - lo + 1) on one draw.
+        rng = SeededRng(21)
+        draws = reference_stream(21, (length + 7) // 8 + 1)
+        assert rng.payload(length) == b"".join(d.to_bytes(8, "little") for d in draws[:-1])[:length]
+        assert rng.randint(-3, length) == -3 + ((draws[-1] * (length + 4)) >> 64)
+        assert rng.next_u64() == reference_stream(21, len(draws) + 1)[-1]
+
     def test_one_draw_per_below(self):
         # below() must consume exactly one u64 draw
         a, b = SeededRng(11), SeededRng(11)

@@ -64,25 +64,17 @@ class FixedRng:
         return self.value
 
 
-def _gate(j):
-    return lambda v: v["open"][j]
-
-
 @st.composite
 def instance_sets(draw):
-    """Instances with mixed weights, some dead, some with guarded transitions."""
+    """Instances with mixed weights, some dead."""
     instances = []
     for k in range(draw(st.integers(0, 6))):
         n = draw(st.integers(0, 6))
         weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=n, max_size=n))
-        guarded = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        transitions = [
-            Transition("s", "s", f"t{j}", NOOP, weight=w, guard=_gate(j) if g else None)
-            for j, (w, g) in enumerate(zip(weights, guarded))
-        ]
+        transitions = [Transition("s", "s", f"t{j}", NOOP, weight=w)
+                       for j, w in enumerate(weights)]
         spec = define_model(f"m{k}", "s", transitions, states=["s", "dead"])
-        inst = ModelInstance(k + 1, spec, {"open": draw(st.lists(st.booleans(), min_size=n,
-                                                                 max_size=n))})
+        inst = ModelInstance(k + 1, spec, {})
         if draw(st.booleans()) and draw(st.booleans()):
             inst.current = "dead"
         instances.append(inst)
@@ -121,6 +113,55 @@ class TestPickEquivalence:
                 [inst, inst], SeededRng(seed))
 
 
+@st.composite
+def models(draw, name):
+    """A model over three live states and a dead one, with mixed weights."""
+    states = ["s0", "s1", "s2", "dead"]
+    transitions = [
+        Transition(source, draw(st.sampled_from(states)), f"t{j}", NOOP,
+                   weight=draw(st.sampled_from(WEIGHTS)))
+        for source in states[:3]
+        for j in range(draw(st.integers(0, 4)))
+    ]
+    return define_model(name, "s0", transitions, states=states)
+
+
+def _hex(accs):
+    return [acc.hex() for acc in accs]
+
+
+class TestIncrementalRefresh:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_kept_table_equals_a_fresh_one_bit_for_bit(self, data):
+        specs = [data.draw(models(f"m{k}")) for k in range(3)]
+
+        def launch():
+            instances.append(ModelInstance(len(instances) + 1,
+                                           data.draw(st.sampled_from(specs)), {}))
+
+        instances: list[ModelInstance] = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            launch()
+        table = EnabledTable(instances)
+        for _ in range(data.draw(st.integers(1, 12))):
+            fired = data.draw(st.sampled_from(instances))
+            fired.current = data.draw(st.sampled_from(fired.spec.states))
+            for _ in range(data.draw(st.integers(0, 2))):
+                launch()
+            table.refresh(instances, fired)
+            fresh = EnabledTable(instances)
+            assert table.pairs == fresh.pairs
+            assert table.starts == fresh.starts
+            assert _hex(table.accs) == _hex(fresh.accs)
+            # ... and both equal one running sum from 0.0, pair by pair.
+            acc, expected = 0.0, []
+            for _, t in fresh.pairs:
+                acc += t.weight
+                expected.append(acc)
+            assert _hex(table.accs) == _hex(expected)
+
+
 # ---------------------------------------------------------------------------
 # The run loop keeps the table only while it is exact
 # ---------------------------------------------------------------------------
@@ -145,20 +186,6 @@ def _counting_enabled(monkeypatch):
 
 
 class TestTableInvalidation:
-    def test_guard_flipped_inside_a_self_loop_holds_at_the_next_pick(self):
-        def flip(value):
-            def fn(ctx):
-                ctx.vars["open"] = value
-            return fn
-
-        spec = define_model("gate", "s", [
-            Transition("s", "s", "open", flip(True), guard=lambda v: not v.get("open")),
-            Transition("s", "s", "shut", flip(False), guard=lambda v: v.get("open", False)),
-        ])
-        steps, result = _run(spec)
-        assert result.passed
-        assert [label for _, label in steps] == ["open", "shut"] * 6
-
     def test_child_launched_from_a_self_loop_is_schedulable_at_the_next_pick(self):
         child = define_model("child", "ready", [
             Transition("ready", "done", "go", NOOP, weight=1e9),
@@ -187,25 +214,26 @@ class TestTableInvalidation:
         # self-loops reuse it.
         assert calls == ["mover", "mover"]
 
-    def test_guarded_state_rebuilds_the_whole_table_at_every_pick(self, monkeypatch):
-        guarded = define_model("guarded", "s", [
-            Transition("s", "s", "tick", NOOP, guard=lambda v: True),
-        ])
-
-        def spawn(ctx):
-            ctx.launch(guarded)
-
-        root = define_model("root", "s", [
-            Transition("s", "t", "spawn", spawn),
-            Transition("t", "t", "idle", NOOP),
-        ])
+    def test_refresh_enumerates_only_the_fired_instance_and_new_children(self, monkeypatch):
+        spec = define_model("m", "a", [Transition("a", "b", "go", NOOP),
+                                       Transition("b", "b", "stay", NOOP)],
+                            states=["a", "b", "dead"])
+        instances = [ModelInstance(i, spec, {}) for i in (1, 2, 3)]
+        table = EnabledTable(instances)
         calls = _counting_enabled(monkeypatch)
-        steps, result = _run(root, max_steps=6)
-        assert result.passed and steps[0] == ("root", "spawn")
-        # Build, refresh after the launch (the refreshed table serves the
-        # second pick), then both instances again at each of the four later
-        # picks.
-        assert len(calls) == 1 + 2 + 2 * 4
+        instances[1].current = "b"
+        instances.append(ModelInstance(4, spec, {}))
+        table.refresh(instances, instances[1])
+        assert calls == ["m", "m"]
+        assert table.starts == [0, 1, 2, 3]
+        assert [(inst.id, t.label) for inst, t in table.pairs] == [
+            (1, "go"), (2, "stay"), (3, "go"), (4, "go")]
+        # A dead instance is not enumerated and has no pairs.
+        instances[0].current = "dead"
+        table.refresh(instances, instances[0])
+        assert calls == ["m", "m"]
+        assert table.starts == [0, 0, 1, 2]
+        assert [inst.id for inst, _ in table.pairs] == [2, 3, 4]
 
     def test_bundled_models_reuse_the_table_on_most_steps(self, monkeypatch):
         calls = _counting_enabled(monkeypatch)
