@@ -13,9 +13,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .efsm import (
     ActionContext,
@@ -139,14 +139,41 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str, size: int = 1 << 16) -> Iterator[str]:
+    """``text.splitlines()``, split a chunk of about ``size`` characters at a
+    time.  Each chunk but the last ends with a newline, where every line
+    boundary is complete, so the lines are those of the whole text; only one
+    chunk's lines exist at once."""
+    def chunks() -> Iterator[str]:
+        start, end = 0, len(text)
+        while start < end:
+            cut = text.find("\n", start + size) + 1 or end
+            yield text[start:cut]
+            start = cut
+
+    return chain.from_iterable(map(str.splitlines, chunks()))
+
+
 def parse_traces(text: str) -> list[Trace]:
     """Parse the traces serialize_trace wrote.  A malformed file, including
-    one that ends inside a block, raises ConfigError naming the bad line."""
+    one that ends inside a block, raises ConfigError naming the bad line.
+
+    Step records are shared: one StepRecord per distinct record line, and
+    one (model, label, outcome, state) tuple per distinct text after the
+    record's second space, so a file costs about a pointer per step.
+    """
     traces: list[Trace] = []
     current: Trace | None = None
+    records: dict[str, StepRecord] = {}  # record line -> its record
+    tails: dict[str, tuple[str, str, str, str]] = {}  # text after the 2nd space -> fields
+    new = tuple.__new__
     lineno = 0
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_lines(text), start=1):
+            record = records.get(line)
+            if record is not None and current is not None:
+                append(record)  # a line seen before, so it takes the last branch
+                continue
             if not line.strip():
                 continue
             if line.startswith(TRACE_HEADER):
@@ -159,6 +186,7 @@ def parse_traces(text: str) -> list[Trace]:
                     backend=fields["backend"],
                     steps=[],
                 )
+                append = current.steps.append
                 traces.append(current)
             elif current is None:
                 raise ValueError(f"record before trace header: {line!r}")
@@ -170,12 +198,17 @@ def parse_traces(text: str) -> list[Trace]:
                 current.message = parts[2] if len(parts) > 2 else ""
                 current = None
             else:
-                parts = line.split(" ", 5)
-                if len(parts) != 6:
-                    raise ValueError(f"malformed step record: {line!r}")
-                current.steps.append(
-                    StepRecord(int(parts[0]), int(parts[1]), parts[2], parts[3], parts[4], parts[5])
-                )
+                head = line.split(" ", 2)
+                # A cached tail has three spaces, so it never matches the
+                # last part of a line with fewer than three parts.
+                tail = tails.get(head[-1])
+                if tail is None:
+                    parts = line.split(" ", 5)
+                    if len(parts) != 6:
+                        raise ValueError(f"malformed step record: {line!r}")
+                    tail = tails[head[2]] = tuple(parts[2:])
+                record = records[line] = new(StepRecord, (int(head[0]), int(head[1])) + tail)
+                append(record)
         if current is not None:
             raise ValueError("end of file before the verdict line")
     except KeyError as exc:
@@ -518,12 +551,12 @@ def replay(
 ) -> TestResult:
     """Re-execute a recorded test from its seed and verify every step.
 
-    Raises DivergenceError at the first mismatching step record (or at the
-    verdict when the steps match but the outcome does not).  Replay against
-    the real backend is best-effort: latency may legitimately change
-    outcomes there.  Replays of several traces may share one ``pool`` from
-    port_pool(), advanced with ``pool.next_test()`` between them; without
-    one, a fresh pool is built.
+    Raises DivergenceError at the first step whose record line differs
+    from the recorded one (or at the verdict when the steps match but the
+    outcome does not).  Replay against the real backend is best-effort:
+    latency may legitimately change outcomes there.  Replays of several
+    traces may share one ``pool`` from port_pool(), advanced with
+    ``pool.next_test()`` between them; without one, a fresh pool is built.
     """
     if pool is None:
         pool = port_pool(config)
@@ -532,11 +565,14 @@ def replay(
     rerun = run_single_test(root_spec, config, trace.test_seed, trace.test_index, pool)
     recorded = trace.steps
     replayed = rerun.trace.steps
-    for i in range(max(len(recorded), len(replayed))):
-        expected = recorded[i].line() if i < len(recorded) else "<missing>"
-        actual = replayed[i].line() if i < len(replayed) else "<missing>"
-        if expected != actual:
-            raise DivergenceError(i, expected, actual)
+    if recorded != replayed:
+        # Equal records render equal lines, so only unequal step lists are
+        # rendered; the lines decide, and the first differing one is reported.
+        for i in range(max(len(recorded), len(replayed))):
+            expected = recorded[i].line() if i < len(recorded) else "<missing>"
+            actual = replayed[i].line() if i < len(replayed) else "<missing>"
+            if expected != actual:
+                raise DivergenceError(i, expected, actual)
     if (trace.verdict, " ".join(trace.message.split())) != (
         rerun.trace.verdict, " ".join(rerun.trace.message.split())
     ):

@@ -20,8 +20,10 @@ Close semantics mirror loopback TCP deterministically:
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .adapter import (
     ACCEPT,
@@ -77,13 +79,15 @@ class FaultSpec:
 
 
 class SimFlow:
-    """One direction of a connection."""
+    """One direction of a connection; ``order`` is its index in the
+    backend's flows."""
 
-    __slots__ = ("cohorts", "delivered", "eof_signaled", "poisoned",
+    __slots__ = ("order", "cohorts", "delivered", "eof_signaled", "poisoned",
                  "swallow_pending", "written", "read_count", "lost",
                  "dropped", "duplicated")
 
-    def __init__(self):
+    def __init__(self, order: int):
+        self.order = order
         self.cohorts: deque[tuple[int, bytes]] = deque()  # (available_step, data)
         self.delivered = bytearray()
         self.eof_signaled = False
@@ -103,6 +107,9 @@ class SimFlow:
         self.lost += len(self.delivered) + self.in_flight
         self.delivered.clear()
         self.cohorts.clear()
+
+
+_ORDER = attrgetter("order")
 
 
 class SimConn(ConnChannel):
@@ -144,15 +151,26 @@ class SimBackend(NetworkBackend):
         self.fault_events: list[str] = []
         self._listeners: dict[int, SimServer] = {}
         self._flows: list[SimFlow] = []
+        # Every flow with cohorts in flight (and perhaps some that have just
+        # emptied), in _flows order: the order that decides which cohort a
+        # drop or duplicate fault hits.
+        self._pending: list[SimFlow] = []
         self._ephemeral = 49152
 
     # -- time ----------------------------------------------------------------
 
     def advance(self) -> None:
         self.clock += 1
-        for flow in self._flows:
-            if flow.cohorts:
+        clock, idle = self.clock, False
+        for flow in self._pending:
+            # _deliver pops due cohorts from the front only: skip the call
+            # when the first one is not due.
+            cohorts = flow.cohorts
+            if cohorts and cohorts[0][0] <= clock:
                 self._deliver(flow)
+            idle = idle or not cohorts
+        if idle:
+            self._pending = [flow for flow in self._pending if flow.cohorts]
 
     def _deliver(self, flow: SimFlow) -> None:
         while flow.cohorts and flow.cohorts[0][0] <= self.clock:
@@ -222,8 +240,8 @@ class SimBackend(NetworkBackend):
         listener = self._listeners.get(port)
         if listener is None or listener.closed:
             raise AdapterError(ErrorKind.CONNECTION_REFUSED, f"no listener on port {port}")
-        up = SimFlow()    # client -> server
-        down = SimFlow()  # server -> client
+        up = SimFlow(len(self._flows))        # client -> server
+        down = SimFlow(len(self._flows) + 1)  # server -> client
         self._flows.extend((up, down))
         conn_id = next(self._conn_ids)
         client = SimConn("client", conn_id, rx=down, tx=up)
@@ -276,6 +294,8 @@ class SimBackend(NetworkBackend):
         else:
             flow.cohorts.append((start, payload))
         self._deliver(flow)  # zero-latency cohorts are readable immediately
+        if flow.cohorts and flow not in self._pending:
+            insort(self._pending, flow, key=_ORDER)
         return len(payload)
 
     def _do_shutdown_input(self, conn: SimConn) -> None:

@@ -396,6 +396,38 @@ class TestReplay:
             replay(trace, SERVER_MAIN, SuiteConfig(seed=0))
         assert e.value.step_index >= 0
 
+    @pytest.mark.parametrize("edit", ["step", "extend", "truncate", "verdict", "non-canonical"])
+    def test_edited_trace_diverges_at_its_first_differing_line(self, tmp_path, edit):
+        p = tmp_path / "t.trace"
+        run_suite(SERVER_MAIN, SuiteConfig(seed=31, num_tests=1, trace_path=str(p)),
+                  MODEL_REGISTRY)
+        header, *records, verdict = p.read_text().splitlines()
+        assert verdict == "verdict PASS" and len(records) > 5
+        n = len(records)
+        edited = list(records)
+        if edit == "step":
+            edited[3] = records[3].rsplit(" ", 1)[0] + " Bogus"
+            want = (3, edited[3], records[3])
+        elif edit == "extend":
+            edited.append(f"{n} 1 server-main extra - Listening")
+            want = (n, edited[-1], "<missing>")
+        elif edit == "truncate":
+            del edited[-1]
+            want = (n - 1, "<missing>", records[-1])
+        elif edit == "verdict":
+            verdict = "verdict FAIL lost  bytes"
+            want = (n, verdict, "verdict PASS")
+        else:  # parses to the same record as "1 ...", so the lines agree
+            edited[1] = "0" + records[1]
+            want = None
+        trace = parse_traces("\n".join([header, *edited, verdict]) + "\n")[0]
+        if want is None:
+            assert replay(trace, SERVER_MAIN, SuiteConfig(seed=0)).trace.verdict == "PASS"
+            return
+        with pytest.raises(DivergenceError) as e:
+            replay(trace, SERVER_MAIN, SuiteConfig(seed=0))
+        assert (e.value.step_index, e.value.expected, e.value.actual) == want
+
     def test_failing_fault_trace_replays_to_same_step(self):
         cfg = SuiteConfig(seed=9, num_tests=200, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)

@@ -7,7 +7,9 @@ import pytest
 
 from netmbt.adapter import Interest
 from netmbt.errors import AdapterError, ErrorKind
-from netmbt.rng import SeededRng
+from netmbt.explorer import SuiteConfig, port_pool, run_single_test, serialize_trace
+from netmbt.models import MODEL_REGISTRY
+from netmbt.rng import SeededRng, derive_seed
 from netmbt.simnet import FaultKind, FaultSpec, LatencyModel, SimBackend
 
 
@@ -227,6 +229,64 @@ class TestFaults:
         net.advance()
         assert net.read(sc, 64).data == b"aaaabb"
         assert len(net.fault_events) == 1
+
+
+def advance_over_every_flow(self):
+    """SimBackend.advance as a walk over every flow of the test."""
+    self.clock += 1
+    for flow in self._flows:
+        if flow.cohorts:
+            self._deliver(flow)
+
+
+class TestIdleFlows:
+    def test_fault_hits_the_first_due_flow_in_connection_order(self):
+        # The later connection writes first; the drop still hits the earlier
+        # connection's cohort, as a walk over every flow in order would.
+        net = SimBackend(SeededRng(1), LatencyModel(choices=(1,), split=False),
+                         FaultSpec(FaultKind.DROP_BYTES, trigger_step=0))
+        _, cli_a, sc_a = session(net)
+        _, cli_b, sc_b = session(net)
+        net.write(cli_b, b"bbb")
+        net.write(sc_a, b"aaaaa")  # the earlier connection's second flow
+        net.write(cli_a, b"aa")    # the earlier connection's first flow
+        net.advance()
+        assert net.fault_events == [f"step {net.clock}: dropped cohort of 2 bytes"]
+        assert net.read(sc_a, 64).count == 0
+        assert net.read(cli_a, 64).data == b"aaaaa"
+        assert net.read(sc_b, 64).data == b"bbb"
+
+    def test_advance_does_not_visit_idle_flows(self):
+        net = SimBackend(SeededRng(1), LatencyModel(choices=(2,), split=False))
+        for _ in range(3):
+            session(net)
+        _, cli, sc = session(net)
+        net.write(cli, b"x")
+        assert net._pending == [cli.tx]
+        net.advance()
+        assert net._pending == [cli.tx]
+        net.advance()
+        assert net._pending == [] and net.read(sc, 8).data == b"x"
+
+    @pytest.mark.parametrize("kind, trigger", [
+        (FaultKind.DROP_BYTES, 3), (FaultKind.DUPLICATE_BYTES, 3),
+        (FaultKind.DUPLICATE_BYTES, 11), (None, 0),
+    ])
+    def test_tests_equal_those_of_a_walk_over_every_flow(self, monkeypatch, kind, trigger):
+        config = SuiteConfig(seed=19, fault=FaultSpec(kind, trigger) if kind else None)
+        pool = port_pool(config)
+
+        def results():
+            for i in range(120):
+                r = run_single_test(MODEL_REGISTRY["server-main"], config,
+                                    derive_seed(19, i), i, pool)
+                pool.next_test()
+                yield serialize_trace(r.trace), r.diagnostics, r.flow_stats
+
+        kept = list(results())
+        assert kind is None or any(diagnostics for _, diagnostics, _ in kept)
+        monkeypatch.setattr(SimBackend, "advance", advance_over_every_flow)
+        assert list(results()) == kept
 
 
 class TestAbortiveVsGraceful:
