@@ -11,7 +11,7 @@ the recorded run).
 from __future__ import annotations
 
 import argparse
-import secrets
+import os
 import sys
 
 from .efsm import ModelSpec
@@ -107,7 +107,7 @@ def _fault(name: str) -> FaultSpec | None:
 
 def _cmd_run(args) -> int:
     spec = _model(args.model)
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")
     print(f"seed {seed}")
     config = SuiteConfig(
         seed=seed,

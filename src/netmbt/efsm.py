@@ -17,7 +17,6 @@ scheduler only enumerates an instance again after it changed state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
 from .errors import (AdapterError, BackendError, ErrorKind, PropertyViolation, SpecError,
@@ -27,34 +26,45 @@ from .rng import maybe as _maybe
 ActionFn = Callable[["ActionContext"], Optional[str]]
 
 
-@dataclass(eq=False)
 class Transition:
     """A weighted edge, enabled whenever its instance is in ``source``.
     ``action`` returns None, which leads to ``target``, or one of the keys
     of ``outcome_branches``, which leads to the state that key maps to."""
 
-    source: str
-    target: str
-    label: str
-    action: ActionFn
-    weight: float = 1.0
-    exception_overrides: dict[ErrorKind, str] = field(default_factory=dict)
-    outcome_branches: dict[str, str] | None = None
+    __slots__ = ("source", "target", "label", "action", "weight",
+                 "exception_overrides", "outcome_branches")
+
+    def __init__(self, source: str, target: str, label: str, action: ActionFn,
+                 weight: float = 1.0, exception_overrides: dict[ErrorKind, str] | None = None,
+                 outcome_branches: dict[str, str] | None = None):
+        self.source = source
+        self.target = target
+        self.label = label
+        self.action = action
+        self.weight = weight
+        self.exception_overrides = {} if exception_overrides is None else exception_overrides
+        self.outcome_branches = outcome_branches
 
 
-@dataclass(eq=False)
 class ModelSpec:
     """Validated model definition; construct through define_model().
     ``outgoing`` and ``weights`` map every state to its transitions and
     their weights, in declaration order."""
 
-    name: str
-    initial: str
-    states: tuple[str, ...]
-    transitions: tuple[Transition, ...]
-    constructor: ActionFn | None
-    outgoing: dict[str, tuple[Transition, ...]]
-    weights: dict[str, tuple[float, ...]]
+    __slots__ = ("name", "initial", "states", "transitions", "constructor",
+                 "outgoing", "weights")
+
+    def __init__(self, name: str, initial: str, states: tuple[str, ...],
+                 transitions: tuple[Transition, ...], constructor: ActionFn | None,
+                 outgoing: dict[str, tuple[Transition, ...]],
+                 weights: dict[str, tuple[float, ...]]):
+        self.name = name
+        self.initial = initial
+        self.states = states
+        self.transitions = transitions
+        self.constructor = constructor
+        self.outgoing = outgoing
+        self.weights = weights
 
 
 def _check_identifier(kind: str, value: str) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -35,7 +34,6 @@ from .errors import (
 )
 from .models import OracleLedger
 from .portman import PortPool
-from .realnet import RealBackend
 from .rng import SeededRng, derive_seed
 from .simnet import FaultSpec, LatencyModel, SimBackend
 
@@ -44,8 +42,23 @@ INIT_LABEL = "<init>"
 TRACE_HEADER = "netmbt-trace v1"
 
 
-@dataclass
-class SuiteConfig:
+class _Record:
+    """Value equality and a field-by-field repr over ``__slots__``."""
+
+    __slots__ = ()
+    __hash__ = None  # mutable: equal by value, so unhashable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SuiteConfig(NamedTuple):
     seed: int
     num_tests: int = 100
     max_steps_per_test: int = 100
@@ -92,14 +105,17 @@ class StepRecord(NamedTuple):
         return f"{self.index} {self.instance_id} {self.model} {self.label} {self.outcome} {self.state}"
 
 
-@dataclass
-class Trace:
-    test_seed: int
-    test_index: int
-    backend: str
-    steps: list[StepRecord]
-    verdict: str = "PASS"  # "PASS" | "FAIL"
-    message: str = ""
+class Trace(_Record):
+    __slots__ = ("test_seed", "test_index", "backend", "steps", "verdict", "message")
+
+    def __init__(self, test_seed: int, test_index: int, backend: str,
+                 steps: list[StepRecord], verdict: str = "PASS", message: str = ""):
+        self.test_seed = test_seed
+        self.test_index = test_index
+        self.backend = backend
+        self.steps = steps
+        self.verdict = verdict  # "PASS" | "FAIL"
+        self.message = message
 
     @property
     def failing_step_index(self) -> int | None:
@@ -108,13 +124,16 @@ class Trace:
         return self.steps[-1].index
 
 
-@dataclass
-class TestResult:
-    trace: Trace
-    ledger: OracleLedger
-    fired: int
-    diagnostics: list[str] = field(default_factory=list)
-    flow_stats: list[dict] = field(default_factory=list)
+class TestResult(_Record):
+    __slots__ = ("trace", "ledger", "fired", "diagnostics", "flow_stats")
+
+    def __init__(self, trace: Trace, ledger: OracleLedger, fired: int,
+                 diagnostics: list[str] | None = None, flow_stats: list[dict] | None = None):
+        self.trace = trace
+        self.ledger = ledger
+        self.fired = fired
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.flow_stats = [] if flow_stats is None else flow_stats
 
     @property
     def passed(self) -> bool:
@@ -227,6 +246,8 @@ def _make_backend(config: SuiteConfig, test_seed: int):
     if config.backend == "sim":
         latency = LatencyModel.zero() if config.latency == "zero" else LatencyModel.default()
         return SimBackend(SeededRng(derive_seed(test_seed, 1)), latency, config.fault)
+    from .realnet import RealBackend  # sockets load only for a real run
+
     return RealBackend(watchdog_seconds=config.watchdog_seconds)
 
 
@@ -300,18 +321,27 @@ class EnabledTable:
 
     def refresh(self, instances: list[ModelInstance], fired: ModelInstance) -> None:
         """Re-enumerate ``fired`` and the instances appended to ``instances``
-        since the last enumeration; every other instance kept its state."""
-        groups = self.groups
-        k = instances.index(fired)
-        groups[k] = _group(fired)
-        groups.extend(map(_group, instances[len(groups):]))
-        self._accumulate(k)
+        since the last enumeration; every other instance kept its state.
+        When ``fired``'s weights are unchanged, so are the sums up to the
+        new groups: its pairs are replaced in place, and only the new
+        groups are accumulated."""
+        groups, known = self.groups, len(self.groups)
+        i = k = instances.index(fired)
+        group = _group(fired)
+        if group[1] == groups[i][1]:
+            start = self.starts[i]
+            self.pairs[start:start + len(group[0])] = group[0]
+            k = known
+        groups[i] = group
+        groups.extend(map(_group, instances[known:]))
+        if k < len(groups):
+            self._accumulate(k)
 
     def _accumulate(self, k: int) -> None:
         """Rebuild pairs and sums from group ``k`` on.  The new sums continue
         from the last kept one, in the order a full accumulation adds them."""
         starts, pairs, accs = self.starts, self.pairs, self.accs
-        start = starts[k] if starts else 0
+        start = starts[k] if k < len(starts) else len(pairs)
         del starts[k:], pairs[start:]
         weights: list[float] = []
         for group_pairs, group_weights in self.groups[k:]:
@@ -356,6 +386,7 @@ def run_single_test(
     backend = _make_backend(config, test_seed)
     run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     instances, records, rng = run.instances, run.records, run.rng
+    new = tuple.__new__
     # One context per instance.  Kept here and nowhere on the run, so a
     # context (which refers to the run) never forms a reference cycle.
     contexts: dict[ModelInstance, ActionContext] = {}
@@ -374,8 +405,8 @@ def run_single_test(
             state, launched = inst.current, len(instances)
             outcome, violation = fire_transition(inst, transition, ctx)
             run.fired += 1
-            records.append(StepRecord(len(records), inst.id, inst.spec.name,
-                                      transition.label, outcome, inst.current))
+            records.append(new(StepRecord, (len(records), inst.id, inst.spec.name,
+                                            transition.label, outcome, inst.current)))
             if inst.current != state or len(instances) != launched:
                 table.refresh(instances, inst)
             backend.advance()
@@ -406,16 +437,19 @@ def run_single_test(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModelCoverage:
-    states_visited: set[str] = field(default_factory=set)
-    transitions_fired: set[str] = field(default_factory=set)
-    states_total: int | None = None
-    transitions_total: int | None = None
+class ModelCoverage(_Record):
+    __slots__ = ("states_visited", "transitions_fired", "states_total", "transitions_total")
+
+    def __init__(self, states_visited: set[str] | None = None,
+                 transitions_fired: set[str] | None = None,
+                 states_total: int | None = None, transitions_total: int | None = None):
+        self.states_visited = set() if states_visited is None else states_visited
+        self.transitions_fired = set() if transitions_fired is None else transitions_fired
+        self.states_total = states_total
+        self.transitions_total = transitions_total
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     config: SuiteConfig
     tests_run: int
     passed: int
@@ -468,6 +502,8 @@ def port_pool(config: SuiteConfig, probe: bool | None = None) -> PortPool:
     """
     config.validate()
     if config.backend == "real" if probe is None else probe:
+        from .realnet import RealBackend
+
         RealBackend.probe()
     return PortPool(config.port_range[0], config.port_range[1])
 

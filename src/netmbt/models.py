@@ -188,74 +188,61 @@ def _w_shut_out(ctx):
     ctx.env.ledger.record_output_shut(ctx.vars["conn"], ctx.instance.id)
 
 
+# The four probe edges: a read after shutdownInput, a write after
+# shutdownOutput.
+_READ_PROBE = _expect_failure(lambda c: c.env.net.read(c.vars["conn"], 8),
+                              "oracle: read succeeded after shutdownInput")
+_WRITE_PROBE = _expect_failure(lambda c: c.env.net.write(c.vars["conn"], b"x"),
+                               "oracle: write succeeded after shutdownOutput")
+
+_P, _I, _O = E.PEER_CLOSED, E.INPUT_SHUTDOWN, E.OUTPUT_SHUTDOWN
+
+# The worker's edges in declaration order: source, target, label, action,
+# weight, expected error kinds.  A PeerClosedError leads to peerGone; any
+# other expected kind keeps the source state.
+_WORKER_EDGES = (
+    # connected: everything is legal; traffic dominates, closes are rare
+    ("connected", "connected", "read", _checked_read, 2.0, (_P,)),
+    ("connected", "connected", "write", _checked_write, 2.0, (_P,)),
+    ("connected", "connected", "checkSelector", _poll_then_read, 2.0, (_P,)),
+    ("connected", "inShut", "shutdownInput", _w_shut_in, 0.5, ()),
+    ("connected", "outShut", "shutdownOutput", _w_shut_out, 0.5, (_P,)),
+    ("connected", "closed", "close", _close_conn, 0.5, ()),
+    # input shut: reads must fail, writes still flow
+    ("inShut", "inShut", "readAfterInShut", _READ_PROBE, 1.0, (_I,)),
+    ("inShut", "inShut", "writeInShut", _checked_write, 2.0, (_P,)),
+    ("inShut", "inShut", "checkSelectorInShut", _poll_then_read, 1.0, (_P,)),
+    ("inShut", "bothShut", "shutdownOutputInShut", _w_shut_out, 0.5, (_P,)),
+    ("inShut", "closed", "closeInShut", _close_conn, 0.5, ()),
+    # output shut: writes must fail, reads still drain
+    ("outShut", "outShut", "writeAfterOutShut", _WRITE_PROBE, 1.0, (_O,)),
+    ("outShut", "outShut", "readOutShut", _checked_read, 2.0, (_P,)),
+    ("outShut", "outShut", "checkSelectorOutShut", _poll_then_read, 1.0, (_P,)),
+    ("outShut", "bothShut", "shutdownInputOutShut", _w_shut_in, 0.5, ()),
+    ("outShut", "closed", "closeOutShut", _close_conn, 0.5, ()),
+    # both halves shut: only probes and close remain
+    ("bothShut", "bothShut", "readBothShut", _READ_PROBE, 1.0, (_I,)),
+    ("bothShut", "bothShut", "writeBothShut", _WRITE_PROBE, 1.0, (_O,)),
+    ("bothShut", "bothShut", "checkSelectorBothShut", _poll_then_read, 1.0, ()),
+    ("bothShut", "closed", "closeBothShut", _close_conn, 1.0, ()),
+    # peer gone: the other endpoint reset or vanished; the channel may
+    # additionally be half-shut on our own side, so those errors are
+    # expected here as well
+    ("peerGone", "peerGone", "readPeerGone", _checked_read, 1.0, (_P, _I)),
+    ("peerGone", "peerGone", "writePeerGone", _checked_write, 1.0, (_P, _O)),
+    ("peerGone", "peerGone", "checkSelectorPeerGone", _poll_then_read, 1.0, (_P,)),
+    ("peerGone", "closed", "closePeerGone", _close_conn, 0.5, ()),
+)
+
+
 def worker_model() -> ModelSpec:
     """Server-side connection model: reads, writes and selector checks in
     every live state; half-closes and close move between states; operations
     that must fail after a (partial) close are expected-exception probes."""
-    peer_gone = {E.PEER_CLOSED: "peerGone"}
-
-    def t(source, target, label, fn, weight=1.0, overrides=None):
-        return Transition(source, target, label, fn, weight=weight,
-                          exception_overrides=dict(overrides or {}))
-
     transitions = [
-        # connected: everything is legal; traffic dominates, closes are rare
-        t("connected", "connected", "read", _checked_read, weight=2.0, overrides=peer_gone),
-        t("connected", "connected", "write", _checked_write, weight=2.0, overrides=peer_gone),
-        t("connected", "connected", "checkSelector", _poll_then_read, weight=2.0,
-          overrides=peer_gone),
-        t("connected", "inShut", "shutdownInput", _w_shut_in, weight=0.5),
-        t("connected", "outShut", "shutdownOutput", _w_shut_out, weight=0.5,
-          overrides=peer_gone),
-        t("connected", "closed", "close", _close_conn, weight=0.5),
-        # input shut: reads must fail, writes still flow
-        Transition(
-            "inShut", "inShut", "readAfterInShut",
-            _expect_failure(lambda c: c.env.net.read(c.vars["conn"], 8),
-                            "oracle: read succeeded after shutdownInput"),
-            exception_overrides={E.INPUT_SHUTDOWN: "inShut"},
-        ),
-        t("inShut", "inShut", "writeInShut", _checked_write, weight=2.0, overrides=peer_gone),
-        t("inShut", "inShut", "checkSelectorInShut", _poll_then_read, overrides=peer_gone),
-        t("inShut", "bothShut", "shutdownOutputInShut", _w_shut_out, weight=0.5,
-          overrides=peer_gone),
-        t("inShut", "closed", "closeInShut", _close_conn, weight=0.5),
-        # output shut: writes must fail, reads still drain
-        Transition(
-            "outShut", "outShut", "writeAfterOutShut",
-            _expect_failure(lambda c: c.env.net.write(c.vars["conn"], b"x"),
-                            "oracle: write succeeded after shutdownOutput"),
-            exception_overrides={E.OUTPUT_SHUTDOWN: "outShut"},
-        ),
-        t("outShut", "outShut", "readOutShut", _checked_read, weight=2.0, overrides=peer_gone),
-        t("outShut", "outShut", "checkSelectorOutShut", _poll_then_read, overrides=peer_gone),
-        t("outShut", "bothShut", "shutdownInputOutShut", _w_shut_in, weight=0.5),
-        t("outShut", "closed", "closeOutShut", _close_conn, weight=0.5),
-        # both halves shut: only probes and close remain
-        Transition(
-            "bothShut", "bothShut", "readBothShut",
-            _expect_failure(lambda c: c.env.net.read(c.vars["conn"], 8),
-                            "oracle: read succeeded after shutdownInput"),
-            exception_overrides={E.INPUT_SHUTDOWN: "bothShut"},
-        ),
-        Transition(
-            "bothShut", "bothShut", "writeBothShut",
-            _expect_failure(lambda c: c.env.net.write(c.vars["conn"], b"x"),
-                            "oracle: write succeeded after shutdownOutput"),
-            exception_overrides={E.OUTPUT_SHUTDOWN: "bothShut"},
-        ),
-        t("bothShut", "bothShut", "checkSelectorBothShut", _poll_then_read),
-        t("bothShut", "closed", "closeBothShut", _close_conn),
-        # peer gone: the other endpoint reset or vanished; the channel may
-        # additionally be half-shut on our own side, so those errors are
-        # expected here as well
-        t("peerGone", "peerGone", "readPeerGone", _checked_read,
-          overrides={E.PEER_CLOSED: "peerGone", E.INPUT_SHUTDOWN: "peerGone"}),
-        t("peerGone", "peerGone", "writePeerGone", _checked_write,
-          overrides={E.PEER_CLOSED: "peerGone", E.OUTPUT_SHUTDOWN: "peerGone"}),
-        t("peerGone", "peerGone", "checkSelectorPeerGone", _poll_then_read,
-          overrides=peer_gone),
-        t("peerGone", "closed", "closePeerGone", _close_conn, weight=0.5),
+        Transition(source, target, label, fn, weight,
+                   {kind: "peerGone" if kind is _P else source for kind in kinds})
+        for source, target, label, fn, weight, kinds in _WORKER_EDGES
     ]
     return define_model("worker", "connected", transitions, _watch_conn)
 

@@ -14,28 +14,35 @@ from .errors import PoolExhaustedError
 
 
 class PortPool:
+    """Ports never leased are handed out by a counter over [lo, hi];
+    released ports come back, after their cooldown, through a heap.  Every
+    recycled port was leased, so it lies below the counter, and acquire()
+    always takes the lowest free port."""
+
     def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
         if not (0 < lo <= hi <= 65535):
             raise ValueError(f"invalid port range [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
         self.cooldown_tests = cooldown_tests
-        self._free = list(range(lo, hi + 1))  # heap: acquire takes the lowest
-        heapq.heapify(self._free)
-        self._free_set = set(self._free)
+        self._next = lo  # the lowest port never leased
+        self._recycled: list[int] = []  # heap of free ports below _next
         self._leased: set[int] = set()
         self._cooldown: dict[int, int] = {}  # port -> test index when usable again
         self._test_index = 0
 
     def acquire(self) -> int:
         self._expire()
-        if not self._free:
+        if self._recycled:
+            port = heapq.heappop(self._recycled)
+        elif self._next <= self.hi:
+            port = self._next
+            self._next += 1
+        else:
             raise PoolExhaustedError(
                 f"no free listen port in [{self.lo}, {self.hi}]; "
                 "widen --port-range or lower the test rate"
             )
-        port = heapq.heappop(self._free)
-        self._free_set.remove(port)
         self._leased.add(port)
         return port
 
@@ -54,8 +61,7 @@ class PortPool:
         due = [p for p, when in self._cooldown.items() if when <= self._test_index]
         for port in due:
             del self._cooldown[port]
-            heapq.heappush(self._free, port)
-            self._free_set.add(port)
+            heapq.heappush(self._recycled, port)
 
     # introspection, used by invariant tests
     @property
@@ -64,7 +70,7 @@ class PortPool:
 
     @property
     def free(self) -> frozenset[int]:
-        return frozenset(self._free_set)
+        return frozenset(self._recycled).union(range(self._next, self.hi + 1))
 
     @property
     def cooling(self) -> frozenset[int]:

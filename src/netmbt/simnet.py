@@ -22,8 +22,8 @@ from __future__ import annotations
 import enum
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .adapter import (
     ACCEPT,
@@ -41,8 +41,7 @@ from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
 from .rng import SeededRng
 
 
-@dataclass(frozen=True)
-class LatencyModel:
+class LatencyModel(NamedTuple):
     """Per-write delivery delay: one value drawn uniformly from ``choices``.
 
     With ``split`` enabled a write may be torn into two cohorts one step
@@ -70,8 +69,7 @@ class FaultKind(enum.Enum):
     PHANTOM_READINESS = "phantom-readiness"
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """One fault per test, armed once the clock reaches ``trigger_step``."""
 
     kind: FaultKind

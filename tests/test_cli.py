@@ -2,20 +2,36 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netmbt
 from netmbt.cli import main
 from netmbt.models import MODEL_REGISTRY
+
+# Children may run from another cwd, where a relative PYTHONPATH entry no
+# longer resolves; put the directory holding the imported package first.
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    e for e in (str(Path(netmbt.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH", "")) if e))
 
 
 def run_cli(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "netmbt", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=_ENV,
     )
+
+
+def run_python(code: str) -> str:
+    """The stdout of ``python -c code`` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_ENV, check=True)
+    return proc.stdout
 
 
 class TestRunCommand:
@@ -180,3 +196,46 @@ class TestOtherCommands:
     def test_command_required(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+
+_LISTED = "import sys; print(*sorted(sys.modules))"
+
+
+class TestLeanStartUp:
+    """A run imports only what it runs: no dataclasses or inspect machinery,
+    no hashing for a seed, and sockets only for --backend real."""
+
+    def test_cli_import_adds_no_heavy_module(self):
+        bare = set(run_python(_LISTED).split())
+        added = set(run_python("import netmbt.cli; " + _LISTED).split()) - bare
+        assert "netmbt.cli" in added
+        heavy = {"dataclasses", "inspect", "secrets", "hashlib", "socket", "selectors",
+                 "netmbt.realnet"}
+        assert not added & heavy
+
+    def test_sim_run_leaves_realnet_unloaded(self):
+        out = run_python(
+            "import sys; from netmbt.cli import main; "
+            "code = main(['run', '--model', 'server-main', '--seed', '3', '--tests', '20']); "
+            "print(code, 'netmbt.realnet' in sys.modules, 'socket' in sys.modules)")
+        assert out.splitlines()[-1] == "0 False False"
+
+    def test_real_run_still_passes(self, tmp_path):
+        proc = run_cli("run", "--model", "minimalist", "--backend", "real", "--seed", "5",
+                       "--tests", "3", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "result: 3 passed, 0 failed" in proc.stdout
+
+    def test_omitted_seed_is_a_u64_that_reproduces_the_run(self, tmp_path):
+        first = run_cli("run", "--model", "server-main", "--tests", "5",
+                        "--trace-out", "first.trace", cwd=tmp_path)
+        assert first.returncode == 0, first.stderr
+        seed_line = first.stdout.splitlines()[0]
+        assert seed_line.startswith("seed ")
+        seed = int(seed_line.split()[1])
+        assert 0 <= seed < 1 << 64
+        again = run_cli("run", "--model", "server-main", "--tests", "5", "--seed", str(seed),
+                        "--trace-out", "again.trace", cwd=tmp_path)
+        assert again.returncode == 0, again.stderr
+        assert again.stdout.splitlines()[0] == seed_line
+        assert (tmp_path / "again.trace").read_bytes() == (tmp_path / "first.trace").read_bytes()

@@ -11,7 +11,10 @@ import pytest
 from netmbt.efsm import ModelInstance, Transition, define_model
 from netmbt.errors import BackendError, ConfigError, DivergenceError
 from netmbt.explorer import (
+    ModelCoverage,
     SuiteConfig,
+    SuiteReport,
+    Trace,
     coverage_from_traces,
     export_dot,
     format_report,
@@ -22,10 +25,11 @@ from netmbt.explorer import (
     run_suite,
     serialize_trace,
 )
+from netmbt.explorer import TestResult as RunResult  # not a test class
 from netmbt.models import MODEL_REGISTRY
 from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
-from netmbt.simnet import FaultKind, FaultSpec
+from netmbt.simnet import FaultKind, FaultSpec, LatencyModel
 
 
 def NOOP(ctx):
@@ -468,3 +472,47 @@ class TestDotExport:
 
     def test_deterministic_output(self):
         assert export_dot(SERVER_MAIN) == export_dot(SERVER_MAIN)
+
+
+class TestRecordTypes:
+    """The run path's records are plain classes and NamedTuples; they keep
+    the constructors, defaults and equality they had as dataclasses."""
+
+    def test_transitions_and_specs_are_equal_by_identity(self):
+        a = Transition("s", "s", "t", NOOP)
+        b = Transition("s", "s", "t", NOOP, 1.0, {}, None)
+        assert (a.weight, a.exception_overrides, a.outcome_branches) == (1.0, {}, None)
+        assert a.exception_overrides is not b.exception_overrides
+        assert a != b and len({a, b}) == 2
+        spec = define_model("m", "s", [a])
+        assert spec == spec and spec != define_model("m", "s", [a])
+
+    def test_configs_and_faults_are_immutable_values(self):
+        config = SuiteConfig(7)
+        assert config == SuiteConfig(seed=7, num_tests=100, max_steps_per_test=100,
+                                     backend="sim", abort_on_first_failure=False,
+                                     trace_path=None, port_range=(20000, 29999),
+                                     watchdog_seconds=5.0, latency="default", fault=None,
+                                     p_close=0.1)
+        fault = FaultSpec(FaultKind.DROP_BYTES)
+        assert fault == FaultSpec(kind=FaultKind.DROP_BYTES, trigger_step=3)
+        assert LatencyModel() == LatencyModel((0, 1, 2), True)
+        assert LatencyModel.zero() == LatencyModel(choices=(0,), split=False)
+        assert len({fault, FaultSpec(FaultKind.DROP_BYTES), LatencyModel(), LatencyModel()}) == 2
+        for value in (config, fault, LatencyModel()):
+            with pytest.raises(AttributeError):
+                value.seed = 1
+
+    def test_traces_and_coverage_are_mutable_values(self):
+        trace = Trace(1, 0, "sim", [])
+        assert (trace.verdict, trace.message) == ("PASS", "")
+        assert trace == Trace(test_seed=1, test_index=0, backend="sim", steps=[])
+        trace.verdict = "FAIL"
+        assert trace != Trace(1, 0, "sim", [])
+        assert ModelCoverage() == ModelCoverage(set(), set(), None, None)
+        assert ModelCoverage().states_visited is not ModelCoverage().states_visited
+        result = RunResult(trace, None, 0)
+        assert (result.diagnostics, result.flow_stats, result.passed) == ([], [], False)
+        assert result.diagnostics is not RunResult(trace, None, 0).diagnostics
+        report = SuiteReport(SuiteConfig(1), 1, 1, 0, [], {}, 0.5)
+        assert report.all_passed and report.elapsed_seconds == 0.5

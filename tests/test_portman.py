@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,3 +84,75 @@ class TestPartitionInvariant:
             assert not free & leased
             assert not free & cooling
             assert not leased & cooling
+
+
+class ReferencePortPool:
+    """The pool before the lease counter: a heap and a set of every free
+    port, built over the whole range up front."""
+
+    def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
+        self.lo, self.hi, self.cooldown_tests = lo, hi, cooldown_tests
+        self._free = list(range(lo, hi + 1))
+        heapq.heapify(self._free)
+        self._free_set = set(self._free)
+        self._leased: set[int] = set()
+        self._cooldown: dict[int, int] = {}
+        self._test_index = 0
+
+    def acquire(self) -> int:
+        self._expire()
+        if not self._free:
+            raise PoolExhaustedError("exhausted")
+        port = heapq.heappop(self._free)
+        self._free_set.remove(port)
+        self._leased.add(port)
+        return port
+
+    def release(self, port: int) -> None:
+        if port not in self._leased:
+            raise ValueError(f"port {port} is not leased")
+        self._leased.remove(port)
+        self._cooldown[port] = self._test_index + self.cooldown_tests
+
+    def next_test(self) -> None:
+        self._test_index += 1
+        self._expire()
+
+    def _expire(self) -> None:
+        due = [p for p, when in self._cooldown.items() if when <= self._test_index]
+        for port in due:
+            del self._cooldown[port]
+            heapq.heappush(self._free, port)
+            self._free_set.add(port)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (PoolExhaustedError, ValueError) as exc:
+        return type(exc)
+
+
+class TestAgainstReference:
+    @given(size=st.integers(1, 9), cooldown=st.integers(0, 3),
+           ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)), max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_same_ports_sets_and_exhaustion_as_the_full_heap_pool(self, size, cooldown, ops):
+        lo = 40000
+        pool = PortPool(lo, lo + size - 1, cooldown_tests=cooldown)
+        ref = ReferencePortPool(lo, lo + size - 1, cooldown_tests=cooldown)
+        for op, pick in ops:
+            if op == 0:
+                assert _outcome(pool.acquire) == _outcome(ref.acquire)
+            elif op == 1:
+                # a leased port, or, now and then, one that is not
+                leased = sorted(ref._leased)
+                port = leased[pick % len(leased)] if leased and pick else lo + pick
+                assert _outcome(lambda: pool.release(port)) == _outcome(
+                    lambda: ref.release(port))
+            else:
+                pool.next_test()
+                ref.next_test()
+            assert pool.leased == ref._leased
+            assert pool.free == ref._free_set
+            assert pool.cooling == set(ref._cooldown)
