@@ -321,27 +321,18 @@ class EnabledTable:
 
     def refresh(self, instances: list[ModelInstance], fired: ModelInstance) -> None:
         """Re-enumerate ``fired`` and the instances appended to ``instances``
-        since the last enumeration; every other instance kept its state.
-        When ``fired``'s weights are unchanged, so are the sums up to the
-        new groups: its pairs are replaced in place, and only the new
-        groups are accumulated."""
-        groups, known = self.groups, len(self.groups)
-        i = k = instances.index(fired)
-        group = _group(fired)
-        if group[1] == groups[i][1]:
-            start = self.starts[i]
-            self.pairs[start:start + len(group[0])] = group[0]
-            k = known
-        groups[i] = group
-        groups.extend(map(_group, instances[known:]))
-        if k < len(groups):
-            self._accumulate(k)
+        since the last enumeration; every other instance kept its state."""
+        groups = self.groups
+        k = instances.index(fired)
+        groups[k] = _group(fired)
+        groups.extend(map(_group, instances[len(groups):]))
+        self._accumulate(k)
 
     def _accumulate(self, k: int) -> None:
         """Rebuild pairs and sums from group ``k`` on.  The new sums continue
         from the last kept one, in the order a full accumulation adds them."""
         starts, pairs, accs = self.starts, self.pairs, self.accs
-        start = starts[k] if k < len(starts) else len(pairs)
+        start = starts[k] if starts else 0
         del starts[k:], pairs[start:]
         weights: list[float] = []
         for group_pairs, group_weights in self.groups[k:]:
@@ -386,7 +377,6 @@ def run_single_test(
     backend = _make_backend(config, test_seed)
     run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     instances, records, rng = run.instances, run.records, run.rng
-    new = tuple.__new__
     # One context per instance.  Kept here and nowhere on the run, so a
     # context (which refers to the run) never forms a reference cycle.
     contexts: dict[ModelInstance, ActionContext] = {}
@@ -405,8 +395,8 @@ def run_single_test(
             state, launched = inst.current, len(instances)
             outcome, violation = fire_transition(inst, transition, ctx)
             run.fired += 1
-            records.append(new(StepRecord, (len(records), inst.id, inst.spec.name,
-                                            transition.label, outcome, inst.current)))
+            records.append(StepRecord(len(records), inst.id, inst.spec.name,
+                                      transition.label, outcome, inst.current))
             if inst.current != state or len(instances) != launched:
                 table.refresh(instances, inst)
             backend.advance()

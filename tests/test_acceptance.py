@@ -8,14 +8,10 @@ subprocess so the exit-code contract is what is actually measured.
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
 import time
 from collections import Counter
-from pathlib import Path
 
-import netmbt
+from conftest import run_cli as cli
 from netmbt.efsm import ModelInstance, Transition, define_model
 from netmbt.errors import AdapterError
 from netmbt.explorer import SuiteConfig, parse_traces, pick_next, run_suite
@@ -27,22 +23,8 @@ from netmbt.simnet import LatencyModel, SimBackend
 CORE_MODELS = ("minimalist", "server-main", "worker", "client")
 
 
-# The children run with cwd=tmp_path, where a relative PYTHONPATH entry
-# such as "src" no longer resolves; put the directory holding the imported
-# package first, as an absolute path.
-_PACKAGE_ROOT = str(Path(netmbt.__file__).resolve().parents[1])
-
 # sha256 of `run --model server-main --backend sim --seed 42 --tests 2000`.
 SERVER_MAIN_SEED42_DIGEST = "819c97108a1698a0b74dea1f317dee4c90060ae1f5091783fe5de48e8c340f61"
-
-
-def cli(*argv, cwd=None):
-    entries = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(e for e in entries if e))
-    return subprocess.run(
-        [sys.executable, "-m", "netmbt", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
 
 
 def check(name: str, ok: bool, detail: str = ""):

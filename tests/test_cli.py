@@ -2,35 +2,20 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import netmbt
+from conftest import child_env, run_cli
 from netmbt.cli import main
 from netmbt.models import MODEL_REGISTRY
-
-# Children may run from another cwd, where a relative PYTHONPATH entry no
-# longer resolves; put the directory holding the imported package first.
-_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    e for e in (str(Path(netmbt.__file__).resolve().parents[1]),
-                os.environ.get("PYTHONPATH", "")) if e))
-
-
-def run_cli(*argv, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "netmbt", *argv],
-        capture_output=True, text=True, cwd=cwd, env=_ENV,
-    )
 
 
 def run_python(code: str) -> str:
     """The stdout of ``python -c code`` in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_ENV, check=True)
+                          env=child_env(), check=True)
     return proc.stdout
 
 
