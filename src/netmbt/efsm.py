@@ -1,12 +1,14 @@
 """Extended finite-state machine definitions and single-step execution.
 
 A model is a set of named states plus weighted transitions whose actions
-run against the system under test.  An action is a plain callable
-that takes an ActionContext and returns None or one outcome tag; the keys
-of the transition's ``outcome_branches`` are its tags, and each names the
-state that tag leads to.  Actions may assert oracle conditions, may signal
-classified errors (redirected through per-transition exception overrides),
-and may launch child model instances whose constructors run synchronously
+run against the system under test.  An action is a plain function
+``fn(inst, env)`` of the firing ModelInstance (its ``vars`` and ``id``) and
+the test runner's per-test ``env``; it returns None or one outcome tag, and
+the keys of the transition's ``outcome_branches`` are its tags, each naming
+the state that tag leads to.  Actions may raise PropertyViolation, may
+signal classified errors (redirected through per-transition exception
+overrides), and may launch child model instances through ``env.launch``,
+whose constructors (plain functions of the same shape) run synchronously
 at launch time.
 
 Enabledness is static: every transition leaving an instance's current state
@@ -21,9 +23,8 @@ from typing import Any, Callable, Mapping, Optional
 
 from .errors import (AdapterError, BackendError, ErrorKind, PropertyViolation, SpecError,
                      WatchdogTimeout)
-from .rng import maybe as _maybe
 
-ActionFn = Callable[["ActionContext"], Optional[str]]
+ActionFn = Callable[["ModelInstance", Any], Optional[str]]
 
 
 class Transition:
@@ -162,36 +163,6 @@ class ModelInstance:
         return f"<{self.spec.name}#{self.id} @{self.current}>"
 
 
-class ActionContext:
-    """Services visible to a model action (and to constructor actions).
-
-    ``env`` is the test runner's per-test object.  It must carry ``rng``
-    and ``launch(spec, args)``; the bundled models also use its ``net``
-    (the network backend), ``ledger`` (the oracle ledger), ``p_close``
-    and ``acquire_port()``.
-    """
-
-    __slots__ = ("instance", "vars", "rng", "env")
-
-    def __init__(self, instance: ModelInstance, env: Any):
-        self.instance = instance
-        self.vars = instance.vars
-        self.rng = env.rng
-        self.env = env
-
-    def launch(self, spec: ModelSpec, args: Mapping[str, Any] | None = None) -> ModelInstance:
-        """Instantiate a child model now; its constructor has completed when
-        this returns, so its effects (e.g. a connect) are already visible."""
-        return self.env.launch(spec, args or {})
-
-    def require(self, condition: bool, message: str) -> None:
-        if not condition:
-            raise PropertyViolation(message)
-
-    def maybe(self, probability: float) -> bool:
-        return _maybe(self.rng, probability)
-
-
 def instantiate(
     spec: ModelSpec, instance_id: int, args: Mapping[str, Any], env: Any
 ) -> ModelInstance:
@@ -203,7 +174,7 @@ def instantiate(
     if spec.constructor is None:
         return inst
     try:
-        tag = spec.constructor(ActionContext(inst, env))
+        tag = spec.constructor(inst, env)
     except AdapterError as exc:
         raise PropertyViolation(f"constructor of {spec.name} raised unexpected {exc}") from exc
     if tag is not None:
@@ -224,9 +195,10 @@ def _name(instance: ModelInstance, transition: Transition) -> str:
 
 
 def fire_transition(
-    instance: ModelInstance, transition: Transition, ctx: ActionContext
+    instance: ModelInstance, transition: Transition, env: Any
 ) -> tuple[str, str | None]:
-    """Execute one transition and resolve the resulting state.
+    """Execute one transition, ``transition.action(instance, env)``, and
+    resolve the resulting state.
 
     Resolution order: a classified error takes the exception override (or is
     a violation when unmapped); an emitted tag takes its declared branch;
@@ -238,7 +210,7 @@ def fire_transition(
     means no test can run.
     """
     try:
-        tag = transition.action(ctx)
+        tag = transition.action(instance, env)
     except AdapterError as exc:
         target = transition.exception_overrides.get(exc.kind)
         if target is None:

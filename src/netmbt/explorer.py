@@ -17,7 +17,6 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .efsm import (
-    ActionContext,
     ModelInstance,
     ModelSpec,
     Transition,
@@ -87,6 +86,8 @@ class SuiteConfig(NamedTuple):
             raise ConfigError(f"unknown latency model {self.latency!r}")
         if self.fault is not None and self.backend != "sim":
             raise ConfigError("fault injection requires the sim backend")
+        if self.latency != "default" and self.backend != "sim":
+            raise ConfigError("a latency model requires the sim backend")
         if not 0.0 <= self.p_close <= 1.0:
             raise ConfigError("p-close must be within [0, 1]")
         if self.watchdog_seconds <= 0:
@@ -199,12 +200,11 @@ def parse_traces(text: str) -> list[Trace]:
                 if current is not None:
                     raise ValueError("trace header before the previous trace's verdict")
                 fields = dict(part.partition("=")[::2] for part in line.split()[2:])
-                current = Trace(
-                    test_seed=int(fields["seed"]),
-                    test_index=int(fields["test"]),
-                    backend=fields["backend"],
-                    steps=[],
-                )
+                current = Trace(int(fields["seed"]), int(fields["test"]), fields["backend"], [])
+                if not 0 <= current.test_seed < _U64:
+                    raise ValueError(f"seed={current.test_seed} is not a 64-bit unsigned integer")
+                if current.test_index < 0:
+                    raise ValueError(f"test={current.test_index} is negative")
                 append = current.steps.append
                 traces.append(current)
             elif current is None:
@@ -252,10 +252,11 @@ def _make_backend(config: SuiteConfig, test_seed: int):
 
 
 class _TestRun:
-    """One test in progress, and the ``env`` its actions see: the network
-    backend, the oracle ledger, the client close probability, the rng, the
-    live instances, the step records, and the ports leased from the suite's
-    pool, all of which release_ports() returns at test end."""
+    """One test in progress, and the ``env`` its actions are called with:
+    the network backend, the oracle ledger, the client close probability,
+    the rng, the live instances, the step records, and the ports leased from
+    the suite's pool, all of which release_ports() returns at test end.  No
+    instance keeps a reference to it, so a test forms no reference cycle."""
 
     __slots__ = ("net", "ledger", "p_close", "rng", "pool", "ports",
                  "instances", "records", "fired", "_last_id")
@@ -377,9 +378,6 @@ def run_single_test(
     backend = _make_backend(config, test_seed)
     run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     instances, records, rng = run.instances, run.records, run.rng
-    # One context per instance.  Kept here and nowhere on the run, so a
-    # context (which refers to the run) never forms a reference cycle.
-    contexts: dict[ModelInstance, ActionContext] = {}
     verdict, message = "PASS", ""
     try:
         run.launch(root_spec, {})
@@ -389,11 +387,8 @@ def run_single_test(
             if pick is None:
                 break
             inst, transition = pick
-            ctx = contexts.get(inst)
-            if ctx is None:
-                ctx = contexts[inst] = ActionContext(inst, run)
             state, launched = inst.current, len(instances)
-            outcome, violation = fire_transition(inst, transition, ctx)
+            outcome, violation = fire_transition(inst, transition, run)
             run.fired += 1
             records.append(StepRecord(len(records), inst.id, inst.spec.name,
                                       transition.label, outcome, inst.current))
@@ -416,10 +411,10 @@ def run_single_test(
     finally:
         run.release_ports()
         backend.force_close_all()
-    trace = Trace(test_seed, test_index, config.backend, run.records, verdict, message)
-    diagnostics = list(getattr(backend, "fault_events", ()))
-    flow_stats = backend.flow_stats() if isinstance(backend, SimBackend) else []
-    return TestResult(trace, run.ledger, run.fired, diagnostics, flow_stats)
+    trace = Trace(test_seed, test_index, config.backend, records, verdict, message)
+    if not backend.is_sim:
+        return TestResult(trace, run.ledger, run.fired)
+    return TestResult(trace, run.ledger, run.fired, list(backend.fault_events), backend.flow_stats())
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ the authority for which calls must fail where.
 from __future__ import annotations
 
 from .adapter import READ, ConnChannel, Interest, ReadResult
-from .efsm import ActionContext, ModelSpec, Transition, define_model
+from .efsm import ModelSpec, Transition, define_model
 from .errors import ErrorKind, PropertyViolation
+from .rng import maybe
 
 E = ErrorKind
 
@@ -49,9 +50,9 @@ class OracleLedger:
     """Model-side view of every connection's byte traffic.
 
     Keyed by the backend-assigned connection id; each entry maps a role
-    ("client", "server") to that side's SideRecord.  Every method takes the
-    calling instance's id as well, so a subclass can check which instance
-    touches which side; the ledger itself does not keep it.
+    ("client", "server") to that side's SideRecord.  Every method acts for
+    the holder of ``conn``: it updates that side's record and reads the
+    peer's.
     """
 
     __slots__ = ("entries",)
@@ -66,24 +67,24 @@ class OracleLedger:
             self.entries[conn.connection_id] = entry
         return entry
 
-    def record_write(self, conn: ConnChannel, instance_id: int, count: int) -> None:
+    def record_write(self, conn: ConnChannel, count: int) -> None:
         self._entry(conn)[conn.role].wrote += count
 
-    def record_read(self, conn: ConnChannel, instance_id: int, count: int) -> None:
+    def record_read(self, conn: ConnChannel, count: int) -> None:
         self._entry(conn)[conn.role].read += count
 
-    def record_output_shut(self, conn: ConnChannel, instance_id: int) -> None:
+    def record_output_shut(self, conn: ConnChannel) -> None:
         self._entry(conn)[conn.role].output_shut = True
 
-    def record_eof(self, conn: ConnChannel, instance_id: int) -> None:
+    def record_eof(self, conn: ConnChannel) -> None:
         self._entry(conn)[conn.role].saw_eof = True
 
-    def available_to(self, conn: ConnChannel, instance_id: int) -> int:
+    def available_to(self, conn: ConnChannel) -> int:
         """Bytes the holder of ``conn`` may still legally read."""
         e = self._entry(conn)
         return e[_PEER_ROLE[conn.role]].wrote - e[conn.role].read
 
-    def peer_output_shut(self, conn: ConnChannel, instance_id: int) -> bool:
+    def peer_output_shut(self, conn: ConnChannel) -> bool:
         return self._entry(conn)[_PEER_ROLE[conn.role]].output_shut
 
 
@@ -92,74 +93,71 @@ class OracleLedger:
 # ---------------------------------------------------------------------------
 
 
-def _account_read(ctx: ActionContext, conn: ConnChannel, result: ReadResult) -> None:
+def _account_read(ledger: OracleLedger, conn: ConnChannel, result: ReadResult) -> None:
     """The latency-tolerant byte-accounting oracle for one read result."""
-    # The oracle checks here and in the actions below raise directly rather
-    # than through ctx.require, so a message is formatted only on failure.
-    ledger = ctx.env.ledger
     if result.is_eof:
-        if not ledger.peer_output_shut(conn, ctx.instance.id):
+        if not ledger.peer_output_shut(conn):
             raise PropertyViolation(
                 f"oracle: end-of-stream on connection {conn.connection_id} "
                 "but the peer never shut its output"
             )
-        ledger.record_eof(conn, ctx.instance.id)
+        ledger.record_eof(conn)
         return
-    available = ledger.available_to(conn, ctx.instance.id)
+    available = ledger.available_to(conn)
     if result.count > available:
         raise PropertyViolation(
             f"oracle: read {result.count} bytes on connection {conn.connection_id} "
             f"but only {available} unread bytes were ever written"
         )
-    ledger.record_read(conn, ctx.instance.id, result.count)
+    ledger.record_read(conn, result.count)
 
 
-def _checked_read(ctx: ActionContext) -> None:
-    conn = ctx.vars["conn"]
-    _account_read(ctx, conn, ctx.env.net.read(conn, ctx.rng.randint(1, MAX_CHUNK)))
+def _checked_read(inst, env) -> None:
+    conn = inst.vars["conn"]
+    _account_read(env.ledger, conn, env.net.read(conn, env.rng.randint(1, MAX_CHUNK)))
 
 
-def _checked_write(ctx: ActionContext) -> None:
-    conn = ctx.vars["conn"]
-    payload = ctx.rng.payload(ctx.rng.randint(1, MAX_CHUNK))
-    written = ctx.env.net.write(conn, payload)
+def _checked_write(inst, env) -> None:
+    conn = inst.vars["conn"]
+    payload = env.rng.payload(env.rng.randint(1, MAX_CHUNK))
+    written = env.net.write(conn, payload)
     if not 0 <= written <= len(payload):
         raise PropertyViolation(
             f"oracle: write returned {written} for a {len(payload)}-byte payload"
         )
-    ctx.env.ledger.record_write(conn, ctx.instance.id, written)
+    env.ledger.record_write(conn, written)
 
 
-def _poll_then_read(ctx: ActionContext) -> None:
+def _poll_then_read(inst, env) -> None:
     """Selector check plus readiness soundness: a READ-ready channel must
     immediately yield data or end-of-stream (exact on the simulated backend,
     error-freedom only on real sockets, where timing may interleave)."""
-    net = ctx.env.net
-    conn = ctx.vars["conn"]
-    ready = net.select_now(ctx.vars["sel"])
-    key = ctx.vars["key"]
+    net, v = env.net, inst.vars
+    conn = v["conn"]
+    ready = net.select_now(v["sel"])
+    key = v["key"]
     if key not in ready or not (key.ready & READ):
         return
-    result = net.read(conn, ctx.rng.randint(1, MAX_CHUNK))
+    result = net.read(conn, env.rng.randint(1, MAX_CHUNK))
     if net.is_sim and not result.is_eof and result.count < 1:
         raise PropertyViolation(
             f"oracle: selector reported READ on connection {conn.connection_id} "
             "but the channel had no data"
         )
-    _account_read(ctx, conn, result)
+    _account_read(env.ledger, conn, result)
 
 
-def _close_conn(ctx: ActionContext) -> None:
-    ctx.env.net.close_conn(ctx.vars["conn"])
-    ctx.env.ledger.record_output_shut(ctx.vars["conn"], ctx.instance.id)
+def _close_conn(inst, env) -> None:
+    env.net.close_conn(inst.vars["conn"])
+    env.ledger.record_output_shut(inst.vars["conn"])
 
 
 def _expect_failure(op, message: str):
-    """Action body for the red probe edges: the call must raise."""
+    """Action body for the red probe edges: ``op(conn, net)`` must raise."""
 
-    def run(ctx: ActionContext) -> None:
-        op(ctx)
-        ctx.require(False, message)
+    def run(inst, env) -> None:
+        op(inst.vars["conn"], env.net)
+        raise PropertyViolation(message)
 
     return run
 
@@ -169,30 +167,28 @@ def _expect_failure(op, message: str):
 # ---------------------------------------------------------------------------
 
 
-def _watch_conn(ctx: ActionContext) -> None:
+def _watch_conn(inst, env) -> None:
     """Make ``conn`` non-blocking and watch it for READ and WRITE."""
-    net = ctx.env.net
-    conn = ctx.vars["conn"]
-    net.configure_blocking(conn, False)
-    sel = net.open_selector()
-    ctx.vars["sel"] = sel
-    ctx.vars["key"] = net.register(sel, conn, Interest.READ | Interest.WRITE)
+    net, v = env.net, inst.vars
+    net.configure_blocking(v["conn"], False)
+    v["sel"] = sel = net.open_selector()
+    v["key"] = net.register(sel, v["conn"], Interest.READ | Interest.WRITE)
 
 
-def _w_shut_in(ctx):
-    ctx.env.net.shutdown_input(ctx.vars["conn"])
+def _w_shut_in(inst, env):
+    env.net.shutdown_input(inst.vars["conn"])
 
 
-def _w_shut_out(ctx):
-    ctx.env.net.shutdown_output(ctx.vars["conn"])
-    ctx.env.ledger.record_output_shut(ctx.vars["conn"], ctx.instance.id)
+def _w_shut_out(inst, env):
+    env.net.shutdown_output(inst.vars["conn"])
+    env.ledger.record_output_shut(inst.vars["conn"])
 
 
 # The four probe edges: a read after shutdownInput, a write after
 # shutdownOutput.
-_READ_PROBE = _expect_failure(lambda c: c.env.net.read(c.vars["conn"], 8),
+_READ_PROBE = _expect_failure(lambda conn, net: net.read(conn, 8),
                               "oracle: read succeeded after shutdownInput")
-_WRITE_PROBE = _expect_failure(lambda c: c.env.net.write(c.vars["conn"], b"x"),
+_WRITE_PROBE = _expect_failure(lambda conn, net: net.write(conn, b"x"),
                                "oracle: write succeeded after shutdownOutput")
 
 _P, _I, _O = E.PEER_CLOSED, E.INPUT_SHUTDOWN, E.OUTPUT_SHUTDOWN
@@ -252,15 +248,15 @@ def worker_model() -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _client_ctor(ctx: ActionContext) -> None:
-    ctx.vars["conn"] = ctx.env.net.connect(ctx.vars["port"])
-    _watch_conn(ctx)
+def _client_ctor(inst, env) -> None:
+    inst.vars["conn"] = env.net.connect(inst.vars["port"])
+    _watch_conn(inst, env)
 
 
-def _c_may_close(ctx) -> str:
+def _c_may_close(inst, env) -> str:
     """Non-deterministic model choice: close this session or keep going."""
-    if ctx.maybe(ctx.env.p_close):
-        _close_conn(ctx)
+    if maybe(env.rng, env.p_close):
+        _close_conn(inst, env)
         return "closed"
     return "stay"
 
@@ -288,38 +284,36 @@ def client_model() -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _bind_ctor(ctx: ActionContext) -> None:
-    net = ctx.env.net
+def _bind_ctor(inst, env) -> None:
+    net = env.net
     server = net.open_server()
-    port = ctx.env.acquire_port()
+    port = env.acquire_port()
     net.bind(server, port)
-    ctx.vars["server"] = server
-    ctx.vars["port"] = port
-    ctx.vars["blocking"] = True
+    inst.vars.update(server=server, port=port, blocking=True)
 
 
-def _session(ctx: ActionContext) -> None:
+def _session(inst, env) -> None:
     # Order is the whole point: the client's constructor connects, which
     # queues the connection, so the blocking accept below must succeed.
-    net = ctx.env.net
-    ctx.launch(CLIENT, {"port": ctx.vars["port"]})
-    conn = net.accept(ctx.vars["server"])
-    ctx.require(conn is not None, "oracle: blocking accept returned no connection")
-    ctx.launch(WORKER, {"conn": conn})
+    env.launch(CLIENT, {"port": inst.vars["port"]})
+    conn = env.net.accept(inst.vars["server"])
+    if conn is None:
+        raise PropertyViolation("oracle: blocking accept returned no connection")
+    env.launch(WORKER, {"conn": conn})
 
 
-def _session_misordered(ctx: ActionContext) -> None:
+def _session_misordered(inst, env) -> None:
     # Blocking accept before any client exists: a deadlock, converted into a
     # failure by the watchdog.
-    net = ctx.env.net
-    conn = net.accept(ctx.vars["server"])
-    ctx.require(conn is not None, "oracle: blocking accept returned no connection")
-    ctx.launch(CLIENT, {"port": ctx.vars["port"]})
-    ctx.launch(WORKER, {"conn": conn})
+    conn = env.net.accept(inst.vars["server"])
+    if conn is None:
+        raise PropertyViolation("oracle: blocking accept returned no connection")
+    env.launch(CLIENT, {"port": inst.vars["port"]})
+    env.launch(WORKER, {"conn": conn})
 
 
-def _close_server(ctx: ActionContext) -> None:
-    ctx.env.net.close_server(ctx.vars["server"])
+def _close_server(inst, env) -> None:
+    env.net.close_server(inst.vars["server"])
 
 
 def minimalist_model() -> ModelSpec:
@@ -343,75 +337,72 @@ def minimalist_misordered_model() -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _configure_selector(ctx: ActionContext) -> None:
-    net = ctx.env.net
-    server = ctx.vars["server"]
-    net.configure_blocking(server, False)
-    ctx.vars["blocking"] = False
-    sel = net.open_selector()
-    ctx.vars["sel"] = sel
-    ctx.vars["key"] = net.register(sel, server, Interest.ACCEPT)
+def _configure_selector(inst, env) -> None:
+    net, v = env.net, inst.vars
+    net.configure_blocking(v["server"], False)
+    v["blocking"] = False
+    v["sel"] = sel = net.open_selector()
+    v["key"] = net.register(sel, v["server"], Interest.ACCEPT)
 
 
-def _sm_toggle_free(ctx: ActionContext) -> None:
+def _sm_toggle_free(inst, env) -> None:
     # Before selector registration the mode may flip freely.
-    net = ctx.env.net
-    target = not ctx.vars["blocking"]
-    net.configure_blocking(ctx.vars["server"], target)
-    ctx.vars["blocking"] = target
+    target = not inst.vars["blocking"]
+    env.net.configure_blocking(inst.vars["server"], target)
+    inst.vars["blocking"] = target
 
 
-def _sm_toggle_registered(ctx: ActionContext) -> None:
+def _sm_toggle_registered(inst, env) -> None:
     # Registered channels must refuse a switch to blocking mode.
-    ctx.env.net.configure_blocking(ctx.vars["server"], True)
-    ctx.require(False, "oracle: configureBlocking(true) succeeded on a registered channel")
+    env.net.configure_blocking(inst.vars["server"], True)
+    raise PropertyViolation("oracle: configureBlocking(true) succeeded on a registered channel")
 
 
-def _sm_check_selector(ctx: ActionContext) -> None:
-    sel = ctx.vars.get("sel")
+def _sm_check_selector(inst, env) -> None:
+    sel = inst.vars.get("sel")
     if sel is not None:
-        ctx.env.net.select_now(sel)
+        env.net.select_now(sel)
 
 
-def _sm_get_port(ctx: ActionContext) -> None:
-    port = ctx.env.net.get_local_port(ctx.vars["server"])
-    ctx.require(port == ctx.vars["port"], "oracle: bound port changed")
+def _sm_get_port(inst, env) -> None:
+    if env.net.get_local_port(inst.vars["server"]) != inst.vars["port"]:
+        raise PropertyViolation("oracle: bound port changed")
 
 
-def _sm_bind_again(ctx: ActionContext) -> None:
-    ctx.env.net.bind(ctx.vars["server"], ctx.vars["port"])
-    ctx.require(False, "oracle: second bind succeeded")
+def _sm_bind_again(inst, env) -> None:
+    env.net.bind(inst.vars["server"], inst.vars["port"])
+    raise PropertyViolation("oracle: second bind succeeded")
 
 
-def _sm_start_accepting(ctx: ActionContext) -> None:
+def _sm_start_accepting(inst, env) -> None:
     # A client for the upcoming accept; its constructor connects now, the
     # connection becomes acceptable after simulated network latency.
-    ctx.launch(CLIENT, {"port": ctx.vars["port"]})
+    env.launch(CLIENT, {"port": inst.vars["port"]})
 
 
-def _sm_accept_try(ctx: ActionContext) -> str:
-    conn = ctx.env.net.accept(ctx.vars["server"])
+def _sm_accept_try(inst, env) -> str:
+    conn = env.net.accept(inst.vars["server"])
     if conn is None:
         return "nullResult"
-    ctx.vars["pending"] = conn
-    ctx.vars["accepted"] = ctx.vars.get("accepted", 0) + 1
+    inst.vars["pending"] = conn
+    inst.vars["accepted"] = inst.vars.get("accepted", 0) + 1
     return "connected"
 
 
-def _sm_hand_off(ctx: ActionContext) -> None:
-    conn = ctx.vars.pop("pending")
-    ctx.launch(WORKER, {"conn": conn})
-    ctx.launch(CLIENT, {"port": ctx.vars["port"]})
+def _sm_hand_off(inst, env) -> None:
+    conn = inst.vars.pop("pending")
+    env.launch(WORKER, {"conn": conn})
+    env.launch(CLIENT, {"port": inst.vars["port"]})
 
 
-def _sm_accept_closed(ctx: ActionContext) -> None:
-    ctx.env.net.accept(ctx.vars["server"])
-    ctx.require(False, "oracle: accept succeeded on a closed server")
+def _sm_accept_closed(inst, env) -> None:
+    env.net.accept(inst.vars["server"])
+    raise PropertyViolation("oracle: accept succeeded on a closed server")
 
 
-def _sm_port_closed(ctx: ActionContext) -> None:
-    ctx.env.net.get_local_port(ctx.vars["server"])
-    ctx.require(False, "oracle: getLocalPort succeeded on a closed server")
+def _sm_port_closed(inst, env) -> None:
+    env.net.get_local_port(inst.vars["server"])
+    raise PropertyViolation("oracle: getLocalPort succeeded on a closed server")
 
 
 def server_main_model() -> ModelSpec:

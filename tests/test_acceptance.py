@@ -149,7 +149,7 @@ class TestAcceptance:
               f"probes={report.probe_count} divergences={len(report.divergences)}")
 
     def test_engine_micro_oracles(self):
-        def noop(ctx):
+        def noop(inst, env):
             return None
 
         # pickNext frequency: 2 + 3 unit-weight transitions, 1/5 +/- 0.01

@@ -66,6 +66,13 @@ class TestRunCommand:
         assert code == 2
         assert "sim backend" in capsys.readouterr().err
 
+    def test_latency_with_real_backend_is_config_error(self, capsys):
+        # --latency shapes the simulator only; on sockets it is refused, not ignored
+        code = main(["run", "--model", "minimalist", "--backend", "real",
+                     "--latency", "zero", "--tests", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: a latency model requires the sim backend\n"
+
     def test_unknown_flag_exits_two(self):
         proc = run_cli("run", "--model", "minimalist", "--frobnicate")
         assert proc.returncode == 2
@@ -144,6 +151,10 @@ class TestReplayCommand:
         "netmbt-trace v1 seed=abc test=0 backend=sim\nverdict PASS\n",
         "netmbt-trace v1 seed=1 backend=sim\nverdict PASS\n",
         "hello\n",
+        # out of range: the rng would mask 2**64 + s to s and replay s as a match
+        "netmbt-trace v1 seed=18446744073709551616 test=0 backend=sim\nverdict PASS\n",
+        "netmbt-trace v1 seed=-1 test=0 backend=sim\nverdict PASS\n",
+        "netmbt-trace v1 seed=1 test=-1 backend=sim\nverdict PASS\n",
     ])
     def test_malformed_file_exits_two_with_one_line(self, tmp_path, text):
         path = tmp_path / "bad.trace"

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmbt.efsm import (
-    ActionContext,
     ModelInstance,
     Transition,
     define_model,
@@ -22,17 +21,13 @@ from netmbt.errors import (AdapterError, BackendError, ErrorKind, PropertyViolat
 from netmbt.rng import SeededRng
 
 
-def NOOP(ctx):
+def NOOP(inst, env):
     return None
 
 
 def make_env(rng=None, launch=None):
     """The least an action's ``env`` carries: an rng and a launcher."""
     return SimpleNamespace(rng=rng or SeededRng(0), launch=launch or (lambda s, a: None))
-
-
-def make_ctx(inst, rng=None, launch=None):
-    return ActionContext(inst, make_env(rng, launch))
 
 
 class TestDefineModel:
@@ -86,7 +81,7 @@ class TestDefineModel:
 class TestInstantiate:
     def test_constructor_runs_before_return(self):
         ran = []
-        spec = define_model("m", "s", [], lambda ctx: ran.append(True))
+        spec = define_model("m", "s", [], lambda inst, env: ran.append(True))
         instantiate(spec, 1, {}, make_env())
         assert ran == [True]
 
@@ -100,7 +95,7 @@ class TestInstantiate:
         assert instantiate(spec, 1, {}, make_env()).alive is False
 
     def test_unmapped_constructor_error_is_violation(self):
-        def boom(ctx):
+        def boom(inst, env):
             raise AdapterError(ErrorKind.CONNECTION_REFUSED)
 
         spec = define_model("m", "s", [], boom)
@@ -139,23 +134,23 @@ class TestFireTransition:
     def fire(transition, **vars):
         spec = define_model("m", "a", [transition])
         inst = ModelInstance(1, spec, vars)
-        return fire_transition(inst, spec.transitions[0], make_ctx(inst)), inst.current
+        return fire_transition(inst, spec.transitions[0], make_env()), inst.current
 
     def test_plain_target(self):
         assert self.fire(Transition("a", "b", "go", NOOP)) == (("-", None), "b")
 
     def test_outcome_tag_routes_to_branch(self):
-        t = Transition("a", "a", "try", lambda ctx: ctx.vars["tag"],
+        t = Transition("a", "a", "try", lambda inst, env: inst.vars["tag"],
                        outcome_branches={"hit": "won", "miss": "a"})
         assert self.fire(t, tag="hit") == (("hit", None), "won")
         assert self.fire(t, tag="miss") == (("miss", None), "a")
 
     def test_undeclared_tag_is_violation(self):
-        t = Transition("a", "b", "try", lambda ctx: "other", outcome_branches={"hit": "b"})
+        t = Transition("a", "b", "try", lambda inst, env: "other", outcome_branches={"hit": "b"})
         assert self.fire(t) == (("-", "m.try emitted undeclared outcome tag 'other'"), "a")
 
     def test_tag_without_branches_is_violation(self):
-        t = Transition("a", "b", "try", lambda ctx: "hit")
+        t = Transition("a", "b", "try", lambda inst, env: "hit")
         assert self.fire(t) == (("-", "m.try emitted undeclared outcome tag 'hit'"), "a")
 
     def test_tagged_action_must_emit(self):
@@ -163,7 +158,7 @@ class TestFireTransition:
         assert self.fire(t) == (("-", "m.try declared outcome tags but emitted none"), "a")
 
     def test_mapped_error_takes_override_and_completes(self):
-        def boom(ctx):
+        def boom(inst, env):
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "late read")
 
         t = Transition("a", "b", "go", boom,
@@ -171,7 +166,7 @@ class TestFireTransition:
         assert self.fire(t) == (("ClosedChannelError", None), "err")
 
     def test_unmapped_error_is_violation_and_state_unchanged(self):
-        def boom(ctx):
+        def boom(inst, env):
             raise AdapterError(ErrorKind.PEER_CLOSED)
 
         t = Transition("a", "b", "go", boom,
@@ -181,15 +176,15 @@ class TestFireTransition:
         )
 
     def test_require_failure_is_violation(self):
-        def check(ctx):
-            ctx.require(False, "the oracle said no")
+        def check(inst, env):
+            raise PropertyViolation("the oracle said no")
 
         assert self.fire(Transition("a", "b", "go", check)) == (
             ("-", "m.go: the oracle said no"), "a"
         )
 
     def test_unclassified_exception_is_violation_and_state_unchanged(self):
-        def bug(ctx):
+        def bug(inst, env):
             raise KeyError("conn")
 
         assert self.fire(Transition("a", "b", "go", bug)) == (
@@ -197,7 +192,7 @@ class TestFireTransition:
         )
 
     def test_watchdog_timeout_is_violation_and_state_unchanged(self):
-        def stuck(ctx):
+        def stuck(inst, env):
             raise WatchdogTimeout("accept blocked for 5.0s")
 
         assert self.fire(Transition("a", "b", "go", stuck)) == (
@@ -205,14 +200,14 @@ class TestFireTransition:
         )
 
     def test_backend_error_propagates(self):
-        def unusable(ctx):
+        def unusable(inst, env):
             raise BackendError("no loopback")
 
         with pytest.raises(BackendError, match="no loopback"):
             self.fire(Transition("a", "b", "go", unusable))
 
     def test_step_determinism(self):
-        t = Transition("a", "a", "try", lambda ctx: ("hit" if ctx.rng.below(2) else "miss"),
+        t = Transition("a", "a", "try", lambda inst, env: ("hit" if env.rng.below(2) else "miss"),
                        outcome_branches={"hit": "won", "miss": "a"})
         spec = define_model("m", "a", [t])
         results = []
@@ -223,17 +218,17 @@ class TestFireTransition:
             for _ in range(20):
                 inst.current = "a"
                 outs.append(fire_transition(inst, spec.transitions[0],
-                                            make_ctx(inst, rng=rng))[0])
+                                            make_env(rng=rng))[0])
             results.append(outs)
         assert results[0] == results[1]
 
     def test_launch_runs_child_constructor_inside_action(self):
         events = []
-        child = define_model("child", "c", [], lambda ctx: events.append("child-ctor"))
+        child = define_model("child", "c", [], lambda inst, env: events.append("child-ctor"))
 
-        def parent_action(ctx):
+        def parent_action(inst, env):
             events.append("before")
-            ctx.launch(child, {})
+            env.launch(child, {})
             events.append("after")
 
         spec = define_model("m", "a", [Transition("a", "a", "go", parent_action)])
@@ -245,7 +240,7 @@ class TestFireTransition:
             return children[-1]
 
         env = make_env(launch=launch)
-        out = fire_transition(inst, spec.transitions[0], ActionContext(inst, env))
+        out = fire_transition(inst, spec.transitions[0], env)
         assert out == ("-", None)
         assert events == ["before", "child-ctor", "after"]
         assert [c.spec.name for c in children] == ["child"]

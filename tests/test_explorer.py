@@ -32,7 +32,7 @@ from netmbt.rng import SeededRng, derive_seed
 from netmbt.simnet import FaultKind, FaultSpec, LatencyModel
 
 
-def NOOP(ctx):
+def NOOP(inst, env):
     return None
 
 
@@ -283,9 +283,9 @@ class TestSuites:
     def test_unclassified_exception_fails_only_its_test(self, tmp_path):
         opened = []
 
-        def bug(ctx):
-            ctx.env.acquire_port()
-            opened.append(ctx.env.net.open_server())
+        def bug(inst, env):
+            env.acquire_port()
+            opened.append(env.net.open_server())
             raise KeyError("conn")
 
         spec = define_model("buggy", "s", [Transition("s", "s", "bug", bug)])
@@ -307,7 +307,7 @@ class TestSuites:
         assert not result.passed and pool.leased == frozenset()
 
     def test_backend_error_still_aborts_the_suite(self):
-        def unusable(ctx):
+        def unusable(inst, env):
             raise BackendError("no loopback")
 
         spec = define_model("m", "s", [Transition("s", "s", "go", unusable)])

@@ -6,7 +6,7 @@ import pytest
 
 from netmbt import explorer
 from netmbt.adapter import ConnChannel
-from netmbt.efsm import ActionContext, enabled_transitions, fire_transition
+from netmbt.efsm import enabled_transitions, fire_transition
 from netmbt.errors import ErrorKind
 from netmbt.explorer import SuiteConfig, _TestRun, run_single_test, run_suite
 from netmbt.models import MODEL_REGISTRY, OracleLedger
@@ -23,17 +23,19 @@ MISORDERED = MODEL_REGISTRY["minimalist-misordered"]
 
 class RecordingLedger(OracleLedger):
     """An OracleLedger that also notes which instance touched which side of
-    which connection, for the locality check."""
+    which connection, for the locality check.  ``firing`` is the id of the
+    instance whose action is running, set by whoever drives the ledger."""
 
     def __init__(self):
         super().__init__()
         self.touches: set[tuple[int, str, int]] = set()  # (conn id, side, instance id)
+        self.firing: int | None = None
 
 
 def _recording(method):
-    def recorded(self, conn, instance_id, *args):
-        self.touches.add((conn.connection_id, conn.role, instance_id))
-        return method(self, conn, instance_id, *args)
+    def recorded(self, conn, *args):
+        self.touches.add((conn.connection_id, conn.role, self.firing))
+        return method(self, conn, *args)
     return recorded
 
 
@@ -52,7 +54,7 @@ class ManualRun(_TestRun):
     def fire(self, inst, label):
         options = {t.label: t for t in enabled_transitions(inst)}
         assert label in options, f"{label} not enabled in {inst.current}: {sorted(options)}"
-        return fire_transition(inst, options[label], ActionContext(inst, self))
+        return fire_transition(inst, options[label], self)
 
 
 class TestMinimalist:
@@ -165,7 +167,7 @@ class TestWorker:
     def test_read_within_ledger_passes(self):
         net = SimBackend(SeededRng(4), LatencyModel.zero())
         run, worker, cli, _ = self.make_worker(net)
-        run.ledger.record_write(cli, 99, 5)
+        run.ledger.record_write(cli, 5)
         net.write(cli, b"abcde")
         out = run.fire(worker, "read")
         assert out == ("-", None)
@@ -265,25 +267,25 @@ class TestOracleLedger:
         self.server = ConnChannel("server", 7)
 
     def test_write_is_available_to_the_peer_only(self):
-        self.ledger.record_write(self.client, 1, 5)
-        assert self.ledger.available_to(self.server, 2) == 5
-        assert self.ledger.available_to(self.client, 1) == 0
-        self.ledger.record_read(self.server, 2, 3)
-        assert self.ledger.available_to(self.server, 2) == 2
+        self.ledger.record_write(self.client, 5)
+        assert self.ledger.available_to(self.server) == 5
+        assert self.ledger.available_to(self.client) == 0
+        self.ledger.record_read(self.server, 3)
+        assert self.ledger.available_to(self.server) == 2
         entry = self.ledger.entries[7]
         assert (entry["client"].wrote, entry["client"].read) == (5, 0)
         assert (entry["server"].wrote, entry["server"].read) == (0, 3)
 
     def test_peer_output_shut_is_symmetric(self):
         ledger = self.ledger
-        assert not ledger.peer_output_shut(self.server, 2)
-        assert not ledger.peer_output_shut(self.client, 1)
-        ledger.record_output_shut(self.client, 1)
-        assert ledger.peer_output_shut(self.server, 2)
-        assert not ledger.peer_output_shut(self.client, 1)
-        ledger.record_output_shut(self.server, 2)
-        assert ledger.peer_output_shut(self.client, 1)
-        ledger.record_eof(self.server, 2)
+        assert not ledger.peer_output_shut(self.server)
+        assert not ledger.peer_output_shut(self.client)
+        ledger.record_output_shut(self.client)
+        assert ledger.peer_output_shut(self.server)
+        assert not ledger.peer_output_shut(self.client)
+        ledger.record_output_shut(self.server)
+        assert ledger.peer_output_shut(self.client)
+        ledger.record_eof(self.server)
         entry = ledger.entries[7]
         assert entry["server"].saw_eof and not entry["client"].saw_eof
 
@@ -299,7 +301,8 @@ class TestOracleLedger:
         ]
         for instance_id, (method, conn, extra) in enumerate(calls, start=1):
             before = set(ledger.touches)
-            method(conn, instance_id, *extra)
+            ledger.firing = instance_id
+            method(conn, *extra)
             assert ledger.touches - before == {(7, conn.role, instance_id)}
             assert len(ledger.touches) == len(before) + 1
 
@@ -331,7 +334,17 @@ class TestOracleProperties:
         assert eof_seen > 0  # the property was actually exercised
 
     def test_ledger_locality_one_instance_per_side(self, monkeypatch):
+        fire = explorer.fire_transition
+
+        def firing(inst, transition, env):  # tells the ledger who is firing
+            env.ledger.firing = inst.id
+            try:
+                return fire(inst, transition, env)
+            finally:
+                env.ledger.firing = None
+
         monkeypatch.setattr(explorer, "OracleLedger", RecordingLedger)
+        monkeypatch.setattr(explorer, "fire_transition", firing)
         pool = PortPool(20000, 29999)
         cfg = SuiteConfig(seed=555, num_tests=200)
         touched = 0
@@ -343,6 +356,7 @@ class TestOracleProperties:
                 owners.setdefault((conn_id, side), set()).add(instance_id)
             for (conn_id, side), ids in owners.items():
                 assert len(ids) == 1, f"connection {conn_id} {side} touched by {ids}"
+                assert None not in ids  # every touch came from a firing action
             touched += len(result.ledger.touches)
         assert touched > 0  # the check was actually exercised
 

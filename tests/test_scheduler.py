@@ -24,7 +24,7 @@ from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
 
 
-def NOOP(ctx):
+def NOOP(inst, env):
     return None
 
 
@@ -191,8 +191,8 @@ class TestTableInvalidation:
             Transition("ready", "done", "go", NOOP, weight=1e9),
         ])
 
-        def spawn(ctx):
-            ctx.launch(child)
+        def spawn(inst, env):
+            env.launch(child, {})
 
         parent = define_model("parent", "s", [
             Transition("s", "s", "spawn", spawn, weight=0.001),

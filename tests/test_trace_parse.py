@@ -6,6 +6,7 @@ from __future__ import annotations
 import tracemalloc
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,10 @@ def reference_parse_traces(text: str) -> list[Trace]:
                     backend=fields["backend"],
                     steps=[],
                 )
+                if not 0 <= current.test_seed < 1 << 64:
+                    raise ValueError(f"seed={current.test_seed} is not a 64-bit unsigned integer")
+                if current.test_index < 0:
+                    raise ValueError(f"test={current.test_index} is negative")
                 traces.append(current)
             elif current is None:
                 raise ValueError(f"record before trace header: {line!r}")
@@ -159,6 +164,22 @@ class TestCompactParse:
         text = f"{header}\n0 1 m l - s\nverdict PASS\n0 1 m l - s\n"
         assert _parse(parse_traces, text) == _parse(reference_parse_traces, text)
         assert _parse(parse_traces, text)[1].startswith("line 4: record before trace header")
+
+    @pytest.mark.parametrize("seed, test, error", [
+        (0, 0, None),
+        ((1 << 64) - 1, 7, None),
+        (1 << 64, 0, "line 1: seed=18446744073709551616 is not a 64-bit unsigned integer"),
+        (-1, 0, "line 1: seed=-1 is not a 64-bit unsigned integer"),
+        (1, -1, "line 1: test=-1 is negative"),
+    ])
+    def test_header_seed_and_index_ranges(self, seed, test, error):
+        text = f"{TRACE_HEADER} seed={seed} test={test} backend=sim\nverdict PASS\n"
+        got = _parse(parse_traces, text)
+        assert got == _parse(reference_parse_traces, text)
+        if error is None:
+            assert (got[1][0].test_seed, got[1][0].test_index) == (seed, test)
+        else:
+            assert got == ("error", error)
 
     def test_non_canonical_integers_give_canonical_records(self):
         header = "netmbt-trace v1 seed=1 test=0 backend=sim"
