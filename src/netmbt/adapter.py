@@ -49,13 +49,12 @@ EOF = ReadResult(is_eof=True)
 class ServerChannel:
     """Listening endpoint handle.  state: open-unbound -> bound -> closed."""
 
-    __slots__ = ("blocking", "bound", "closed", "local_port", "keys")
+    __slots__ = ("blocking", "closed", "local_port", "keys")
 
     def __init__(self):
         self.blocking = True
-        self.bound = False
         self.closed = False
-        self.local_port: int | None = None  # retained after close for inspection
+        self.local_port: int | None = None  # set by bind; retained after close
         self.keys: list[SelectorKey] = []
 
 
@@ -116,17 +115,15 @@ class NetworkBackend:
     def bind(self, server: ServerChannel, port: int = 0) -> int:
         if server.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "bind on closed server")
-        if server.bound:
+        if server.local_port is not None:
             raise AdapterError(ErrorKind.ALREADY_BOUND, "server is already bound")
-        bound_port = self._do_bind(server, port)
-        server.bound = True
-        server.local_port = bound_port
-        return bound_port
+        server.local_port = self._do_bind(server, port)
+        return server.local_port
 
     def get_local_port(self, server: ServerChannel) -> int:
         if server.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "getLocalPort on closed server")
-        if not server.bound:
+        if server.local_port is None:
             raise AdapterError(ErrorKind.NOT_YET_BOUND, "server not bound")
         return server.local_port
 
@@ -140,7 +137,7 @@ class NetworkBackend:
     def accept(self, server: ServerChannel) -> ConnChannel | None:
         if server.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "accept on closed server")
-        if not server.bound:
+        if server.local_port is None:
             raise AdapterError(ErrorKind.NOT_YET_BOUND, "accept before bind")
         conn = self._do_accept(server, server.blocking)
         if conn is not None:
@@ -187,9 +184,6 @@ class NetworkBackend:
     def shutdown_input(self, conn: ConnChannel) -> None:
         if conn.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "shutdownInput on closed channel")
-        if conn.input_shut:
-            return  # idempotent
-        self._do_shutdown_input(conn)
         conn.input_shut = True
 
     def shutdown_output(self, conn: ConnChannel) -> None:
@@ -309,9 +303,6 @@ class NetworkBackend:
         raise NotImplementedError
 
     def _do_write(self, conn: ConnChannel, payload: bytes, blocking: bool) -> int:
-        raise NotImplementedError
-
-    def _do_shutdown_input(self, conn: ConnChannel) -> None:
         raise NotImplementedError
 
     def _do_shutdown_output(self, conn: ConnChannel) -> None:

@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Commands: run (execute a suite), replay (re-execute recorded traces),
-export-dot (print a model graph), list-models.  Exit codes: 0 all tests
-passed / replays matched and passed; 1 at least one test failed (traces
-written); 2 configuration or backend error (including a malformed trace
-file, and replay divergence, which in practice means the flags do not match
-the recorded run).
+Commands: run (execute a suite), replay (re-execute recorded traces, one
+backend per file), export-dot (print a model graph), list-models; run and
+replay build their SuiteConfig once, from the same shared flags.  Exit codes:
+0 all tests passed / replays matched and passed; 1 a test failed (traces
+written); 2 a configuration, backend or trace-file error, printed as one
+``error:`` line, or a replay divergence (in practice, wrong flags).
 """
 
 from __future__ import annotations
@@ -101,26 +101,26 @@ def _model(name: str, root: bool = True) -> ModelSpec:
     return spec
 
 
-def _fault(name: str) -> FaultSpec | None:
-    return None if name == "none" else FaultSpec(FaultKind(name))
+def _config(args, seed: int, backend: str, **fields) -> SuiteConfig:
+    """The run settings of a command: the shared flags, plus ``fields``."""
+    return SuiteConfig(
+        seed=seed,
+        max_steps_per_test=args.max_steps,
+        backend=backend,
+        port_range=args.port_range,
+        latency=args.latency,
+        fault=None if args.fault == "none" else FaultSpec(FaultKind(args.fault)),
+        p_close=args.p_close,
+        **fields,
+    )
 
 
 def _cmd_run(args) -> int:
     spec = _model(args.model)
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")
     print(f"seed {seed}")
-    config = SuiteConfig(
-        seed=seed,
-        num_tests=args.tests,
-        max_steps_per_test=args.max_steps,
-        backend=args.backend,
-        abort_on_first_failure=args.abort_on_failure,
-        trace_path=args.trace_out,
-        port_range=args.port_range,
-        latency=args.latency,
-        fault=_fault(args.fault),
-        p_close=args.p_close,
-    )
+    config = _config(args, seed, args.backend, num_tests=args.tests,
+                     abort_on_first_failure=args.abort_on_failure, trace_path=args.trace_out)
     report = run_suite(spec, config, MODEL_REGISTRY)
     print(format_report(report, args.model))
     if report.failed and config.trace_path is None:
@@ -135,35 +135,22 @@ def _cmd_replay(args) -> int:
     with open(args.replay_path, encoding="utf-8") as fh:
         traces = parse_traces(fh.read())
     if not traces:
-        print("no traces in file", file=sys.stderr)
-        return 2
+        raise ConfigError("no traces in file")
+    backends = sorted({t.backend for t in traces})
+    if len(backends) > 1:
+        raise ConfigError(f"trace file mixes backends {' and '.join(backends)}")
     model_name = args.model
     if model_name is None:
         if not traces[0].steps:
-            print("cannot infer the root model from an empty trace; pass --model",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("cannot infer the root model from an empty trace; pass --model")
         model_name = traces[0].steps[0].model
     spec = _model(model_name)
-    any_real = any(t.backend == "real" for t in traces)
-    if any_real:
+    config = _config(args, 0, backends[0])  # each replay runs from its recorded seed
+    if backends[0] == "real":
         print("note: real-backend replay is best-effort; latency may change outcomes")
+    pool = port_pool(config)  # validated and probed once for every trace, as in run
     any_failed = False
-    pool = None
     for trace in traces:
-        config = SuiteConfig(
-            seed=0,  # replay runs straight from the recorded per-test seed
-            num_tests=1,
-            max_steps_per_test=args.max_steps,
-            backend=trace.backend,
-            port_range=args.port_range,
-            latency=args.latency,
-            fault=_fault(args.fault),
-            p_close=args.p_close,
-        )
-        if pool is None:
-            # One pool and one loopback probe serve every trace, as in `run`.
-            pool = port_pool(config, probe=any_real)
         try:
             result = replay(trace, spec, config, pool)
         except DivergenceError as exc:
@@ -175,7 +162,6 @@ def _cmd_replay(args) -> int:
         detail = f" step {result.trace.failing_step_index}" if verdict == "FAIL" else ""
         print(f"replay test {trace.test_index}: MATCH verdict={verdict}{detail}")
         any_failed |= verdict == "FAIL"
-        pool.next_test()
     return 1 if any_failed else 0
 
 

@@ -439,11 +439,11 @@ class ConformanceReport:
         return len(self.results)
 
 
-def run_conformance(watchdog_seconds: float = 5.0) -> ConformanceReport:
+def run_conformance() -> ConformanceReport:
     """Run the full script on both backends and compare outcome by outcome."""
     probes = build_probes()
     sim = SimBackend(SeededRng(0), LatencyModel.zero())
-    real = RealBackend(watchdog_seconds=watchdog_seconds)
+    real = RealBackend()
     sim_env: dict = {}
     real_env: dict = {}
     results = []

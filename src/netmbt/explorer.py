@@ -65,7 +65,6 @@ class SuiteConfig(NamedTuple):
     abort_on_first_failure: bool = False
     trace_path: str | None = None
     port_range: tuple[int, int] = (20000, 29999)
-    watchdog_seconds: float = 5.0
     latency: str = "default"  # "default" | "zero" (sim only)
     fault: FaultSpec | None = None
     p_close: float = 0.1
@@ -90,8 +89,6 @@ class SuiteConfig(NamedTuple):
             raise ConfigError("a latency model requires the sim backend")
         if not 0.0 <= self.p_close <= 1.0:
             raise ConfigError("p-close must be within [0, 1]")
-        if self.watchdog_seconds <= 0:
-            raise ConfigError("watchdog budget must be positive")
 
 
 class StepRecord(NamedTuple):
@@ -205,6 +202,8 @@ def parse_traces(text: str) -> list[Trace]:
                     raise ValueError(f"seed={current.test_seed} is not a 64-bit unsigned integer")
                 if current.test_index < 0:
                     raise ValueError(f"test={current.test_index} is negative")
+                if current.backend not in ("sim", "real"):
+                    raise ValueError(f"unknown backend {current.backend!r}")
                 append = current.steps.append
                 traces.append(current)
             elif current is None:
@@ -248,15 +247,15 @@ def _make_backend(config: SuiteConfig, test_seed: int):
         return SimBackend(SeededRng(derive_seed(test_seed, 1)), latency, config.fault)
     from .realnet import RealBackend  # sockets load only for a real run
 
-    return RealBackend(watchdog_seconds=config.watchdog_seconds)
+    return RealBackend()
 
 
 class _TestRun:
     """One test in progress, and the ``env`` its actions are called with:
     the network backend, the oracle ledger, the client close probability,
     the rng, the live instances, the step records, and the ports leased from
-    the suite's pool, all of which release_ports() returns at test end.  No
-    instance keeps a reference to it, so a test forms no reference cycle."""
+    the suite's pool, which release_ports() returns before it ticks the
+    pool's test clock.  No instance refers to it: a test forms no cycle."""
 
     __slots__ = ("net", "ledger", "p_close", "rng", "pool", "ports",
                  "instances", "records", "fired", "_last_id")
@@ -282,6 +281,7 @@ class _TestRun:
         for port in self.ports:
             self.pool.release(port)
         self.ports.clear()
+        self.pool.next_test()
 
     def launch(self, spec: ModelSpec, args: Mapping) -> ModelInstance:
         """Instantiate a model (its constructor runs now), schedule it and
@@ -479,14 +479,11 @@ def coverage_from_traces(
     return _coverage(keys, spec_index or {})
 
 
-def port_pool(config: SuiteConfig, probe: bool | None = None) -> PortPool:
-    """Validate ``config`` and build the listen-port pool for its tests.
-
-    Loopback TCP is probed first when ``probe`` is true, or, when it is
-    None, when ``config`` runs on real sockets.
-    """
+def port_pool(config: SuiteConfig) -> PortPool:
+    """Validate ``config`` and build the listen-port pool for its tests,
+    probing loopback TCP first when they run on real sockets."""
     config.validate()
-    if config.backend == "real" if probe is None else probe:
+    if config.backend == "real":
         from .realnet import RealBackend
 
         RealBackend.probe()
@@ -509,7 +506,6 @@ def run_suite(
         for i in range(config.num_tests):
             test_seed = derive_seed(config.seed, i)
             result = run_single_test(root_spec, config, test_seed, i, pool)
-            pool.next_test()
             tests_run += 1
             trace = result.trace
             if writer:
@@ -567,22 +563,16 @@ def format_report(report: SuiteReport, root_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def replay(
-    trace: Trace, root_spec: ModelSpec, config: SuiteConfig, pool: PortPool | None = None
-) -> TestResult:
+def replay(trace: Trace, root_spec: ModelSpec, config: SuiteConfig, pool: PortPool) -> TestResult:
     """Re-execute a recorded test from its seed and verify every step.
 
     Raises DivergenceError at the first step whose record line differs
     from the recorded one (or at the verdict when the steps match but the
     outcome does not).  Replay against the real backend is best-effort:
-    latency may legitimately change outcomes there.  Replays of several
-    traces may share one ``pool`` from port_pool(), advanced with
-    ``pool.next_test()`` between them; without one, a fresh pool is built.
+    latency may legitimately change outcomes there.  ``pool`` comes from
+    port_pool(config), which validated ``config``; replays of several
+    traces share it, as the tests of a suite do.
     """
-    if pool is None:
-        pool = port_pool(config)
-    else:
-        config.validate()
     rerun = run_single_test(root_spec, config, trace.test_seed, trace.test_index, pool)
     recorded = trace.steps
     replayed = rerun.trace.steps

@@ -170,9 +170,6 @@ class RealBackend(NetworkBackend):
                 raise _peer_closed(exc) from exc
             raise
 
-    def _do_shutdown_input(self, conn: RealConn) -> None:
-        pass  # adapter-level flag only; no SHUT_RD syscall (see module docstring)
-
     def _do_shutdown_output(self, conn: RealConn) -> None:
         try:
             conn.sock.shutdown(socket.SHUT_WR)

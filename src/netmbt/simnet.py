@@ -121,11 +121,10 @@ class SimConn(ConnChannel):
 
 
 class SimServer(ServerChannel):
-    __slots__ = ("port", "backlog")
+    __slots__ = ("backlog",)
 
     def __init__(self):
         super().__init__()
-        self.port: int | None = None
         self.backlog: deque[tuple[SimConn, int]] = deque()  # (server side, due step)
 
 
@@ -134,15 +133,10 @@ class SimBackend(NetworkBackend):
 
     is_sim = True
 
-    def __init__(
-        self,
-        rng: SeededRng,
-        latency: LatencyModel | None = None,
-        fault: FaultSpec | None = None,
-    ):
+    def __init__(self, rng: SeededRng, latency: LatencyModel, fault: FaultSpec | None = None):
         super().__init__()
         self.rng = rng
-        self.latency = latency or LatencyModel.default()
+        self.latency = latency
         self.clock = 0
         self.fault = fault
         self.fault_fired = False
@@ -208,12 +202,11 @@ class SimBackend(NetworkBackend):
             self._ephemeral += 1
         elif port in self._listeners:
             raise BackendError(f"simulated port {port} already in use")
-        server.port = port
         self._listeners[port] = server
         return port
 
     def _do_close_server(self, server: SimServer) -> None:
-        self._listeners.pop(server.port, None)
+        self._listeners.pop(server.local_port, None)
         # Queued-but-unaccepted connections get reset, as the OS would.
         for conn, _ in server.backlog:
             self._poison_pair(conn)
@@ -296,9 +289,6 @@ class SimBackend(NetworkBackend):
             insort(self._pending, flow, key=_ORDER)
         return len(payload)
 
-    def _do_shutdown_input(self, conn: SimConn) -> None:
-        pass  # local-only effect; the adapter guard blocks subsequent reads
-
     def _do_shutdown_output(self, conn: SimConn) -> None:
         conn.tx.eof_signaled = True
 
@@ -354,7 +344,7 @@ class SimBackend(NetworkBackend):
         pass
 
     def _force_close_server(self, server: SimServer) -> None:
-        self._listeners.pop(server.port, None)
+        self._listeners.pop(server.local_port, None)
 
     # -- introspection for invariant checks ------------------------------------
 

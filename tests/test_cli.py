@@ -155,6 +155,7 @@ class TestReplayCommand:
         "netmbt-trace v1 seed=18446744073709551616 test=0 backend=sim\nverdict PASS\n",
         "netmbt-trace v1 seed=-1 test=0 backend=sim\nverdict PASS\n",
         "netmbt-trace v1 seed=1 test=-1 backend=sim\nverdict PASS\n",
+        "netmbt-trace v1 seed=1 test=0 backend=bogus\nverdict PASS\n",
     ])
     def test_malformed_file_exits_two_with_one_line(self, tmp_path, text):
         path = tmp_path / "bad.trace"
@@ -163,6 +164,40 @@ class TestReplayCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: line 1: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("text, error", [
+        ("", "no traces in file"),
+        ("netmbt-trace v1 seed=1 test=0 backend=sim\nverdict PASS\n",
+         "cannot infer the root model from an empty trace; pass --model"),
+    ])
+    def test_unusable_file_exits_two_with_one_error_line(self, tmp_path, capsys, text, error):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        assert main(["replay", "--replay", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_real_backend_file_replays(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        assert main(["run", "--model", "minimalist", "--backend", "real", "--seed", "5",
+                     "--tests", "5", "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["replay", "--replay", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("note: real-backend replay is best-effort") == 1
+        assert out.count("MATCH verdict=PASS") == 5
+
+    def test_mixed_backend_file_exits_two_with_one_error_line(self, tmp_path, capsys):
+        blocks = []
+        for backend in ("sim", "real"):
+            trace = tmp_path / f"{backend}.trace"
+            main(["run", "--model", "minimalist", "--backend", backend, "--seed", "5",
+                  "--tests", "2", "--trace-out", str(trace)])
+            blocks.append(trace.read_text())
+        mixed = tmp_path / "mixed.trace"
+        mixed.write_text("".join(blocks))
+        capsys.readouterr()
+        assert main(["replay", "--replay", str(mixed)]) == 2
+        assert capsys.readouterr() == ("", "error: trace file mixes backends real and sim\n")
 
     def test_binary_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"

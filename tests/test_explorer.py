@@ -20,6 +20,7 @@ from netmbt.explorer import (
     format_report,
     parse_traces,
     pick_next,
+    port_pool,
     replay,
     run_single_test,
     run_suite,
@@ -200,7 +201,6 @@ class TestSuites:
         pool = PortPool(20000, 29999)
         for i in range(cfg.num_tests):
             result = run_single_test(SERVER_MAIN, cfg, derive_seed(2, i), i, pool)
-            pool.next_test()
             assert result.fired <= 17
             fired_records = [r for r in result.trace.steps if r.label != "<init>"]
             assert len(fired_records) == result.fired
@@ -271,7 +271,6 @@ class TestSuites:
         cfg = SuiteConfig(seed=4, num_tests=20)
         for i in range(20):
             result = run_single_test(SERVER_MAIN, cfg, derive_seed(4, i), i, pool)
-            pool.next_test()
             born: dict[int, int] = {}
             for rec in result.trace.steps:
                 if rec.label == "<init>":
@@ -313,6 +312,16 @@ class TestSuites:
         spec = define_model("m", "s", [Transition("s", "s", "go", unusable)])
         with pytest.raises(BackendError, match="no loopback"):
             run_suite(spec, SuiteConfig(seed=1, num_tests=3))
+
+    def test_a_test_ticks_its_pool_clock(self):
+        # One port with a one-test cooldown: the first test's port is free
+        # again for the second only if the first test advanced the clock.
+        pool = PortPool(20000, 20000, cooldown_tests=1)
+        config = SuiteConfig(seed=3)
+        for i in range(2):
+            result = run_single_test(MINIMALIST, config, derive_seed(3, i), i, pool)
+            assert result.passed and result.trace.steps[0].state == "bound"
+        assert pool.free == {20000}
 
     def test_instance_ids_monotone_from_one(self):
         pool = PortPool(20000, 29999)
@@ -386,8 +395,10 @@ class TestReplay:
         p = tmp_path / "t.trace"
         cfg = SuiteConfig(seed=31, num_tests=5, trace_path=str(p))
         run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        re_cfg = SuiteConfig(seed=0)
+        pool = port_pool(re_cfg)
         for trace in parse_traces(p.read_text()):
-            result = replay(trace, SERVER_MAIN, SuiteConfig(seed=0))
+            result = replay(trace, SERVER_MAIN, re_cfg, pool)
             assert result.trace.verdict == trace.verdict
 
     def test_wrong_seed_diverges(self, tmp_path):
@@ -396,8 +407,9 @@ class TestReplay:
                   MODEL_REGISTRY)
         trace = parse_traces(p.read_text())[0]
         trace.test_seed ^= 1
+        re_cfg = SuiteConfig(seed=0)
         with pytest.raises(DivergenceError) as e:
-            replay(trace, SERVER_MAIN, SuiteConfig(seed=0))
+            replay(trace, SERVER_MAIN, re_cfg, port_pool(re_cfg))
         assert e.value.step_index >= 0
 
     @pytest.mark.parametrize("edit", ["step", "extend", "truncate", "verdict", "non-canonical"])
@@ -425,11 +437,12 @@ class TestReplay:
             edited[1] = "0" + records[1]
             want = None
         trace = parse_traces("\n".join([header, *edited, verdict]) + "\n")[0]
+        re_cfg = SuiteConfig(seed=0)
         if want is None:
-            assert replay(trace, SERVER_MAIN, SuiteConfig(seed=0)).trace.verdict == "PASS"
+            assert replay(trace, SERVER_MAIN, re_cfg, port_pool(re_cfg)).trace.verdict == "PASS"
             return
         with pytest.raises(DivergenceError) as e:
-            replay(trace, SERVER_MAIN, SuiteConfig(seed=0))
+            replay(trace, SERVER_MAIN, re_cfg, port_pool(re_cfg))
         assert (e.value.step_index, e.value.expected, e.value.actual) == want
 
     def test_failing_fault_trace_replays_to_same_step(self):
@@ -438,7 +451,7 @@ class TestReplay:
         assert rep.failures
         failing = rep.failures[0].trace
         re_cfg = SuiteConfig(seed=0, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
-        result = replay(failing, SERVER_MAIN, re_cfg)
+        result = replay(failing, SERVER_MAIN, re_cfg, port_pool(re_cfg))
         assert result.trace.verdict == "FAIL"
         assert result.trace.failing_step_index == failing.failing_step_index
 
@@ -492,8 +505,7 @@ class TestRecordTypes:
         assert config == SuiteConfig(seed=7, num_tests=100, max_steps_per_test=100,
                                      backend="sim", abort_on_first_failure=False,
                                      trace_path=None, port_range=(20000, 29999),
-                                     watchdog_seconds=5.0, latency="default", fault=None,
-                                     p_close=0.1)
+                                     latency="default", fault=None, p_close=0.1)
         fault = FaultSpec(FaultKind.DROP_BYTES)
         assert fault == FaultSpec(kind=FaultKind.DROP_BYTES, trigger_step=3)
         assert LatencyModel() == LatencyModel((0, 1, 2), True)

@@ -320,7 +320,6 @@ class TestOracleProperties:
         eof_seen = 0
         for i in range(cfg.num_tests):
             result = run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, pool)
-            pool.next_test()
             assert result.passed
             for entry in result.ledger.entries.values():
                 if entry["server"].saw_eof:
@@ -350,7 +349,6 @@ class TestOracleProperties:
         touched = 0
         for i in range(cfg.num_tests):
             result = run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, pool)
-            pool.next_test()
             owners: dict[tuple[int, str], set[int]] = {}
             for conn_id, side, instance_id in result.ledger.touches:
                 owners.setdefault((conn_id, side), set()).add(instance_id)

@@ -243,7 +243,6 @@ class TestTableInvalidation:
         for i in range(30):
             fired += run_single_test(MODEL_REGISTRY["server-main"], config,
                                      derive_seed(11, i), i, pool).fired
-            pool.next_test()
         assert 0 < len(calls) < fired / 2
 
 
@@ -269,7 +268,6 @@ def test_backends_die_with_their_test_without_the_cycle_collector(monkeypatch):
     try:
         for i in range(20):
             run_single_test(MODEL_REGISTRY["server-main"], config, derive_seed(8, i), i, pool)
-            pool.next_test()
         alive = sum(ref() is not None for ref in refs)
     finally:
         if was_enabled:

@@ -280,7 +280,6 @@ class TestIdleFlows:
             for i in range(120):
                 r = run_single_test(MODEL_REGISTRY["server-main"], config,
                                     derive_seed(19, i), i, pool)
-                pool.next_test()
                 yield serialize_trace(r.trace), r.diagnostics, r.flow_stats
 
         kept = list(results())

@@ -52,6 +52,8 @@ def reference_parse_traces(text: str) -> list[Trace]:
                     raise ValueError(f"seed={current.test_seed} is not a 64-bit unsigned integer")
                 if current.test_index < 0:
                     raise ValueError(f"test={current.test_index} is negative")
+                if current.backend not in ("sim", "real"):
+                    raise ValueError(f"unknown backend {current.backend!r}")
                 traces.append(current)
             elif current is None:
                 raise ValueError(f"record before trace header: {line!r}")
@@ -88,7 +90,6 @@ def recorded_lines() -> tuple[str, ...]:
     for i in range(6):
         traces.append(run_single_test(MODEL_REGISTRY["server-main"], config,
                                       derive_seed(43, i), i, pool).trace)
-        pool.next_test()
     assert {t.verdict for t in traces} == {"PASS", "FAIL"}
     return tuple("".join(map(serialize_trace, traces)).splitlines())
 
@@ -178,6 +179,23 @@ class TestCompactParse:
         assert got == _parse(reference_parse_traces, text)
         if error is None:
             assert (got[1][0].test_seed, got[1][0].test_index) == (seed, test)
+        else:
+            assert got == ("error", error)
+
+    @pytest.mark.parametrize("header, error", [
+        ("seed=1 test=0 backend=real", None),
+        ("seed=1 test=0 backend=bogus", "line 1: unknown backend 'bogus'"),
+        ("seed=1 test=0 backend=", "line 1: unknown backend ''"),
+        # the range checks come first
+        ("seed=-1 test=0 backend=bogus", "line 1: seed=-1 is not a 64-bit unsigned integer"),
+        ("seed=1 test=-1 backend=bogus", "line 1: test=-1 is negative"),
+    ])
+    def test_header_backend_is_sim_or_real(self, header, error):
+        text = f"{TRACE_HEADER} {header}\nverdict PASS\n"
+        got = _parse(parse_traces, text)
+        assert got == _parse(reference_parse_traces, text)
+        if error is None:
+            assert got[1][0].backend == "real"
         else:
             assert got == ("error", error)
 
