@@ -43,6 +43,8 @@ class ReadResult(NamedTuple):
         return len(self.data)
 
 
+# Shared; hot paths build the others as tuple.__new__(ReadResult, (data, False)).
+EMPTY = ReadResult()
 EOF = ReadResult(is_eof=True)
 
 
@@ -169,7 +171,7 @@ class NetworkBackend:
         if conn.input_shut:
             raise AdapterError(ErrorKind.INPUT_SHUTDOWN, "read after shutdownInput")
         if capacity == 0:
-            return ReadResult(b"")
+            return EMPTY
         return self._do_read(conn, capacity, conn.blocking)
 
     def write(self, conn: ConnChannel, payload: bytes) -> int:
@@ -213,15 +215,16 @@ class NetworkBackend:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "register of a closed channel")
         if channel.blocking:
             raise AdapterError(ErrorKind.ILLEGAL_BLOCKING_MODE, "register of a blocking channel")
+        interest = int(interest)  # an Interest flag's operators run in Python
         if isinstance(channel, ServerChannel):
-            if interest & ~Interest.ACCEPT:
+            if interest & ~ACCEPT:
                 raise ValueError("server channels support only ACCEPT interest")
         else:
-            if interest & Interest.ACCEPT:
+            if interest & ACCEPT:
                 raise ValueError("connection channels do not support ACCEPT interest")
         if not interest:
             raise ValueError("empty interest set")
-        key = SelectorKey(channel, int(interest))
+        key = SelectorKey(channel, interest)
         selector.keys.append(key)
         channel.keys.append(key)
         return key

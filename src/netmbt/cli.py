@@ -5,7 +5,8 @@ backend per file), export-dot (print a model graph), list-models; run and
 replay build their SuiteConfig once, from the same shared flags.  Exit codes:
 0 all tests passed / replays matched and passed; 1 a test failed (traces
 written); 2 a configuration, backend or trace-file error, printed as one
-``error:`` line, or a replay divergence (in practice, wrong flags).
+``error:`` line, or a replay divergence (in practice, wrong flags); 141
+(128 + SIGPIPE), with no message, when stdout was closed by its reader.
 """
 
 from __future__ import annotations
@@ -170,20 +171,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "export-dot":
-            sys.stdout.write(export_dot(_model(args.model, root=False)))
-            return 0
-        if args.command == "list-models":
-            for name in MODEL_REGISTRY:
-                print(name)
-            return 0
+            code = _cmd_run(args)
+        elif args.command == "replay":
+            code = _cmd_replay(args)
+        else:
+            code = 0
+            if args.command == "export-dot":
+                sys.stdout.write(export_dot(_model(args.model, root=False)))
+            else:  # list-models
+                print("\n".join(MODEL_REGISTRY))
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # Nothing reads stdout (``netmbt run ... | head -1``): exit quietly, as
+        # SIGPIPE would, with stdout on the null device for the exit flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
     except (ConfigError, BackendError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command")
+    return code
 
 
 if __name__ == "__main__":

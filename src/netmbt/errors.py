@@ -21,6 +21,8 @@ class ErrorKind(enum.Enum):
     ILLEGAL_BLOCKING_MODE = "IllegalBlockingModeError"
     PEER_CLOSED = "PeerClosedError"
 
+    __hash__ = object.__hash__  # in C, not Python: sound, as members are singletons
+
 
 class AdapterError(Exception):
     """A channel/selector operation failed with a classified ErrorKind."""

@@ -289,9 +289,8 @@ class _TestRun:
         self._last_id += 1
         inst = instantiate(spec, self._last_id, args, self)
         self.instances.append(inst)
-        self.records.append(
-            StepRecord(len(self.records), inst.id, spec.name, INIT_LABEL, "-", inst.current)
-        )
+        self.records.append(tuple.__new__(
+            StepRecord, (len(self.records), inst.id, spec.name, INIT_LABEL, "-", inst.current)))
         return inst
 
 
@@ -362,7 +361,8 @@ def pick_next(
     if not pairs:
         return None
     accs = table.accs
-    point = (rng.next_u64() / _U64) * accs[-1]
+    # u * 2.0**-64 is u / 2**64 bit for bit, as scaling by 2**-64 is exact.
+    point = rng.next_u64() * 2.0 ** -64 * accs[-1]
     i = bisect_right(accs, point)
     return pairs[i] if i < len(pairs) else pairs[-1]
 
@@ -378,11 +378,12 @@ def run_single_test(
     backend = _make_backend(config, test_seed)
     run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     instances, records, rng = run.instances, run.records, run.rng
+    append, advance, new = records.append, backend.advance, tuple.__new__
     verdict, message = "PASS", ""
     try:
         run.launch(root_spec, {})
         table = EnabledTable(instances)
-        while run.fired < config.max_steps_per_test:
+        for _ in range(config.max_steps_per_test):
             pick = pick_next(instances, rng, table)
             if pick is None:
                 break
@@ -390,11 +391,11 @@ def run_single_test(
             state, launched = inst.current, len(instances)
             outcome, violation = fire_transition(inst, transition, run)
             run.fired += 1
-            records.append(StepRecord(len(records), inst.id, inst.spec.name,
-                                      transition.label, outcome, inst.current))
+            append(new(StepRecord, (len(records), inst.id, inst.spec.name,
+                                    transition.label, outcome, inst.current)))
             if inst.current != state or len(instances) != launched:
                 table.refresh(instances, inst)
-            backend.advance()
+            advance()
             if violation is not None:
                 verdict, message = "FAIL", violation
                 break

@@ -20,7 +20,7 @@ the authority for which calls must fail where.
 
 from __future__ import annotations
 
-from .adapter import READ, ConnChannel, Interest, ReadResult
+from .adapter import ACCEPT, READ, WRITE, ConnChannel, ReadResult
 from .efsm import ModelSpec, Transition, define_model
 from .errors import ErrorKind, PropertyViolation
 from .rng import maybe
@@ -103,13 +103,13 @@ def _account_read(ledger: OracleLedger, conn: ConnChannel, result: ReadResult) -
             )
         ledger.record_eof(conn)
         return
-    available = ledger.available_to(conn)
-    if result.count > available:
+    count, available = len(result.data), ledger.available_to(conn)
+    if count > available:
         raise PropertyViolation(
-            f"oracle: read {result.count} bytes on connection {conn.connection_id} "
+            f"oracle: read {count} bytes on connection {conn.connection_id} "
             f"but only {available} unread bytes were ever written"
         )
-    ledger.record_read(conn, result.count)
+    ledger.record_read(conn, count)
 
 
 def _checked_read(inst, env) -> None:
@@ -139,7 +139,7 @@ def _poll_then_read(inst, env) -> None:
     if key not in ready or not (key.ready & READ):
         return
     result = net.read(conn, env.rng.randint(1, MAX_CHUNK))
-    if net.is_sim and not result.is_eof and result.count < 1:
+    if net.is_sim and not result.is_eof and not result.data:
         raise PropertyViolation(
             f"oracle: selector reported READ on connection {conn.connection_id} "
             "but the channel had no data"
@@ -172,7 +172,7 @@ def _watch_conn(inst, env) -> None:
     net, v = env.net, inst.vars
     net.configure_blocking(v["conn"], False)
     v["sel"] = sel = net.open_selector()
-    v["key"] = net.register(sel, v["conn"], Interest.READ | Interest.WRITE)
+    v["key"] = net.register(sel, v["conn"], READ | WRITE)
 
 
 def _w_shut_in(inst, env):
@@ -342,7 +342,7 @@ def _configure_selector(inst, env) -> None:
     net.configure_blocking(v["server"], False)
     v["blocking"] = False
     v["sel"] = sel = net.open_selector()
-    v["key"] = net.register(sel, v["server"], Interest.ACCEPT)
+    v["key"] = net.register(sel, v["server"], ACCEPT)
 
 
 def _sm_toggle_free(inst, env) -> None:

@@ -20,6 +20,7 @@ import time
 
 from .adapter import (
     ACCEPT,
+    EMPTY,
     EOF,
     READ,
     WRITE,
@@ -36,6 +37,13 @@ _RESET_ERRNOS = {errno.EPIPE, errno.ECONNRESET, errno.ECONNABORTED, errno.ENOTCO
 
 def _peer_closed(exc: OSError) -> AdapterError:
     return AdapterError(ErrorKind.PEER_CLOSED, f"{exc.strerror or exc}")
+
+
+def _set_timeout(sock: socket.socket, timeout: float) -> None:
+    """settimeout() is a syscall, gettimeout() is not.  Every call sets its
+    socket's mode on entry, so the mode left between calls does not matter."""
+    if sock.gettimeout() != timeout:
+        sock.settimeout(timeout)
 
 
 class RealServer(ServerChannel):
@@ -98,18 +106,17 @@ class RealBackend(NetworkBackend):
     def _do_accept(self, server: RealServer, blocking: bool) -> RealConn | None:
         sock = server.sock
         if blocking:
-            sock.settimeout(self.watchdog_seconds)
+            _set_timeout(sock, self.watchdog_seconds)
             try:
                 raw, peer = sock.accept()
             except socket.timeout as exc:
                 raise WatchdogTimeout("blocking accept exceeded the watchdog budget") from exc
         else:
-            sock.setblocking(False)
+            _set_timeout(sock, 0.0)
             try:
                 raw, peer = sock.accept()
             except (BlockingIOError, InterruptedError):
                 return None
-        raw.setblocking(True)
         conn_id = self._pending_ids.pop(peer, None)
         if conn_id is None:
             conn_id = next(self._conn_ids)
@@ -126,17 +133,13 @@ class RealBackend(NetworkBackend):
         except socket.timeout as exc:
             raw.close()
             raise WatchdogTimeout("connect exceeded the watchdog budget") from exc
-        raw.setblocking(True)
         conn_id = next(self._conn_ids)
         self._pending_ids[raw.getsockname()] = conn_id
         return RealConn("client", conn_id, raw)
 
     def _do_read(self, conn: RealConn, capacity: int, blocking: bool) -> ReadResult:
         sock = conn.sock
-        if blocking:
-            sock.settimeout(self.watchdog_seconds)
-        else:
-            sock.setblocking(False)
+        _set_timeout(sock, self.watchdog_seconds if blocking else 0.0)
         try:
             data = sock.recv(capacity)
         except socket.timeout as exc:
@@ -144,21 +147,21 @@ class RealBackend(NetworkBackend):
         except (BlockingIOError, InterruptedError):
             if blocking:
                 raise
-            return ReadResult(b"")
+            return EMPTY
         except OSError as exc:
             if exc.errno in _RESET_ERRNOS:
                 raise _peer_closed(exc) from exc
             raise
-        return EOF if data == b"" else ReadResult(data)
+        return tuple.__new__(ReadResult, (data, False)) if data else EOF
 
     def _do_write(self, conn: RealConn, payload: bytes, blocking: bool) -> int:
         sock = conn.sock
         try:
             if blocking:
-                sock.settimeout(self.watchdog_seconds)
+                _set_timeout(sock, self.watchdog_seconds)
                 sock.sendall(payload)
                 return len(payload)
-            sock.setblocking(False)
+            _set_timeout(sock, 0.0)
             try:
                 return sock.send(payload)
             except (BlockingIOError, InterruptedError):

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .adapter import (
     ACCEPT,
+    EMPTY,
     EOF,
     READ,
     WRITE,
@@ -165,22 +166,24 @@ class SimBackend(NetworkBackend):
             self._pending = [flow for flow in self._pending if flow.cohorts]
 
     def _deliver(self, flow: SimFlow) -> None:
+        # Skip the fault checks (a call and an enum lookup each) with no fault.
+        faulty = self.fault is not None
         while flow.cohorts and flow.cohorts[0][0] <= self.clock:
             _, data = flow.cohorts.popleft()
-            if self._fault_armed(FaultKind.DROP_BYTES):
+            if faulty and self._fault_armed(FaultKind.DROP_BYTES):
                 self._fire_fault(f"dropped cohort of {len(data)} bytes")
                 flow.dropped += len(data)
                 continue
             flow.delivered.extend(data)
-            if self._fault_armed(FaultKind.DUPLICATE_BYTES):
+            if faulty and self._fault_armed(FaultKind.DUPLICATE_BYTES):
                 self._fire_fault(f"duplicated cohort of {len(data)} bytes")
                 flow.delivered.extend(data)
                 flow.duplicated += len(data)
 
     def _fault_armed(self, kind: FaultKind) -> bool:
+        """Callers check first that a fault is set (``self.fault``)."""
         return (
-            self.fault is not None
-            and self.fault.kind is kind
+            self.fault.kind is kind
             and not self.fault_fired
             and self.clock >= self.fault.trigger_step
         )
@@ -253,11 +256,11 @@ class SimBackend(NetworkBackend):
                 data = bytes(flow.delivered[:take])
                 del flow.delivered[:take]
                 flow.read_count += take
-                return ReadResult(data)
+                return tuple.__new__(ReadResult, (data, False))
             if flow.eof_signaled and not flow.cohorts:
                 return EOF
             if not blocking:
-                return ReadResult(b"")
+                return EMPTY
             if flow.cohorts:
                 self.advance()  # waiting: let time pass until delivery
                 continue
@@ -323,7 +326,7 @@ class SimBackend(NetworkBackend):
         return WRITE
 
     def _post_select(self, selector: Selector, ready_keys: set[SelectorKey]) -> None:
-        if not self._fault_armed(FaultKind.PHANTOM_READINESS):
+        if self.fault is None or not self._fault_armed(FaultKind.PHANTOM_READINESS):
             return
         for key in selector.keys:
             if key.cancelled or key.channel.closed:

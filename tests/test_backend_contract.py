@@ -345,3 +345,23 @@ class TestWatchdog:
         _, _, cli, sc = make_session(net)
         with pytest.raises(WatchdogTimeout):
             net.read(sc, 8)
+
+
+def test_real_read_takes_each_calls_mode_on_one_connection():
+    """A read sets its socket's timeout only when the socket does not have
+    it already; switching modes on one connection must still take effect
+    every time, in both directions."""
+    net = RealBackend(watchdog_seconds=0.2)
+    try:
+        _, _, cli, sc = make_session(net)
+        net.configure_blocking(sc, False)
+        assert net.read(sc, 16) == (b"", False)  # idle, non-blocking: empty
+        net.configure_blocking(sc, True)
+        with pytest.raises(WatchdogTimeout):  # idle, blocking: waits out the budget
+            net.read(sc, 16)
+        net.write(cli, b"ping")
+        assert net.read(sc, 16) == (b"ping", False)  # blocking, data sent: the data
+        net.configure_blocking(sc, False)
+        assert net.read(sc, 16) == (b"", False)  # non-blocking again: empty
+    finally:
+        net.force_close_all()

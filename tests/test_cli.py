@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -227,6 +228,29 @@ class TestOtherCommands:
     def test_command_required(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+
+class TestClosedStdout:
+    """A reader that stopped reading (``netmbt run ... | head -1``) is not an
+    error: exit 141 (128 + SIGPIPE) with nothing on stderr, whether stdout
+    is buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ("run", "--model", "minimalist", "--seed", "1", "--tests", "5"),
+        ("list-models",),
+    ], ids=["run", "list-models"])
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "netmbt", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                env=dict(child_env(), PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
 
 _LISTED = "import sys; print(*sorted(sys.modules))"

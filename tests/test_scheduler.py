@@ -130,6 +130,18 @@ def _hex(accs):
     return [acc.hex() for acc in accs]
 
 
+class TestDrawScaling:
+    """pick_next turns a draw u into a point in [0, 1) as u * 2.0**-64, which
+    is u / 2**64 bit for bit: scaling by a power of two commutes with
+    rounding to nearest."""
+
+    def test_product_equals_quotient(self):
+        rng = SeededRng(11)
+        draws = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**64 - 1]
+        draws += (rng.next_u64() for _ in range(100_000))
+        assert [u * 2.0**-64 for u in draws] == [u / 2**64 for u in draws]
+
+
 class TestIncrementalRefresh:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
