@@ -214,9 +214,9 @@ def fire_transition(
     except AdapterError as exc:
         target = transition.exception_overrides.get(exc.kind)
         if target is None:
-            return exc.kind.value, f"unexpected exception in {_name(instance, transition)}: {exc}"
+            return exc.kind._value_, f"unexpected exception in {_name(instance, transition)}: {exc}"
         instance.current = target
-        return exc.kind.value, None
+        return exc.kind._value_, None
     except PropertyViolation as exc:
         return "-", f"{_name(instance, transition)}: {exc}"
     except WatchdogTimeout as exc:

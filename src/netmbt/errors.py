@@ -25,12 +25,14 @@ class ErrorKind(enum.Enum):
 
 
 class AdapterError(Exception):
-    """A channel/selector operation failed with a classified ErrorKind."""
+    """A classified channel/selector failure; only ``str()`` formats its text."""
 
     def __init__(self, kind: ErrorKind, detail: str = ""):
         self.kind = kind
         self.detail = detail
-        super().__init__(f"{kind.value}: {detail}" if detail else kind.value)
+
+    def __str__(self) -> str:
+        return f"{self.kind._value_}: {self.detail}" if self.detail else self.kind._value_
 
 
 class PropertyViolation(Exception):

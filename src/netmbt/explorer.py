@@ -258,7 +258,7 @@ class _TestRun:
     pool's test clock.  No instance refers to it: a test forms no cycle."""
 
     __slots__ = ("net", "ledger", "p_close", "rng", "pool", "ports",
-                 "instances", "records", "fired", "_last_id")
+                 "instances", "records", "_last_id")
 
     def __init__(self, net, pool: PortPool, rng: SeededRng, p_close: float):
         self.net = net
@@ -269,7 +269,6 @@ class _TestRun:
         self.ports: list[int] = []
         self.instances: list[ModelInstance] = []
         self.records: list[StepRecord] = []
-        self.fired = 0
         self._last_id = 0
 
     def acquire_port(self) -> int:
@@ -294,55 +293,54 @@ class _TestRun:
         return inst
 
 
-def _group(inst: ModelInstance) -> tuple[tuple, tuple[float, ...]]:
+def _group(inst: ModelInstance) -> tuple[Iterable, tuple[float, ...]]:
     """An instance's (instance, transition) pairs and their weights; a dead
     instance has none and is not enumerated."""
     weights = inst.spec.weights[inst.current]
     # A module global, so a wrapper on explorer.enabled_transitions sees
     # every enumeration; its result is spec.outgoing[state], in that order.
-    return (tuple(zip(repeat(inst), enabled_transitions(inst))), weights) if weights else ((), ())
+    return (zip(repeat(inst), enabled_transitions(inst)) if weights else (), weights)
 
 
 class EnabledTable:
     """The enabled (instance, transition) pairs of a test, ready for picking.
 
-    ``groups`` holds every instance's pairs and weights, in the given order
-    (none when it is dead), and ``starts`` the index of each group's first
-    pair; ``pairs`` flattens the groups in that order and ``accs`` holds
-    their running weight sums from one left-to-right float accumulation.
+    ``pairs`` lists every instance's pairs in the given order (none when it
+    is dead), ``weights`` their weights and ``accs`` their running sums from
+    one left-to-right float accumulation; ``sizes`` holds each instance's pair count.
     """
 
-    __slots__ = ("groups", "starts", "pairs", "accs")
+    __slots__ = ("pairs", "weights", "accs", "sizes")
 
     def __init__(self, instances: Iterable[ModelInstance]):
-        self.groups = [_group(inst) for inst in instances]
-        self.starts, self.pairs, self.accs = [], [], []
-        self._accumulate(0)
+        self.pairs, self.weights, self.sizes = [], [], []
+        self._append(instances)
+        self.accs = list(accumulate(self.weights))
 
     def refresh(self, instances: list[ModelInstance], fired: ModelInstance) -> None:
-        """Re-enumerate ``fired`` and the instances appended to ``instances``
-        since the last enumeration; every other instance kept its state."""
-        groups = self.groups
+        """Re-enumerate ``fired`` and the instances appended since the last
+        enumeration; the others kept their state.  The sums before ``fired``'s
+        pairs are kept, and the rest continue from the last kept one."""
+        sizes, weights, accs = self.sizes, self.weights, self.accs
         k = instances.index(fired)
-        groups[k] = _group(fired)
-        groups.extend(map(_group, instances[len(groups):]))
-        self._accumulate(k)
-
-    def _accumulate(self, k: int) -> None:
-        """Rebuild pairs and sums from group ``k`` on.  The new sums continue
-        from the last kept one, in the order a full accumulation adds them."""
-        starts, pairs, accs = self.starts, self.pairs, self.accs
-        start = starts[k] if starts else 0
-        del starts[k:], pairs[start:]
-        weights: list[float] = []
-        for group_pairs, group_weights in self.groups[k:]:
-            starts.append(len(pairs))
-            pairs += group_pairs
-            weights += group_weights
+        start = sum(sizes[:k])
+        end = start + sizes[k]
+        group_pairs, group_weights = _group(fired)
+        self.pairs[start:end] = group_pairs
+        weights[start:end] = group_weights
+        sizes[k] = len(group_weights)
+        if len(instances) > len(sizes):
+            self._append(instances[len(sizes):])
         if start:
-            accs[start - 1:] = accumulate(weights, initial=accs[start - 1])
+            accs[start - 1:] = accumulate(weights[start:], initial=accs[start - 1])
         else:
             accs[:] = accumulate(weights)
+
+    def _append(self, instances: Iterable[ModelInstance]) -> None:
+        for group_pairs, group_weights in map(_group, instances):
+            self.pairs += group_pairs
+            self.weights += group_weights
+            self.sizes.append(len(group_weights))
 
 
 def pick_next(
@@ -379,7 +377,7 @@ def run_single_test(
     run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     instances, records, rng = run.instances, run.records, run.rng
     append, advance, new = records.append, backend.advance, tuple.__new__
-    verdict, message = "PASS", ""
+    verdict, message, fired = "PASS", "", 0
     try:
         run.launch(root_spec, {})
         table = EnabledTable(instances)
@@ -390,7 +388,7 @@ def run_single_test(
             inst, transition = pick
             state, launched = inst.current, len(instances)
             outcome, violation = fire_transition(inst, transition, run)
-            run.fired += 1
+            fired += 1
             append(new(StepRecord, (len(records), inst.id, inst.spec.name,
                                     transition.label, outcome, inst.current)))
             if inst.current != state or len(instances) != launched:
@@ -414,8 +412,8 @@ def run_single_test(
         backend.force_close_all()
     trace = Trace(test_seed, test_index, config.backend, records, verdict, message)
     if not backend.is_sim:
-        return TestResult(trace, run.ledger, run.fired)
-    return TestResult(trace, run.ledger, run.fired, list(backend.fault_events), backend.flow_stats())
+        return TestResult(trace, run.ledger, fired)
+    return TestResult(trace, run.ledger, fired, list(backend.fault_events), backend.flow_stats())
 
 
 # ---------------------------------------------------------------------------

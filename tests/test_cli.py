@@ -294,3 +294,31 @@ class TestLeanStartUp:
         assert again.returncode == 0, again.stderr
         assert again.stdout.splitlines()[0] == seed_line
         assert (tmp_path / "again.trace").read_bytes() == (tmp_path / "first.trace").read_bytes()
+
+
+def _dev_cli(*argv, cwd):
+    """``python -X dev -W error::ResourceWarning -m netmbt *argv``: a socket
+    or file left for the collector to close is an error printed on stderr."""
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "netmbt", *argv],
+        capture_output=True, text=True, cwd=cwd, env=child_env(),
+    )
+
+
+class TestResourceHygiene:
+    """A run and a replay close every socket and file they open."""
+
+    RUN = ("run", "--model", "server-main", "--seed", "5", "--tests", "20")
+
+    def test_sim_run_and_its_replay_leave_nothing_open(self, tmp_path):
+        run = _dev_cli(*self.RUN, "--trace-out", "t.trace", cwd=tmp_path)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "result: 20 passed, 0 failed" in run.stdout
+        replayed = _dev_cli("replay", "--replay", "t.trace", cwd=tmp_path)
+        assert (replayed.returncode, replayed.stderr) == (0, "")
+        assert replayed.stdout.count("MATCH verdict=PASS") == 20
+
+    def test_real_run_leaves_nothing_open(self, tmp_path):
+        run = _dev_cli(*self.RUN, "--backend", "real", cwd=tmp_path)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "result: 20 passed, 0 failed" in run.stdout

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,43 @@ def reference_pick(instances, rng):
         if point < acc:
             return pair
     return pairs[-1]
+
+
+class ReferenceEnabledTable:
+    """The enabled table before it was flattened: one (pairs, weights) group
+    per instance, each group's first index in ``starts``, and sums rebuilt
+    from the fired instance's group on."""
+
+    def __init__(self, instances):
+        self.groups = [self._group(inst) for inst in instances]
+        self.starts, self.pairs, self.accs = [], [], []
+        self._accumulate(0)
+
+    @staticmethod
+    def _group(inst):
+        weights = inst.spec.weights[inst.current]
+        return (tuple(zip(repeat(inst), enabled_transitions(inst))), weights) if weights else ((), ())
+
+    def refresh(self, instances, fired):
+        groups = self.groups
+        k = instances.index(fired)
+        groups[k] = self._group(fired)
+        groups.extend(map(self._group, instances[len(groups):]))
+        self._accumulate(k)
+
+    def _accumulate(self, k):
+        starts, pairs, accs = self.starts, self.pairs, self.accs
+        start = starts[k] if starts else 0
+        del starts[k:], pairs[start:]
+        weights = []
+        for group_pairs, group_weights in self.groups[k:]:
+            starts.append(len(pairs))
+            pairs += group_pairs
+            weights += group_weights
+        if start:
+            accs[start - 1:] = accumulate(weights, initial=accs[start - 1])
+        else:
+            accs[:] = accumulate(weights)
 
 
 class FixedRng:
@@ -164,7 +202,7 @@ class TestIncrementalRefresh:
             table.refresh(instances, fired)
             fresh = EnabledTable(instances)
             assert table.pairs == fresh.pairs
-            assert table.starts == fresh.starts
+            assert table.sizes == fresh.sizes
             assert _hex(table.accs) == _hex(fresh.accs)
             # ... and both equal one running sum from 0.0, pair by pair.
             acc, expected = 0.0, []
@@ -172,6 +210,40 @@ class TestIncrementalRefresh:
                 acc += t.weight
                 expected.append(acc)
             assert _hex(table.accs) == _hex(expected)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flat_table_equals_the_grouped_reference(self, data):
+        """Random launches and state changes, dead states and moves between
+        states with different pair counts included: after every refresh the
+        flat table holds the very pairs of the grouped reference table, and
+        sums equal to the last bit."""
+        specs = [data.draw(models(f"m{k}")) for k in range(3)]
+
+        def launch():
+            instances.append(ModelInstance(len(instances) + 1,
+                                           data.draw(st.sampled_from(specs)), {}))
+
+        def assert_same(table, ref):
+            assert len(table.pairs) == len(ref.pairs)
+            for (inst, t), (ref_inst, ref_t) in zip(table.pairs, ref.pairs):
+                assert inst is ref_inst and t is ref_t
+            assert _hex(table.accs) == _hex(ref.accs)
+            assert table.sizes == [len(g) for g, _ in ref.groups]
+
+        instances: list[ModelInstance] = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            launch()
+        table, ref = EnabledTable(instances), ReferenceEnabledTable(instances)
+        assert_same(table, ref)
+        for _ in range(data.draw(st.integers(1, 16))):
+            fired = data.draw(st.sampled_from(instances))
+            fired.current = data.draw(st.sampled_from(fired.spec.states))
+            for _ in range(data.draw(st.integers(0, 2))):
+                launch()
+            table.refresh(instances, fired)
+            ref.refresh(instances, fired)
+            assert_same(table, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +309,14 @@ class TestTableInvalidation:
         instances.append(ModelInstance(4, spec, {}))
         table.refresh(instances, instances[1])
         assert calls == ["m", "m"]
-        assert table.starts == [0, 1, 2, 3]
+        assert table.sizes == [1, 1, 1, 1]
         assert [(inst.id, t.label) for inst, t in table.pairs] == [
             (1, "go"), (2, "stay"), (3, "go"), (4, "go")]
         # A dead instance is not enumerated and has no pairs.
         instances[0].current = "dead"
         table.refresh(instances, instances[0])
         assert calls == ["m", "m"]
-        assert table.starts == [0, 0, 1, 2]
+        assert table.sizes == [0, 1, 1, 1]
         assert [inst.id for inst, _ in table.pairs] == [2, 3, 4]
 
     def test_bundled_models_reuse_the_table_on_most_steps(self, monkeypatch):
