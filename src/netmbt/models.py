@@ -35,12 +35,19 @@ class SideRecord:
     """One side's traffic on one connection, as the oracle accounts it."""
 
     __slots__ = ("wrote", "read", "output_shut", "saw_eof")
+    __hash__ = None  # mutable: equal by value, so unhashable
 
     def __init__(self):
         self.wrote = 0
         self.read = 0
         self.output_shut = False
         self.saw_eof = False
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.wrote, self.read, self.output_shut, self.saw_eof) == (
+            other.wrote, other.read, other.output_shut, other.saw_eof)
 
 
 _PEER_ROLE = {"client": "server", "server": "client"}
@@ -56,9 +63,15 @@ class OracleLedger:
     """
 
     __slots__ = ("entries",)
+    __hash__ = None  # mutable: equal by value, so unhashable
 
     def __init__(self):
         self.entries: dict[int, dict[str, SideRecord]] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     def _entry(self, conn: ConnChannel) -> dict[str, SideRecord]:
         entry = self.entries.get(conn.connection_id)

@@ -4,20 +4,25 @@ Rapid connection-heavy suites exhaust ephemeral ports; leasing listen ports
 from a fixed range and parking released ports in a short cooldown keeps the
 footprint bounded and deterministic.  Cooldown is measured in tests, not
 wall-clock time.
+
+Recycling is least recently released first, so a suite spreads its leases
+over the whole range instead of alternating between its lowest ports: on
+real sockets each lease of a port leaves closed connections to it in
+TIME_WAIT, and a port with many of them binds and listens more slowly.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 
 from .errors import PoolExhaustedError
 
 
 class PortPool:
-    """Ports never leased are handed out by a counter over [lo, hi];
-    released ports come back, after their cooldown, through a heap.  Every
-    recycled port was leased, so it lies below the counter, and acquire()
-    always takes the lowest free port."""
+    """Ports never leased are handed out first, by a counter over [lo, hi];
+    after that acquire() takes the free port released longest ago.  Released
+    ports wait out their cooldown in ``_cooldown`` (in release order, so in
+    the order they come due) and then queue in ``_recycled``."""
 
     def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
         if not (0 < lo <= hi <= 65535):
@@ -26,18 +31,18 @@ class PortPool:
         self.hi = hi
         self.cooldown_tests = cooldown_tests
         self._next = lo  # the lowest port never leased
-        self._recycled: list[int] = []  # heap of free ports below _next
+        self._recycled: deque[int] = deque()  # free ports below _next, oldest release first
         self._leased: set[int] = set()
         self._cooldown: dict[int, int] = {}  # port -> test index when usable again
         self._test_index = 0
 
     def acquire(self) -> int:
         self._expire()
-        if self._recycled:
-            port = heapq.heappop(self._recycled)
-        elif self._next <= self.hi:
+        if self._next <= self.hi:
             port = self._next
             self._next += 1
+        elif self._recycled:
+            port = self._recycled.popleft()
         else:
             raise PoolExhaustedError(
                 f"no free listen port in [{self.lo}, {self.hi}]; "
@@ -61,7 +66,7 @@ class PortPool:
         due = [p for p, when in self._cooldown.items() if when <= self._test_index]
         for port in due:
             del self._cooldown[port]
-            heapq.heappush(self._recycled, port)
+            self._recycled.append(port)
 
     # introspection, used by invariant tests
     @property

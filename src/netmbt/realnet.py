@@ -9,6 +9,13 @@ else about the legality table is enforced by the shared adapter base, so
 misuse never reaches a raw socket in an ambiguous state.  shutdownInput is
 a local adapter-level effect only (no SHUT_RD syscall), which keeps close
 semantics deterministic across platforms.
+
+The model's own closes are graceful (FIN), as the API under test makes
+them.  A connection still open when its test ends is reset instead: the
+end-of-test cleanup sets SO_LINGER to (on, 0 s) before it closes, so the
+kernel sends one RST and keeps no TIME_WAIT socket for the 4-tuple.
+Without it each such connection would hold a TIME_WAIT socket on the
+listen port for 60 s, and a port with many of them binds more slowly.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import errno
 import select
 import socket
+import struct
 import time
 
 from .adapter import (
@@ -33,6 +41,8 @@ from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
 
 _HOST = "127.0.0.1"
 _RESET_ERRNOS = {errno.EPIPE, errno.ECONNRESET, errno.ECONNABORTED, errno.ENOTCONN}
+# struct linger {l_onoff = 1, l_linger = 0}: close() resets the connection
+_ABORT_LINGER = struct.pack("ii", 1, 0)
 
 
 def _peer_closed(exc: OSError) -> AdapterError:
@@ -98,7 +108,7 @@ class RealBackend(NetworkBackend):
             server.sock.listen(128)
         except OSError as exc:
             raise BackendError(f"cannot bind/listen on port {port}: {exc}") from exc
-        return server.sock.getsockname()[1]
+        return port or server.sock.getsockname()[1]
 
     def _do_close_server(self, server: RealServer) -> None:
         server.sock.close()
@@ -205,8 +215,13 @@ class RealBackend(NetworkBackend):
         return ready
 
     def _force_close_conn(self, conn: RealConn) -> None:
+        sock = conn.sock
         try:
-            conn.sock.close()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _ABORT_LINGER)
+        except OSError:
+            pass
+        try:
+            sock.close()
         except OSError:
             pass
 

@@ -51,4 +51,8 @@ def test_a_failing_sim_result_survives_pickling():
     assert result.diagnostics and result.flow_stats and result.ledger.entries
     copy = pickle.loads(pickle.dumps(result))
     assert _value(copy) == _value(result)
+    assert copy == result
     assert copy.trace == result.trace and not copy.passed
+    side = next(iter(copy.ledger.entries.values()))["client"]
+    side.read += 1  # the ledger compares by value, field by field
+    assert copy.ledger != result.ledger and copy != result

@@ -1,8 +1,9 @@
-"""Port pool: lowest-free leasing, cooldown recycling, exhaustion."""
+"""Port pool: least-recently-released leasing, cooldown recycling,
+exhaustion."""
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,15 +35,17 @@ class TestLeasing:
         pool.next_test()
         assert pool.acquire() == port  # same port recycled
 
-    def test_lowest_free_first(self):
-        pool = PortPool(20000, 20010)
-        a = pool.acquire()
-        b = pool.acquire()
+    def test_least_recently_released_first(self):
+        pool = PortPool(20000, 20003, cooldown_tests=0)
+        a, b = pool.acquire(), pool.acquire()
+        pool.release(b)
         pool.release(a)
-        pool.next_test()
-        pool.next_test()
-        assert pool.acquire() == a  # back to the lowest
-        assert b == 20001
+        # ports never leased come first, lowest first, then the oldest release
+        assert [pool.acquire() for _ in range(4)] == [20002, 20003, b, a]
+        pool.release(a)
+        pool.release(20002)
+        pool.release(b)
+        assert [pool.acquire() for _ in range(3)] == [a, 20002, b]
 
     def test_no_double_lease_without_release_and_cooldown(self):
         pool = PortPool(20000, 20005)
@@ -60,6 +63,17 @@ class TestLeasing:
             pool.release(port)
             pool.next_test()
             assert len(pool.leased) == 0
+
+    def test_churn_leases_every_port_alike(self):
+        # a lowest-free pool would lease 2 of the 10 ports, 5,000 times each
+        pool = PortPool(20000, 20009, cooldown_tests=2)
+        leases = Counter()
+        for _ in range(10_000):
+            port = pool.acquire()
+            leases[port] += 1
+            pool.release(port)
+            pool.next_test()
+        assert leases == {port: 1000 for port in range(20000, 20010)}
 
 
 class TestPartitionInvariant:
@@ -87,23 +101,25 @@ class TestPartitionInvariant:
 
 
 class ReferencePortPool:
-    """The pool before the lease counter: a heap and a set of every free
-    port, built over the whole range up front."""
+    """The pool before the lease counter: a set of every free port, built
+    over the whole range up front.  acquire() picks the lowest port never
+    leased, and when every port has been leased, the free port whose
+    release came first."""
 
     def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
         self.lo, self.hi, self.cooldown_tests = lo, hi, cooldown_tests
-        self._free = list(range(lo, hi + 1))
-        heapq.heapify(self._free)
-        self._free_set = set(self._free)
+        self._free_set = set(range(lo, hi + 1))
+        self._released: dict[int, int] = {}  # port -> sequence number of its last release
+        self._releases = 0
         self._leased: set[int] = set()
         self._cooldown: dict[int, int] = {}
         self._test_index = 0
 
     def acquire(self) -> int:
         self._expire()
-        if not self._free:
+        if not self._free_set:
             raise PoolExhaustedError("exhausted")
-        port = heapq.heappop(self._free)
+        port = min(self._free_set, key=lambda p: (p in self._released, self._released.get(p, p)))
         self._free_set.remove(port)
         self._leased.add(port)
         return port
@@ -113,6 +129,8 @@ class ReferencePortPool:
             raise ValueError(f"port {port} is not leased")
         self._leased.remove(port)
         self._cooldown[port] = self._test_index + self.cooldown_tests
+        self._released[port] = self._releases
+        self._releases += 1
 
     def next_test(self) -> None:
         self._test_index += 1
@@ -122,7 +140,6 @@ class ReferencePortPool:
         due = [p for p, when in self._cooldown.items() if when <= self._test_index]
         for port in due:
             del self._cooldown[port]
-            heapq.heappush(self._free, port)
             self._free_set.add(port)
 
 
@@ -137,7 +154,7 @@ class TestAgainstReference:
     @given(size=st.integers(1, 9), cooldown=st.integers(0, 3),
            ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)), max_size=120))
     @settings(max_examples=300, deadline=None)
-    def test_same_ports_sets_and_exhaustion_as_the_full_heap_pool(self, size, cooldown, ops):
+    def test_same_ports_sets_and_exhaustion_as_the_full_set_pool(self, size, cooldown, ops):
         lo = 40000
         pool = PortPool(lo, lo + size - 1, cooldown_tests=cooldown)
         ref = ReferencePortPool(lo, lo + size - 1, cooldown_tests=cooldown)
