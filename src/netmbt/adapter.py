@@ -13,21 +13,14 @@ into a Fail("watchdog ...") verdict.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import NamedTuple
 
 from .errors import AdapterError, ErrorKind
 
 
-class Interest(enum.IntFlag):
-    ACCEPT = 1
-    READ = 2
-    WRITE = 4
-
-
-# The same bits as plain ints.  Selector keys hold their interest and ready
-# sets as ints, so readiness arithmetic on the hot path skips enum calls.
+# Selector interest bits.  Keys hold their interest and ready sets as plain
+# int masks, so readiness arithmetic on the hot path makes no enum calls.
 ACCEPT, READ, WRITE = 1, 2, 4
 
 
@@ -210,12 +203,11 @@ class NetworkBackend:
     def open_selector(self) -> Selector:
         return Selector()
 
-    def register(self, selector: Selector, channel, interest: Interest | int) -> SelectorKey:
+    def register(self, selector: Selector, channel, interest: int) -> SelectorKey:
         if channel.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "register of a closed channel")
         if channel.blocking:
             raise AdapterError(ErrorKind.ILLEGAL_BLOCKING_MODE, "register of a blocking channel")
-        interest = int(interest)  # an Interest flag's operators run in Python
         if isinstance(channel, ServerChannel):
             if interest & ~ACCEPT:
                 raise ValueError("server channels support only ACCEPT interest")
@@ -264,7 +256,7 @@ class NetworkBackend:
         """One logical time step; a no-op for the real backend."""
 
     def settle(self) -> None:
-        """Let in-flight effects land (used by the conformance script)."""
+        """Let in-flight effects land; the backend contract tests call it."""
 
     def force_close_all(self) -> None:
         """End-of-test cleanup: close every channel opened during the test

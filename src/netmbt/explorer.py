@@ -38,7 +38,8 @@ from .simnet import FaultSpec, LatencyModel, SimBackend
 
 _U64 = 1 << 64
 INIT_LABEL = "<init>"
-TRACE_HEADER = "netmbt-trace v1"
+TRACE_MAGIC, TRACE_VERSION = "netmbt-trace ", "v1"
+TRACE_HEADER = TRACE_MAGIC + TRACE_VERSION
 
 
 class _Record:
@@ -193,7 +194,10 @@ def parse_traces(text: str) -> list[Trace]:
                 continue
             if not line.strip():
                 continue
-            if line.startswith(TRACE_HEADER):
+            if line.startswith(TRACE_MAGIC):
+                version = line.split(" ", 2)[1]
+                if version != TRACE_VERSION:
+                    raise ValueError(f"unsupported trace version {version!r}")
                 if current is not None:
                     raise ValueError("trace header before the previous trace's verdict")
                 fields = dict(part.partition("=")[::2] for part in line.split()[2:])

@@ -5,9 +5,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netmbt
 from conftest import child_env, run_cli
 from netmbt.cli import main
 from netmbt.models import MODEL_REGISTRY
@@ -157,6 +159,9 @@ class TestReplayCommand:
         "netmbt-trace v1 seed=-1 test=0 backend=sim\nverdict PASS\n",
         "netmbt-trace v1 seed=1 test=-1 backend=sim\nverdict PASS\n",
         "netmbt-trace v1 seed=1 test=0 backend=bogus\nverdict PASS\n",
+        # the version is exactly v1, not a prefix of the header
+        "netmbt-trace v10 seed=1 test=0 backend=sim\nverdict PASS\n",
+        "netmbt-trace v2 seed=1 test=0 backend=sim\nverdict PASS\n",
     ])
     def test_malformed_file_exits_two_with_one_line(self, tmp_path, text):
         path = tmp_path / "bad.trace"
@@ -274,6 +279,19 @@ class TestLeanStartUp:
             "code = main(['run', '--model', 'server-main', '--seed', '3', '--tests', '20']); "
             "print(code, 'netmbt.realnet' in sys.modules, 'socket' in sys.modules)")
         assert out.splitlines()[-1] == "0 False False"
+
+    def test_real_run_loads_every_package_module(self):
+        # A module no run reaches (only tests import it) belongs under tests/.
+        # __main__ is left out: ``python -m netmbt`` runs it as __main__.
+        out = run_python(
+            "import sys; from netmbt.cli import main; "
+            "code = main(['run', '--model', 'minimalist', '--backend', 'real', "
+            "'--seed', '5', '--tests', '1']); "
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'netmbt'))")
+        package = Path(netmbt.__file__).parent
+        expected = {f"netmbt.{f.stem}" for f in package.glob("*.py")} - {
+            "netmbt.__init__", "netmbt.__main__"}
+        assert out.splitlines()[-1].split() == ["0", "netmbt", *sorted(expected)]
 
     def test_real_run_still_passes(self, tmp_path):
         proc = run_cli("run", "--model", "minimalist", "--backend", "real", "--seed", "5",

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from netmbt.adapter import Interest
+from netmbt.adapter import ACCEPT, READ, WRITE
 from netmbt.errors import AdapterError, ErrorKind
 from netmbt.explorer import SuiteConfig, port_pool, run_single_test, serialize_trace
 from netmbt.models import MODEL_REGISTRY
@@ -92,14 +92,14 @@ class TestLatency:
         net = SimBackend(SeededRng(0), LatencyModel(choices=(2,), split=False))
         _, cli, sc = session(net)
         sel = net.open_selector()
-        key = net.register(sel, sc, Interest.READ)
+        key = net.register(sel, sc, READ)
         net.write(cli, b"soon")
         net.select_now(sel)
-        assert not key.ready & Interest.READ
+        assert not key.ready & READ
         net.advance()
         net.advance()
         net.select_now(sel)
-        assert key.ready & Interest.READ
+        assert key.ready & READ
 
     def test_connect_latency_delays_acceptability(self):
         # With latency pinned to 2 the queued connection is not acceptable
@@ -109,7 +109,7 @@ class TestLatency:
         port = net.bind(srv, 0)
         net.configure_blocking(srv, False)
         sel = net.open_selector()
-        key = net.register(sel, srv, Interest.ACCEPT)
+        key = net.register(sel, srv, ACCEPT)
         net.connect(port)
         assert net.accept(srv) is None
         assert key not in net.select_now(sel)
@@ -172,13 +172,13 @@ class TestDeterminism:
             net = SimBackend(SeededRng(4242), LatencyModel.default())
             srv, cli, sc = session(net)
             sel = net.open_selector()
-            key = net.register(sel, sc, Interest.READ | Interest.WRITE)
+            key = net.register(sel, sc, READ | WRITE)
             log = []
             for i in range(40):
                 net.write(cli, bytes([i % 251]) * ((i % 7) + 1))
                 net.advance()
                 ready = net.select_now(sel)
-                log.append((key in ready, int(key.ready)))
+                log.append((key in ready, key.ready))
                 log.append(net.read(sc, 8).data)
             return log
 
@@ -212,9 +212,9 @@ class TestFaults:
                          FaultSpec(FaultKind.PHANTOM_READINESS, trigger_step=0))
         _, cli, sc = session(net)
         sel = net.open_selector()
-        key = net.register(sel, sc, Interest.READ)
+        key = net.register(sel, sc, READ)
         ready = net.select_now(sel)
-        assert key in ready and key.ready & Interest.READ
+        assert key in ready and key.ready & READ
         assert net.read(sc, 16).count == 0  # the lie the oracle catches
         # one-shot: the next select is honest again
         assert key not in net.select_now(sel)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from netmbt.errors import ConfigError
 from netmbt.explorer import (
     TRACE_HEADER,
+    TRACE_MAGIC,
+    TRACE_VERSION,
     StepRecord,
     SuiteConfig,
     Trace,
@@ -38,7 +40,10 @@ def reference_parse_traces(text: str) -> list[Trace]:
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            if line.startswith(TRACE_HEADER):
+            if line.startswith(TRACE_MAGIC):
+                version = line.split(" ", 2)[1]
+                if version != TRACE_VERSION:
+                    raise ValueError(f"unsupported trace version {version!r}")
                 if current is not None:
                     raise ValueError("trace header before the previous trace's verdict")
                 fields = dict(part.partition("=")[::2] for part in line.split()[2:])
@@ -198,6 +203,12 @@ class TestCompactParse:
             assert got[1][0].backend == "real"
         else:
             assert got == ("error", error)
+
+    @pytest.mark.parametrize("version", ["v10", "v2", "V1", ""])
+    def test_header_version_is_exactly_v1(self, version):
+        text = f"netmbt-trace {version} seed=1 test=0 backend=sim\nverdict PASS\n"
+        assert (_parse(parse_traces, text) == _parse(reference_parse_traces, text)
+                == ("error", f"line 1: unsupported trace version {version!r}"))
 
     def test_non_canonical_integers_give_canonical_records(self):
         header = "netmbt-trace v1 seed=1 test=0 backend=sim"
