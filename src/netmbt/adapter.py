@@ -9,6 +9,11 @@ only the transport.
 Blocking operations honor a per-call watchdog budget: instead of hanging, a
 call that cannot complete raises WatchdogTimeout, which the explorer turns
 into a Fail("watchdog ...") verdict.
+
+References point one way (backend -> channels, selector -> keys -> channel),
+so a test's objects are freed by reference counting.  A channel only counts
+its keys (``registered``).  A key is live while it is not cancelled
+(deregistered) and its channel is open.
 """
 
 from __future__ import annotations
@@ -44,13 +49,13 @@ EOF = ReadResult(is_eof=True)
 class ServerChannel:
     """Listening endpoint handle.  state: open-unbound -> bound -> closed."""
 
-    __slots__ = ("blocking", "closed", "local_port", "keys")
+    __slots__ = ("blocking", "closed", "local_port", "registered")
 
     def __init__(self):
         self.blocking = True
         self.closed = False
         self.local_port: int | None = None  # set by bind; retained after close
-        self.keys: list[SelectorKey] = []
+        self.registered = 0  # keys not yet deregistered
 
 
 class ConnChannel:
@@ -61,7 +66,7 @@ class ConnChannel:
     """
 
     __slots__ = ("blocking", "closed", "input_shut", "output_shut", "role",
-                 "connection_id", "keys")
+                 "connection_id", "registered")
 
     def __init__(self, role: str, connection_id: int):
         self.blocking = True
@@ -70,7 +75,7 @@ class ConnChannel:
         self.output_shut = False
         self.role = role
         self.connection_id = connection_id
-        self.keys: list[SelectorKey] = []
+        self.registered = 0  # keys not yet deregistered
 
 
 class SelectorKey:
@@ -80,7 +85,7 @@ class SelectorKey:
         self.channel = channel
         self.interest = interest  # int mask of ACCEPT/READ/WRITE
         self.ready = 0
-        self.cancelled = False
+        self.cancelled = False  # deregistered
 
 
 class Selector:
@@ -127,7 +132,6 @@ class NetworkBackend:
             return  # idempotent
         self._do_close_server(server)
         server.closed = True
-        self._cancel_keys(server)
 
     def accept(self, server: ServerChannel) -> ConnChannel | None:
         if server.closed:
@@ -141,15 +145,15 @@ class NetworkBackend:
 
     # -- connections -------------------------------------------------------
 
-    def connect(self, port: int, host: str = "127.0.0.1") -> ConnChannel:
-        conn = self._do_connect(host, port)
+    def connect(self, port: int) -> ConnChannel:
+        conn = self._do_connect(port)
         self._opened_conns.append(conn)
         return conn
 
     def configure_blocking(self, channel, blocking: bool) -> None:
         if channel.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "configureBlocking on closed channel")
-        if blocking and any(not k.cancelled for k in channel.keys):
+        if blocking and channel.registered:
             raise AdapterError(
                 ErrorKind.ILLEGAL_BLOCKING_MODE,
                 "registered channels cannot switch to blocking mode",
@@ -196,7 +200,6 @@ class NetworkBackend:
         conn.closed = True
         conn.input_shut = True
         conn.output_shut = True
-        self._cancel_keys(conn)
 
     # -- selectors -----------------------------------------------------------
 
@@ -218,11 +221,13 @@ class NetworkBackend:
             raise ValueError("empty interest set")
         key = SelectorKey(channel, interest)
         selector.keys.append(key)
-        channel.keys.append(key)
+        channel.registered += 1
         return key
 
     def deregister(self, selector: Selector, key: SelectorKey) -> None:
-        key.cancelled = True
+        if not key.cancelled:
+            key.cancelled = True
+            key.channel.registered -= 1
         if key in selector.keys:
             selector.keys.remove(key)
 
@@ -231,7 +236,7 @@ class NetworkBackend:
 
         Readiness is computed through adapter semantics: a channel whose own
         input is shut is never READ-ready, one whose output is shut is never
-        WRITE-ready, and cancelled keys vanish from the result.
+        WRITE-ready, and keys that are not live vanish from the result.
         """
         ready_keys: set[SelectorKey] = set()
         for key in selector.keys:
@@ -270,10 +275,6 @@ class NetworkBackend:
                 self._force_close_server(server)
                 server.closed = True
 
-    def _cancel_keys(self, channel) -> None:
-        for key in channel.keys:
-            key.cancelled = True
-
     def _post_select(self, selector: Selector, ready_keys: set[SelectorKey]) -> None:
         """Hook for fault injection; default does nothing."""
 
@@ -291,7 +292,7 @@ class NetworkBackend:
     def _do_accept(self, server: ServerChannel, blocking: bool) -> ConnChannel | None:
         raise NotImplementedError
 
-    def _do_connect(self, host: str, port: int) -> ConnChannel:
+    def _do_connect(self, port: int) -> ConnChannel:
         raise NotImplementedError
 
     def _do_read(self, conn: ConnChannel, capacity: int, blocking: bool) -> ReadResult:

@@ -40,6 +40,7 @@ _U64 = 1 << 64
 INIT_LABEL = "<init>"
 TRACE_MAGIC, TRACE_VERSION = "netmbt-trace ", "v1"
 TRACE_HEADER = TRACE_MAGIC + TRACE_VERSION
+_HEADER_KEYS = ("seed", "test", "backend")  # each exactly once, nothing else
 
 
 class _Record:
@@ -200,7 +201,16 @@ def parse_traces(text: str) -> list[Trace]:
                     raise ValueError(f"unsupported trace version {version!r}")
                 if current is not None:
                     raise ValueError("trace header before the previous trace's verdict")
-                fields = dict(part.partition("=")[::2] for part in line.split()[2:])
+                fields: dict[str, str] = {}
+                for word in line.split()[2:]:
+                    key, eq, value = word.partition("=")
+                    if not eq:
+                        raise ValueError(f"header word {word!r} is not key=value")
+                    if key in fields:
+                        raise ValueError(f"repeated header field {key!r}")
+                    if key not in _HEADER_KEYS:
+                        raise ValueError(f"unknown header field {key!r}")
+                    fields[key] = value
                 current = Trace(int(fields["seed"]), int(fields["test"]), fields["backend"], [])
                 if not 0 <= current.test_seed < _U64:
                     raise ValueError(f"seed={current.test_seed} is not a 64-bit unsigned integer")

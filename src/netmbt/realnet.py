@@ -132,11 +132,11 @@ class RealBackend(NetworkBackend):
             conn_id = next(self._conn_ids)
         return RealConn("server", conn_id, raw)
 
-    def _do_connect(self, host: str, port: int) -> RealConn:
+    def _do_connect(self, port: int) -> RealConn:
         raw = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         raw.settimeout(self.watchdog_seconds)
         try:
-            raw.connect((host, port))
+            raw.connect((_HOST, port))
         except ConnectionRefusedError as exc:
             raw.close()
             raise AdapterError(ErrorKind.CONNECTION_REFUSED, str(exc)) from exc

@@ -15,6 +15,10 @@ Close semantics mirror loopback TCP deterministically:
 * abortive close (unread data at the closer): both directions are poisoned
   immediately; pending data is discarded and the peer's reads and writes
   fail with PeerClosedError - the reset pattern.
+
+The two ends share their flows and never refer to each other.  A close
+marks its outgoing flow ``writer_closed``, so the peer that closed first is
+read from the incoming flow, and only the first close has these effects.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ class SimFlow:
     backend's flows."""
 
     __slots__ = ("order", "cohorts", "delivered", "eof_signaled", "poisoned",
-                 "swallow_pending", "written", "read_count", "lost",
-                 "dropped", "duplicated")
+                 "swallow_pending", "writer_closed", "written", "read_count",
+                 "lost", "dropped", "duplicated")
 
     def __init__(self, order: int):
         self.order = order
@@ -92,6 +96,7 @@ class SimFlow:
         self.eof_signaled = False
         self.poisoned = False
         self.swallow_pending = False
+        self.writer_closed = False  # the end that writes this flow has closed
         self.written = 0
         self.read_count = 0
         self.lost = 0          # bytes destroyed by closes (swallow/reset)
@@ -112,13 +117,12 @@ _ORDER = attrgetter("order")
 
 
 class SimConn(ConnChannel):
-    __slots__ = ("rx", "tx", "peer")
+    __slots__ = ("rx", "tx")
 
     def __init__(self, role: str, connection_id: int, rx: SimFlow, tx: SimFlow):
         super().__init__(role, connection_id)
         self.rx = rx
         self.tx = tx
-        self.peer: "SimConn | None" = None
 
 
 class SimServer(ServerChannel):
@@ -230,7 +234,7 @@ class SimBackend(NetworkBackend):
             return conn
         return None
 
-    def _do_connect(self, host: str, port: int) -> SimConn:
+    def _do_connect(self, port: int) -> SimConn:
         listener = self._listeners.get(port)
         if listener is None or listener.closed:
             raise AdapterError(ErrorKind.CONNECTION_REFUSED, f"no listener on port {port}")
@@ -240,8 +244,6 @@ class SimBackend(NetworkBackend):
         conn_id = next(self._conn_ids)
         client = SimConn("client", conn_id, rx=down, tx=up)
         server_side = SimConn("server", conn_id, rx=up, tx=down)
-        client.peer = server_side
-        server_side.peer = client
         delay = self.latency.draw(self.rng)
         listener.backlog.append((server_side, self.clock + delay))
         return client
@@ -296,22 +298,21 @@ class SimBackend(NetworkBackend):
         conn.tx.eof_signaled = True
 
     def _do_close_conn(self, conn: SimConn) -> None:
-        peer = conn.peer
-        if peer is None or peer.closed:
-            return
-        unread = len(conn.rx.delivered) + conn.rx.in_flight
-        if unread > 0:
-            self._poison_pair(conn.peer)
+        rx = conn.rx
+        conn.tx.writer_closed = True
+        if rx.writer_closed:
+            return  # the peer closed first
+        if rx.delivered or rx.cohorts:
+            self._poison_pair(conn)
         else:
             conn.tx.eof_signaled = True
-            conn.rx.swallow_pending = True
+            rx.swallow_pending = True
 
-    def _poison_pair(self, peer: SimConn) -> None:
-        """Reset as seen from ``peer``: both directions unusable, data lost."""
-        peer.rx.discard_pending()
-        peer.rx.poisoned = True
-        peer.tx.discard_pending()
-        peer.tx.poisoned = True
+    def _poison_pair(self, conn: SimConn) -> None:
+        """Reset ``conn``'s connection: both directions unusable, data lost."""
+        for flow in (conn.rx, conn.tx):
+            flow.discard_pending()
+            flow.poisoned = True
 
     def _raw_readiness(self, channel, interest: int) -> int:
         if isinstance(channel, SimServer):

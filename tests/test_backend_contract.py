@@ -369,6 +369,22 @@ class TestSelectors:
         net.close_conn(sc)
         assert key2.cancelled or key2 not in net.select_now(sel)
 
+    def test_blocking_mode_waits_for_every_key(self, net):
+        _, _, cli, sc = make_session(net)
+        net.configure_blocking(sc, False)
+        sel_a, sel_b = net.open_selector(), net.open_selector()
+        key_a = net.register(sel_a, sc, READ)
+        key_b = net.register(sel_b, sc, WRITE)
+        for _ in range(2):  # a second deregister of the same key counts once
+            net.deregister(sel_a, key_a)
+            with pytest.raises(AdapterError) as e:
+                net.configure_blocking(sc, True)  # key_b is still live
+            assert kind_of(e) is ErrorKind.ILLEGAL_BLOCKING_MODE
+        assert key_b in net.select_now(sel_b)
+        net.deregister(sel_b, key_b)
+        net.configure_blocking(sc, True)
+        assert sc.blocking
+
     def test_register_closed_channel(self, net):
         _, _, cli, sc = make_session(net)
         net.configure_blocking(sc, False)

@@ -162,6 +162,10 @@ class TestReplayCommand:
         # the version is exactly v1, not a prefix of the header
         "netmbt-trace v10 seed=1 test=0 backend=sim\nverdict PASS\n",
         "netmbt-trace v2 seed=1 test=0 backend=sim\nverdict PASS\n",
+        # each header field exactly once, and nothing else
+        "netmbt-trace v1 seed=1 test=0 backend=sim seed=2\nverdict PASS\n",
+        "netmbt-trace v1 seed=1 test=0 backend=sim junk=x\nverdict PASS\n",
+        "netmbt-trace v1 seed=1 test=0 backend=sim stray\nverdict PASS\n",
     ])
     def test_malformed_file_exits_two_with_one_line(self, tmp_path, text):
         path = tmp_path / "bad.trace"

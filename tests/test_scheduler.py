@@ -336,6 +336,9 @@ class TestTableInvalidation:
 
 
 def test_backends_die_with_their_test_without_the_cycle_collector(monkeypatch):
+    # Channels hold no keys and a connection's ends hold no link to each
+    # other, so reference counting alone frees every test: the collector,
+    # run after the tests, finds nothing.
     refs = []
     make = explorer._make_backend
 
@@ -345,16 +348,22 @@ def test_backends_die_with_their_test_without_the_cycle_collector(monkeypatch):
         return backend
 
     monkeypatch.setattr(explorer, "_make_backend", tracked)
-    config = SuiteConfig(seed=8)
-    pool = PortPool(20000, 29999)
+    runs = [(model, SuiteConfig(seed=8, backend=backend))
+            for model, backend in [("server-main", "sim"), ("minimalist", "sim"),
+                                   ("server-main", "real")]]
+    pools = [explorer.port_pool(config) for _, config in runs]
     was_enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
-        for i in range(20):
-            run_single_test(MODEL_REGISTRY["server-main"], config, derive_seed(8, i), i, pool)
+        for (model, config), pool in zip(runs, pools):
+            for i in range(20):
+                run_single_test(MODEL_REGISTRY[model], config, derive_seed(8, i), i, pool)
         alive = sum(ref() is not None for ref in refs)
+        unreachable = gc.collect()
     finally:
         if was_enabled:
             gc.enable()
-    assert len(refs) == 20
+    assert len(refs) == 60
     assert alive == 0
+    assert unreachable == 0

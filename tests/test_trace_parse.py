@@ -46,7 +46,16 @@ def reference_parse_traces(text: str) -> list[Trace]:
                     raise ValueError(f"unsupported trace version {version!r}")
                 if current is not None:
                     raise ValueError("trace header before the previous trace's verdict")
-                fields = dict(part.partition("=")[::2] for part in line.split()[2:])
+                fields = {}
+                for word in line.split()[2:]:
+                    if "=" not in word:
+                        raise ValueError(f"header word {word!r} is not key=value")
+                    key, value = word.split("=", 1)
+                    if key in fields:
+                        raise ValueError(f"repeated header field {key!r}")
+                    if key not in ("seed", "test", "backend"):
+                        raise ValueError(f"unknown header field {key!r}")
+                    fields[key] = value
                 current = Trace(
                     test_seed=int(fields["seed"]),
                     test_index=int(fields["test"]),
@@ -201,6 +210,25 @@ class TestCompactParse:
         assert got == _parse(reference_parse_traces, text)
         if error is None:
             assert got[1][0].backend == "real"
+        else:
+            assert got == ("error", error)
+
+    @pytest.mark.parametrize("header, error", [
+        ("seed=1 test=0 backend=sim seed=2", "line 1: repeated header field 'seed'"),
+        ("seed=1 test=0 test=3 backend=sim", "line 1: repeated header field 'test'"),
+        ("seed=1 test=0 backend=sim junk=x", "line 1: unknown header field 'junk'"),
+        ("seed=1 test=0 =0 backend=sim", "line 1: unknown header field ''"),
+        ("seed=1 test=0 backend=sim stray", "line 1: header word 'stray' is not key=value"),
+        # a word is checked as it is read, before the missing field
+        ("seed=1 test=0 backend", "line 1: header word 'backend' is not key=value"),
+        ("backend=sim test=0 seed=1", None),  # any order
+    ])
+    def test_header_names_each_field_once_and_nothing_else(self, header, error):
+        text = f"{TRACE_HEADER} {header}\nverdict PASS\n"
+        got = _parse(parse_traces, text)
+        assert got == _parse(reference_parse_traces, text)
+        if error is None:
+            assert (got[1][0].test_seed, got[1][0].test_index) == (1, 0)
         else:
             assert got == ("error", error)
 
