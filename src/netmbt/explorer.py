@@ -28,6 +28,7 @@ from .errors import (
     BackendError,
     ConfigError,
     DivergenceError,
+    PortInUseError,
     PropertyViolation,
     WatchdogTimeout,
 )
@@ -289,6 +290,19 @@ class _TestRun:
         port = self.pool.acquire()
         self.ports.append(port)
         return port
+
+    def bind_port(self, server) -> int:
+        """Bind ``server`` to a port leased from the pool and return it.  A
+        port that another process holds is retired from the pool and the
+        next one is tried, so only a range with no bindable port (the
+        pool's exhaustion error) ends the suite."""
+        while True:
+            port = self.acquire_port()
+            try:
+                return self.net.bind(server, port)
+            except PortInUseError:
+                self.ports.pop()
+                self.pool.retire(port)
 
     def release_ports(self) -> None:
         for port in self.ports:

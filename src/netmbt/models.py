@@ -298,10 +298,8 @@ def client_model() -> ModelSpec:
 
 
 def _bind_ctor(inst, env) -> None:
-    net = env.net
-    server = net.open_server()
-    port = env.acquire_port()
-    net.bind(server, port)
+    server = env.net.open_server()
+    port = env.bind_port(server)
     inst.vars.update(server=server, port=port, blocking=True)
 
 

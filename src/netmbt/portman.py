@@ -5,6 +5,9 @@ from a fixed range and parking released ports in a short cooldown keeps the
 footprint bounded and deterministic.  Cooldown is measured in tests, not
 wall-clock time.
 
+A port that another process holds is retired: it leaves the pool for the
+rest of the suite, and the next lease takes another port.
+
 Recycling is least recently released first, so a suite spreads its leases
 over the whole range instead of alternating between its lowest ports: on
 real sockets each lease of a port leaves closed connections to it in
@@ -34,6 +37,7 @@ class PortPool:
         self._recycled: deque[int] = deque()  # free ports below _next, oldest release first
         self._leased: set[int] = set()
         self._cooldown: dict[int, int] = {}  # port -> test index when usable again
+        self._retired: set[int] = set()  # held by another process; never leased again
         self._test_index = 0
 
     def acquire(self) -> int:
@@ -44,8 +48,9 @@ class PortPool:
         elif self._recycled:
             port = self._recycled.popleft()
         else:
+            busy = f" ({len(self._retired)} in use by another process)" if self._retired else ""
             raise PoolExhaustedError(
-                f"no free listen port in [{self.lo}, {self.hi}]; "
+                f"no free listen port in [{self.lo}, {self.hi}]{busy}; "
                 "widen --port-range or lower the test rate"
             )
         self._leased.add(port)
@@ -56,6 +61,13 @@ class PortPool:
             raise ValueError(f"port {port} is not leased")
         self._leased.remove(port)
         self._cooldown[port] = self._test_index + self.cooldown_tests
+
+    def retire(self, port: int) -> None:
+        """Take a leased port out of the pool for good: it could not be bound."""
+        if port not in self._leased:
+            raise ValueError(f"port {port} is not leased")
+        self._leased.remove(port)
+        self._retired.add(port)
 
     def next_test(self) -> None:
         """Advance the test counter; called once per finished test."""
@@ -80,3 +92,7 @@ class PortPool:
     @property
     def cooling(self) -> frozenset[int]:
         return frozenset(self._cooldown)
+
+    @property
+    def retired(self) -> frozenset[int]:
+        return frozenset(self._retired)

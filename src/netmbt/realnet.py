@@ -37,7 +37,7 @@ from .adapter import (
     ReadResult,
     ServerChannel,
 )
-from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
+from .errors import AdapterError, BackendError, ErrorKind, PortInUseError, WatchdogTimeout
 
 _HOST = "127.0.0.1"
 _RESET_ERRNOS = {errno.EPIPE, errno.ECONNRESET, errno.ECONNABORTED, errno.ENOTCONN}
@@ -47,6 +47,12 @@ _ABORT_LINGER = struct.pack("ii", 1, 0)
 
 def _peer_closed(exc: OSError) -> AdapterError:
     return AdapterError(ErrorKind.PEER_CLOSED, f"{exc.strerror or exc}")
+
+
+def _listen_socket() -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    return sock
 
 
 def _set_timeout(sock: socket.socket, timeout: float) -> None:
@@ -98,17 +104,23 @@ class RealBackend(NetworkBackend):
     # -- transport hooks -----------------------------------------------------
 
     def _do_open_server(self) -> RealServer:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        return RealServer(sock)
+        return RealServer(_listen_socket())
 
     def _do_bind(self, server: RealServer, port: int) -> int:
+        sock = server.sock
         try:
-            server.sock.bind((_HOST, port))
-            server.sock.listen(128)
+            sock.bind((_HOST, port))
+            sock.listen(128)
         except OSError as exc:
-            raise BackendError(f"cannot bind/listen on port {port}: {exc}") from exc
-        return port or server.sock.getsockname()[1]
+            if exc.errno != errno.EADDRINUSE or not port:
+                raise BackendError(f"cannot bind/listen on port {port}: {exc}") from exc
+            # The port is held elsewhere.  Where bind succeeded and listen
+            # failed, the socket keeps the port, so the channel gets a fresh
+            # socket: it stays unbound and can bind another port.
+            sock.close()
+            server.sock = _listen_socket()
+            raise PortInUseError(f"port {port} is in use: {exc}") from exc
+        return port or sock.getsockname()[1]
 
     def _do_close_server(self, server: RealServer) -> None:
         server.sock.close()

@@ -1,0 +1,104 @@
+"""A listen port that another process holds: the real backend reports it
+as in use, the suite's pool retires it and the test binds the next port.
+Only a range with no bindable port ends the suite, with exit 2 and one
+``error:`` line."""
+
+from __future__ import annotations
+
+import socket
+
+import pytest
+
+from conftest import run_cli
+from netmbt.errors import PortInUseError
+from netmbt.realnet import RealBackend
+
+_HOST = "127.0.0.1"
+
+
+def _listener(port: int) -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.bind((_HOST, port))
+        sock.listen(1)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
+@pytest.fixture
+def held_port():
+    """A port that another socket listens on for the whole test."""
+    for port in range(23100, 23400, 10):
+        try:
+            holder = _listener(port)
+        except OSError:
+            continue
+        with holder:
+            yield port
+        return
+    pytest.skip("no free port to hold in 23100-23399")
+
+
+def _run(port_range: str, *extra: str):
+    return run_cli("run", "--model", "server-main", "--backend", "real", "--seed", "7",
+                   "--tests", "20", "--port-range", port_range, *extra)
+
+
+def test_a_held_port_is_retired_and_the_suite_passes(held_port, tmp_path):
+    p = held_port
+    busy, free = tmp_path / "busy.trace", tmp_path / "free.trace"
+    proc = _run(f"{p}:{p + 4}", "--trace-out", str(busy))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "result: 20 passed, 0 failed" in proc.stdout
+    # No trace byte depends on which port a test got.
+    assert _run(f"{p + 5}:{p + 9}", "--trace-out", str(free)).returncode == 0
+    assert busy.read_bytes() == free.read_bytes()
+
+
+def test_a_range_with_no_bindable_port_exits_two_with_one_line(held_port):
+    p = held_port
+    proc = _run(f"{p}:{p}")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: no free listen port in [{p}, {p}] "
+                           "(1 in use by another process); "
+                           "widen --port-range or lower the test rate\n")
+
+
+class _BindThenRaceSocket(socket.socket):
+    """Binds, then lets ``rival`` (bound to the same port with SO_REUSEADDR)
+    listen first, so that this socket's listen() fails."""
+
+    rival: socket.socket
+
+    def bind(self, address):
+        super().bind(address)
+        self.rival.listen(1)
+
+
+def test_a_socket_that_bound_but_could_not_listen_is_replaced():
+    net = RealBackend(watchdog_seconds=2.0)
+    server = net.open_server()
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+        probe.bind((_HOST, 0))
+        port = probe.getsockname()[1]
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as rival:
+        rival.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        rival.bind((_HOST, port))
+        racing = _BindThenRaceSocket(socket.AF_INET, socket.SOCK_STREAM)
+        racing.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        racing.rival = rival
+        server.sock.close()
+        server.sock = racing
+        with pytest.raises(PortInUseError, match=f"port {port} is in use"):
+            net.bind(server, port)
+        # The socket that holds the port is closed and replaced, so the
+        # channel stays unbound and binds another port.
+        assert racing.fileno() == -1 and server.sock is not racing
+        assert server.local_port is None
+        assert net.bind(server, 0) == server.sock.getsockname()[1] != port
+        client = net.connect(server.local_port)
+        assert net.accept(server) is not None
+        net.close_conn(client)
+    net.force_close_all()

@@ -220,20 +220,26 @@ class TestSuites:
         # which a comparison of two runs of the same code cannot.  The fault
         # runs also pin the oracle's failure messages.
         pinned = [
-            (MINIMALIST, 2000, None, 0,
+            (MINIMALIST, 2000, {}, 0,
              "0e006581b60b326bd4753c1f0bb335bade8da0b1f7633c85b866a30b556fd09a"),
-            (SERVER_MAIN, 500, FaultKind.DUPLICATE_BYTES, 156,
+            (SERVER_MAIN, 500, {"fault": FaultSpec(FaultKind.DUPLICATE_BYTES)}, 156,
              "c6bdc482741dc60696a90343b1ea7b8cbe349c7a483bf0b31b0b920a77f749df"),
-            (SERVER_MAIN, 500, FaultKind.PHANTOM_READINESS, 292,
+            (SERVER_MAIN, 500, {"fault": FaultSpec(FaultKind.PHANTOM_READINESS)}, 292,
              "9562f1d6c45fa494f2601769210f8d22f00b40cda62cece8c0592596b6db1bd4"),
+            (SERVER_MAIN, 500, {"fault": FaultSpec(FaultKind.DROP_BYTES)}, 0,
+             "4b30f1f02d24c516e3b9389454332f35c69856253a0384bb6703c18d821c20cc"),
+            (SERVER_MAIN, 500, {"latency": "zero"}, 0,
+             "3441bc233415ef61467cba2933d1783beaa36129a2a15bf113a451a01bdd9200"),
+            (MINIMALIST, 2000, {"max_steps_per_test": 1}, 0,
+             "d5f56f60ad92eadf63903fc6fa87e79a310f8effb71aa658cb060a832c7d74ba"),
         ]
-        for spec, tests, fault, failed, digest in pinned:
+        for spec, tests, settings, failed, digest in pinned:
             p = tmp_path / f"{spec.name}-{tests}.trace"
             rep = run_suite(spec, SuiteConfig(seed=42, num_tests=tests, trace_path=str(p),
-                                              fault=FaultSpec(fault) if fault else None),
+                                              **settings),
                             MODEL_REGISTRY)
             assert rep.failed == failed
-            assert hashlib.sha256(p.read_bytes()).hexdigest() == digest, (spec.name, fault)
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == digest, (spec.name, settings)
 
     def test_test_isolation_rerun_second_alone(self, tmp_path):
         # Drop test 0 entirely: rerunning test 1 from its derived seed alone

@@ -100,6 +100,54 @@ class TestPartitionInvariant:
             assert not leased & cooling
 
 
+class TestRetire:
+    def test_a_retired_port_is_never_leased_again(self):
+        pool = PortPool(20000, 20002, cooldown_tests=0)
+        busy = pool.acquire()
+        pool.retire(busy)
+        assert busy not in pool.leased | pool.free | pool.cooling
+        assert pool.retired == {busy}
+        ports = set()
+        for _ in range(10):
+            port = pool.acquire()
+            ports.add(port)
+            pool.release(port)
+            pool.next_test()
+        assert ports == {20001, 20002}
+        with pytest.raises(ValueError):
+            pool.release(busy)
+        with pytest.raises(ValueError):
+            pool.retire(busy)
+
+    def test_exhaustion_names_the_retired_ports(self):
+        pool = PortPool(20000, 20001)
+        pool.retire(pool.acquire())
+        pool.acquire()
+        with pytest.raises(PoolExhaustedError, match=r"\[20000, 20001\] "
+                           r"\(1 in use by another process\); widen --port-range"):
+            pool.acquire()
+
+    @given(ops=st.lists(st.integers(0, 3), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_free_leased_cooling_retired_partition_range(self, ops):
+        lo, hi = 30000, 30007
+        pool = PortPool(lo, hi, cooldown_tests=2)
+        full = set(range(lo, hi + 1))
+        for op in ops:
+            if op == 0:
+                try:
+                    pool.acquire()
+                except PoolExhaustedError:
+                    pass
+            elif op in (1, 2) and pool.leased:
+                (pool.release if op == 1 else pool.retire)(min(pool.leased))
+            else:
+                pool.next_test()
+            sets = [pool.free, pool.leased, pool.cooling, pool.retired]
+            assert set().union(*sets) == full
+            assert sum(map(len, sets)) == len(full)
+
+
 class ReferencePortPool:
     """The pool before the lease counter: a set of every free port, built
     over the whole range up front.  acquire() picks the lowest port never

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netmbt.rng import SeededRng, derive_seed, maybe
 
@@ -24,6 +26,72 @@ def reference_stream(seed: int, n: int) -> list[int]:
         state = (state + GOLDEN) & MASK
         out.append(mix(state))
     return out
+
+
+class ReferenceRng:
+    """One splitmix64 draw at a time, and every SeededRng method built on
+    its draws as documented."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK
+
+    def next_u64(self) -> int:
+        draw = reference_stream(self.state, 1)[0]
+        self.state = (self.state + GOLDEN) & MASK
+        return draw
+
+    def below(self, n: int) -> int:
+        return (self.next_u64() * n) >> 64
+
+    def randint(self, lo: int, hi: int) -> int:
+        return lo + self.below(hi - lo + 1)
+
+    def payload(self, length: int) -> bytes:
+        draws = [self.next_u64() for _ in range((length + 7) // 8)]
+        return b"".join(d.to_bytes(8, "little") for d in draws)[:length]
+
+    def maybe(self, probability: float) -> bool:
+        return self.next_u64() < int(probability * 2**64)
+
+    def fork(self) -> "ReferenceRng":
+        return ReferenceRng(self.next_u64())
+
+
+# (method, arguments) of one call; payloads up to 40 draws long
+_CALLS = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("below"), st.integers(1, 2**70)),
+    st.integers(-(2**63), 2**63).flatmap(
+        lambda lo: st.tuples(st.just("randint"), st.just(lo), st.integers(lo, lo + 2**64))),
+    st.tuples(st.just("payload"), st.integers(0, 320)),
+    st.tuples(st.just("maybe"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("fork")),
+)
+
+
+class TestBatchBoundaries:
+    """SeededRng computes its draws in batches; whatever the calls, and
+    wherever a batch ends, each stream equals the one-draw-at-a-time
+    reference."""
+
+    @given(seed=st.sampled_from([0, MASK]) | st.integers(0, MASK),
+           calls=st.lists(st.tuples(st.integers(0, 7), _CALLS), max_size=120))
+    @example(seed=0, calls=[(0, ("randint", 0, 1)), (0, ("maybe", 0.5))] * 50)
+    @example(seed=MASK, calls=[(0, ("payload", 64)), (0, ("fork",)), (1, ("below", 3))] * 40)
+    @settings(max_examples=300, deadline=None)
+    def test_random_interleavings_equal_the_reference(self, seed, calls):
+        streams = [(SeededRng(seed), ReferenceRng(seed))]
+        for pick, (name, *args) in calls:
+            ours, ref = streams[pick % len(streams)]
+            if name == "fork":
+                streams.append((ours.fork(), ref.fork()))
+            elif name == "maybe":
+                assert maybe(ours, *args) == ref.maybe(*args)
+            else:
+                assert getattr(ours, name)(*args) == getattr(ref, name)(*args)
+        # Every stream then runs on past three more batch ends.
+        for ours, ref in streams:
+            assert [ours.next_u64() for _ in range(100)] == [ref.next_u64() for _ in range(100)]
 
 
 class TestSplitmix64:

@@ -124,15 +124,18 @@ class TestPickEquivalence:
            picks=st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
     def test_same_pair_and_rng_state_as_two_pass_reference(self, instances, seed, picks):
-        ours, ref = SeededRng(seed), SeededRng(seed)
+        # Three streams in lockstep: the reference's, ours, and a twin that
+        # picks with a kept table.
+        ours, ref, twin = SeededRng(seed), SeededRng(seed), SeededRng(seed)
         table = EnabledTable(instances)
         for _ in range(picks):
-            state = ours._state
             expected = reference_pick(instances, ref)
             assert pick_next(instances, ours) == expected
-            assert ours._state == ref._state
             # A table built once and kept picks the same pair.
-            assert pick_next(instances, SeededRng(state), table) == expected
+            assert pick_next(instances, twin, table) == expected
+            # Each pick took as many draws as the reference's: one, or none
+            # when no pair is enabled.
+            assert ours.next_u64() == ref.next_u64() == twin.next_u64()
 
     @pytest.mark.parametrize("draw", [0, 1 << 63, (1 << 64) - 1])
     @pytest.mark.parametrize("weights", [(0.1, 0.3, 0.5), (3.0, 0.1), (0.1,) * 7])
