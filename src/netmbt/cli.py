@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--max-steps", type=int, default=100)
     shared.add_argument("--port-range", type=_port_range, default=(20000, 29999),
-                        metavar="LO:HI")
+                        metavar="LO:HI",
+                        help="listen ports of a real run; a sim run only validates it")
     shared.add_argument("--fault", choices=sorted(["none", *(k.value for k in FaultKind)]),
                         default="none")
     shared.add_argument("--latency", choices=["zero", "default"], default="default")

@@ -62,11 +62,6 @@ class PoolExhaustedError(BackendError):
     """No listen port is currently available in the configured range."""
 
 
-class PortInUseError(BackendError):
-    """Another process holds a leased listen port; the server channel that
-    failed to bind it is left unbound, so another port can be tried."""
-
-
 class DivergenceError(Exception):
     """A replayed step did not match the recorded one."""
 

@@ -1,11 +1,11 @@
 """Test derivation: seeded exploration, trace recording, replay, reporting.
 
 A suite runs numTests independent tests.  Test i is seeded by a splitmix64
-derivation of (suite seed, i), uses a fresh backend, ledger and leased
-ports, and interleaves all live model instances by picking one enabled
-(instance, transition) pair at a time, weight-proportionally, with exactly
-one rng draw per pick.  Everything observable ends up in a line-oriented
-trace that can be replayed step-for-step.
+derivation of (suite seed, i), uses a fresh backend and ledger, and
+interleaves all live model instances by picking one enabled (instance,
+transition) pair at a time, weight-proportionally, with exactly one rng
+draw per pick.  Everything observable ends up in a line-oriented trace
+that can be replayed step-for-step.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     BackendError,
     ConfigError,
     DivergenceError,
-    PortInUseError,
     PropertyViolation,
     WatchdogTimeout,
 )
@@ -256,59 +255,31 @@ def parse_traces(text: str) -> list[Trace]:
 # ---------------------------------------------------------------------------
 
 
-def _make_backend(config: SuiteConfig, test_seed: int):
+def _make_backend(config: SuiteConfig, test_seed: int, pool: PortPool | None):
     if config.backend == "sim":
         latency = LatencyModel.zero() if config.latency == "zero" else LatencyModel.default()
         return SimBackend(SeededRng(derive_seed(test_seed, 1)), latency, config.fault)
     from .realnet import RealBackend  # sockets load only for a real run
 
-    return RealBackend()
+    return RealBackend(pool)
 
 
 class _TestRun:
     """One test in progress, and the ``env`` its actions are called with:
     the network backend, the oracle ledger, the client close probability,
-    the rng, the live instances, the step records, and the ports leased from
-    the suite's pool, which release_ports() returns before it ticks the
-    pool's test clock.  No instance refers to it: a test forms no cycle."""
+    the rng, the live instances and the step records.  No instance refers
+    to it: a test forms no cycle."""
 
-    __slots__ = ("net", "ledger", "p_close", "rng", "pool", "ports",
-                 "instances", "records", "_last_id")
+    __slots__ = ("net", "ledger", "p_close", "rng", "instances", "records", "_last_id")
 
-    def __init__(self, net, pool: PortPool, rng: SeededRng, p_close: float):
+    def __init__(self, net, rng: SeededRng, p_close: float):
         self.net = net
         self.ledger = OracleLedger()
         self.p_close = p_close
         self.rng = rng
-        self.pool = pool
-        self.ports: list[int] = []
         self.instances: list[ModelInstance] = []
         self.records: list[StepRecord] = []
         self._last_id = 0
-
-    def acquire_port(self) -> int:
-        port = self.pool.acquire()
-        self.ports.append(port)
-        return port
-
-    def bind_port(self, server) -> int:
-        """Bind ``server`` to a port leased from the pool and return it.  A
-        port that another process holds is retired from the pool and the
-        next one is tried, so only a range with no bindable port (the
-        pool's exhaustion error) ends the suite."""
-        while True:
-            port = self.acquire_port()
-            try:
-                return self.net.bind(server, port)
-            except PortInUseError:
-                self.ports.pop()
-                self.pool.retire(port)
-
-    def release_ports(self) -> None:
-        for port in self.ports:
-            self.pool.release(port)
-        self.ports.clear()
-        self.pool.next_test()
 
     def launch(self, spec: ModelSpec, args: Mapping) -> ModelInstance:
         """Instantiate a model (its constructor runs now), schedule it and
@@ -398,11 +369,12 @@ def run_single_test(
     config: SuiteConfig,
     test_seed: int,
     test_index: int,
-    pool: PortPool,
+    pool: PortPool | None,
 ) -> TestResult:
-    """One test, reproducible from (root model, config, test_seed) alone."""
-    backend = _make_backend(config, test_seed)
-    run = _TestRun(backend, pool, SeededRng(derive_seed(test_seed, 0)), config.p_close)
+    """One test, reproducible from (root model, config, test_seed) alone.
+    ``pool`` is port_pool(config): the listen ports of a real run."""
+    backend = _make_backend(config, test_seed, pool)
+    run = _TestRun(backend, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     instances, records, rng = run.instances, run.records, run.rng
     append, advance, new = records.append, backend.advance, tuple.__new__
     verdict, message, fired = "PASS", "", 0
@@ -436,7 +408,6 @@ def run_single_test(
         # fails, the suite goes on.
         verdict, message = "FAIL", f"unclassified {type(exc).__name__}: {exc}"
     finally:
-        run.release_ports()
         backend.force_close_all()
     trace = Trace(test_seed, test_index, config.backend, records, verdict, message)
     if not backend.is_sim:
@@ -506,14 +477,16 @@ def coverage_from_traces(
     return _coverage(keys, spec_index or {})
 
 
-def port_pool(config: SuiteConfig) -> PortPool:
-    """Validate ``config`` and build the listen-port pool for its tests,
-    probing loopback TCP first when they run on real sockets."""
+def port_pool(config: SuiteConfig) -> PortPool | None:
+    """Validate ``config``; for a run on real sockets, probe loopback TCP and
+    build the listen-port pool its tests lease from.  The sim numbers its
+    own ports, so a sim run gets None."""
     config.validate()
-    if config.backend == "real":
-        from .realnet import RealBackend
+    if config.backend != "real":
+        return None
+    from .realnet import RealBackend
 
-        RealBackend.probe()
+    RealBackend.probe()
     return PortPool(config.port_range[0], config.port_range[1])
 
 
@@ -590,7 +563,8 @@ def format_report(report: SuiteReport, root_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def replay(trace: Trace, root_spec: ModelSpec, config: SuiteConfig, pool: PortPool) -> TestResult:
+def replay(trace: Trace, root_spec: ModelSpec, config: SuiteConfig,
+           pool: PortPool | None) -> TestResult:
     """Re-execute a recorded test from its seed and verify every step.
 
     Raises DivergenceError at the first step whose record line differs

@@ -299,7 +299,7 @@ def client_model() -> ModelSpec:
 
 def _bind_ctor(inst, env) -> None:
     server = env.net.open_server()
-    port = env.bind_port(server)
+    port = env.net.bind(server)
     inst.vars.update(server=server, port=port, blocking=True)
 
 

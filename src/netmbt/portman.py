@@ -3,7 +3,9 @@
 Rapid connection-heavy suites exhaust ephemeral ports; leasing listen ports
 from a fixed range and parking released ports in a short cooldown keeps the
 footprint bounded and deterministic.  Cooldown is measured in tests, not
-wall-clock time.
+wall-clock time.  The real backend (realnet.RealBackend) is the only
+lessee: a bind to port 0 leases, the end-of-test cleanup releases.  The
+simulator has no OS ports and numbers its own.
 
 A port that another process holds is retired: it leaves the pool for the
 rest of the suite, and the next lease takes another port.
@@ -50,8 +52,8 @@ class PortPool:
         else:
             busy = f" ({len(self._retired)} in use by another process)" if self._retired else ""
             raise PoolExhaustedError(
-                f"no free listen port in [{self.lo}, {self.hi}]{busy}; "
-                "widen --port-range or lower the test rate"
+                f"no free listen port in [{self.lo}, {self.hi}]{busy}; widen --port-range "
+                f"(a released port rests for {self.cooldown_tests} tests)"
             )
         self._leased.add(port)
         return port

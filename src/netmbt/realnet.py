@@ -16,6 +16,11 @@ end-of-test cleanup sets SO_LINGER to (on, 0 s) before it closes, so the
 kernel sends one RST and keeps no TIME_WAIT socket for the 4-tuple.
 Without it each such connection would hold a TIME_WAIT socket on the
 listen port for 60 s, and a port with many of them binds more slowly.
+
+A bind to port 0 leases a port from the suite's PortPool; one that another
+process holds is retired and the next is leased, so only the pool's
+exhaustion error ends a suite.  An explicit port is bound as given.  The
+end-of-test cleanup returns the leases after it closes their sockets.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from .adapter import (
     ReadResult,
     ServerChannel,
 )
-from .errors import AdapterError, BackendError, ErrorKind, PortInUseError, WatchdogTimeout
+from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
+from .portman import PortPool
 
 _HOST = "127.0.0.1"
 _RESET_ERRNOS = {errno.EPIPE, errno.ECONNRESET, errno.ECONNABORTED, errno.ENOTCONN}
@@ -79,9 +85,11 @@ class RealConn(ConnChannel):
 
 
 class RealBackend(NetworkBackend):
-    def __init__(self, watchdog_seconds: float = 5.0):
+    def __init__(self, pool: PortPool, watchdog_seconds: float = 5.0):
         super().__init__()
+        self.pool = pool
         self.watchdog_seconds = watchdog_seconds
+        self._leases: list[int] = []  # ports this test leased from the pool
         # client local address -> connection id, so the accepted side can be
         # paired with the connecting side for per-connection accounting
         self._pending_ids: dict[tuple[str, int], int] = {}
@@ -107,20 +115,26 @@ class RealBackend(NetworkBackend):
         return RealServer(_listen_socket())
 
     def _do_bind(self, server: RealServer, port: int) -> int:
-        sock = server.sock
-        try:
-            sock.bind((_HOST, port))
-            sock.listen(128)
-        except OSError as exc:
-            if exc.errno != errno.EADDRINUSE or not port:
-                raise BackendError(f"cannot bind/listen on port {port}: {exc}") from exc
-            # The port is held elsewhere.  Where bind succeeded and listen
-            # failed, the socket keeps the port, so the channel gets a fresh
-            # socket: it stays unbound and can bind another port.
-            sock.close()
-            server.sock = _listen_socket()
-            raise PortInUseError(f"port {port} is in use: {exc}") from exc
-        return port or sock.getsockname()[1]
+        leased = not port  # an explicit port is bound as given
+        while True:
+            if leased:
+                port = self.pool.acquire()
+                self._leases.append(port)
+            sock = server.sock
+            try:
+                sock.bind((_HOST, port))
+                sock.listen(128)
+                return port
+            except OSError as exc:
+                # Where bind succeeded and listen failed, the socket keeps
+                # the port, so the channel gets a fresh socket: it stays
+                # unbound and can bind another port.
+                sock.close()
+                server.sock = _listen_socket()
+                if not leased or exc.errno != errno.EADDRINUSE:
+                    raise BackendError(f"cannot bind/listen on port {port}: {exc}") from exc
+            self._leases.pop()
+            self.pool.retire(port)  # another process holds it
 
     def _do_close_server(self, server: RealServer) -> None:
         server.sock.close()
@@ -225,6 +239,15 @@ class RealBackend(NetworkBackend):
         if writable:
             ready |= WRITE
         return ready
+
+    def force_close_all(self) -> None:
+        """Close the test's channels, then return its leases to the pool
+        and tick the pool's test clock."""
+        super().force_close_all()
+        for port in self._leases:
+            self.pool.release(port)
+        self._leases.clear()
+        self.pool.next_test()
 
     def _force_close_conn(self, conn: RealConn) -> None:
         sock = conn.sock

@@ -13,6 +13,7 @@ import pytest
 
 from netmbt.adapter import ACCEPT, READ, WRITE
 from netmbt.errors import AdapterError, ErrorKind, WatchdogTimeout
+from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend
 from netmbt.rng import SeededRng
 from netmbt.simnet import LatencyModel, SimBackend
@@ -23,7 +24,7 @@ def net(request):
     if request.param == "sim":
         backend = SimBackend(SeededRng(1), LatencyModel.zero())
     else:
-        backend = RealBackend(watchdog_seconds=2.0)
+        backend = RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
     yield backend
     backend.force_close_all()
 
@@ -420,7 +421,7 @@ def test_real_read_takes_each_calls_mode_on_one_connection():
     """A read sets its socket's timeout only when the socket does not have
     it already; switching modes on one connection must still take effect
     every time, in both directions."""
-    net = RealBackend(watchdog_seconds=0.2)
+    net = RealBackend(PortPool(20000, 29999), watchdog_seconds=0.2)
     try:
         _, _, cli, sc = make_session(net)
         net.configure_blocking(sc, False)

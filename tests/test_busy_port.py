@@ -1,7 +1,7 @@
-"""A listen port that another process holds: the real backend reports it
-as in use, the suite's pool retires it and the test binds the next port.
-Only a range with no bindable port ends the suite, with exit 2 and one
-``error:`` line."""
+"""A listen port that another process holds: the real backend retires it
+from the suite's pool and binds the next port.  Only a range with no
+bindable port ends the suite, with exit 2 and one ``error:`` line; an
+explicit busy port is a backend error."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import socket
 import pytest
 
 from conftest import run_cli
-from netmbt.errors import PortInUseError
+from netmbt.errors import BackendError
+from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend
 
 _HOST = "127.0.0.1"
@@ -62,8 +63,8 @@ def test_a_range_with_no_bindable_port_exits_two_with_one_line(held_port):
     proc = _run(f"{p}:{p}")
     assert proc.returncode == 2
     assert proc.stderr == (f"error: no free listen port in [{p}, {p}] "
-                           "(1 in use by another process); "
-                           "widen --port-range or lower the test rate\n")
+                           "(1 in use by another process); widen --port-range "
+                           "(a released port rests for 2 tests)\n")
 
 
 class _BindThenRaceSocket(socket.socket):
@@ -77,28 +78,40 @@ class _BindThenRaceSocket(socket.socket):
         self.rival.listen(1)
 
 
-def test_a_socket_that_bound_but_could_not_listen_is_replaced():
-    net = RealBackend(watchdog_seconds=2.0)
+def test_a_socket_that_bound_but_could_not_listen_is_replaced(held_port):
+    # The pool's range sits next to the held port, where the fixture found
+    # free ports.
+    port = held_port + 1
+    pool = PortPool(port, port + 3)
+    net = RealBackend(pool, watchdog_seconds=2.0)
     server = net.open_server()
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind((_HOST, 0))
-        port = probe.getsockname()[1]
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as rival:
         rival.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        rival.bind((_HOST, port))
+        rival.bind((_HOST, port))  # the first lease
         racing = _BindThenRaceSocket(socket.AF_INET, socket.SOCK_STREAM)
         racing.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         racing.rival = rival
         server.sock.close()
         server.sock = racing
-        with pytest.raises(PortInUseError, match=f"port {port} is in use"):
-            net.bind(server, port)
-        # The socket that holds the port is closed and replaced, so the
-        # channel stays unbound and binds another port.
+        # The port is retired, the socket that holds it is closed and
+        # replaced, and the channel binds the next lease.
+        assert net.bind(server, 0) == port + 1 == server.sock.getsockname()[1]
         assert racing.fileno() == -1 and server.sock is not racing
-        assert server.local_port is None
-        assert net.bind(server, 0) == server.sock.getsockname()[1] != port
+        assert pool.retired == {port} and pool.leased == {port + 1}
         client = net.connect(server.local_port)
         assert net.accept(server) is not None
         net.close_conn(client)
+    net.force_close_all()
+    assert pool.leased == frozenset() and pool.cooling == {port + 1}
+
+
+def test_an_explicit_busy_port_is_a_backend_error(held_port):
+    pool = PortPool(held_port + 1, held_port + 3)
+    net = RealBackend(pool, watchdog_seconds=2.0)
+    server = net.open_server()
+    with pytest.raises(BackendError, match=f"cannot bind/listen on port {held_port}"):
+        net.bind(server, held_port)
+    assert server.local_port is None
+    assert pool.leased == pool.retired == frozenset()  # an explicit port is not leased
+    assert net.bind(server, 0) == held_port + 1  # still unbound, so it binds
     net.force_close_all()

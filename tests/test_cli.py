@@ -103,10 +103,19 @@ class TestRunCommand:
 
     def test_port_exhaustion_is_backend_error_not_test_failure(self, capsys):
         # a 1-port range with a 2-test cooldown cannot serve a second test
-        code = main(["run", "--model", "minimalist", "--seed", "3",
+        code = main(["run", "--model", "minimalist", "--backend", "real", "--seed", "3",
                      "--tests", "5", "--port-range", "21000:21000"])
         assert code == 2
         assert "port" in capsys.readouterr().err
+
+    def test_sim_opens_no_port_so_a_one_port_range_is_enough(self, tmp_path, capsys):
+        # The sim numbers its own ports: --port-range is only validated.
+        narrow, default = tmp_path / "narrow.trace", tmp_path / "default.trace"
+        common = ["run", "--model", "server-main", "--seed", "1", "--tests", "3"]
+        assert main([*common, "--port-range", "20000:20000", "--trace-out", str(narrow)]) == 0
+        assert main([*common, "--trace-out", str(default)]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert narrow.read_bytes() == default.read_bytes()
 
 
 class TestReplayCommand:

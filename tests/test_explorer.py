@@ -197,14 +197,16 @@ class TestSuites:
             assert result.fired == 0
 
     def test_budget_is_respected(self):
-        cfg = SuiteConfig(seed=2, num_tests=30, max_steps_per_test=17)
-        pool = PortPool(20000, 29999)
-        for i in range(cfg.num_tests):
-            result = run_single_test(SERVER_MAIN, cfg, derive_seed(2, i), i, pool)
-            assert result.fired <= 17
-            fired_records = [r for r in result.trace.steps if r.label != "<init>"]
-            assert len(fired_records) == result.fired
-            assert len(pool.leased) == 0  # every lease returned at test end
+        for backend in ("sim", "real"):
+            cfg = SuiteConfig(seed=2, num_tests=30, max_steps_per_test=17, backend=backend)
+            pool = port_pool(cfg)  # None on sim, which leases no ports
+            for i in range(cfg.num_tests):
+                result = run_single_test(SERVER_MAIN, cfg, derive_seed(2, i), i, pool)
+                assert result.fired <= 17
+                fired_records = [r for r in result.trace.steps if r.label != "<init>"]
+                assert len(fired_records) == result.fired
+                if pool is not None:
+                    assert len(pool.leased) == 0  # every lease returned at test end
 
     def test_suite_determinism_byte_identical(self, tmp_path):
         paths = []
@@ -289,8 +291,9 @@ class TestSuites:
         opened = []
 
         def bug(inst, env):
-            env.acquire_port()
-            opened.append(env.net.open_server())
+            server = env.net.open_server()
+            opened.append(server)
+            env.net.bind(server)
             raise KeyError("conn")
 
         spec = define_model("buggy", "s", [Transition("s", "s", "bug", bug)])
@@ -307,9 +310,12 @@ class TestSuites:
         assert "coverage buggy states 1/1 transitions 1/1" in report
         assert report.count(" step 1: unclassified KeyError") == 3
         assert len(opened) == 3 and all(server.closed for server in opened)
-        pool = PortPool(20000, 20010)
-        result = run_single_test(spec, SuiteConfig(seed=1), derive_seed(1, 0), 0, pool)
+        # On real sockets the lease taken before the failure comes back.
+        config = SuiteConfig(seed=1, backend="real", port_range=(20000, 20010))
+        pool = port_pool(config)
+        result = run_single_test(spec, config, derive_seed(1, 0), 0, pool)
         assert not result.passed and pool.leased == frozenset()
+        assert pool.cooling == {20000}
 
     def test_backend_error_still_aborts_the_suite(self):
         def unusable(inst, env):
@@ -323,7 +329,7 @@ class TestSuites:
         # One port with a one-test cooldown: the first test's port is free
         # again for the second only if the first test advanced the clock.
         pool = PortPool(20000, 20000, cooldown_tests=1)
-        config = SuiteConfig(seed=3)
+        config = SuiteConfig(seed=3, backend="real")
         for i in range(2):
             result = run_single_test(MINIMALIST, config, derive_seed(3, i), i, pool)
             assert result.passed and result.trace.steps[0].state == "bound"

@@ -49,7 +49,7 @@ class ManualRun(_TestRun):
     """Drive specific transitions by label instead of random scheduling."""
 
     def __init__(self, net, p_close=0.1, seed=0):
-        super().__init__(net, PortPool(20000, 20999), SeededRng(seed), p_close)
+        super().__init__(net, SeededRng(seed), p_close)
 
     def fire(self, inst, label):
         options = {t.label: t for t in enabled_transitions(inst)}

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend, RealConn, RealServer
 
 _PROC_TCP = "/proc/net/tcp"
@@ -37,7 +38,7 @@ def _time_wait_rows(a: tuple[str, int], b: tuple[str, int]) -> list[str]:
 
 
 def _session():
-    net = RealBackend(watchdog_seconds=2.0)
+    net = RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
     srv = net.open_server()
     port = net.bind(srv, 0)
     cli = net.connect(port)
@@ -88,7 +89,7 @@ def test_a_failed_setsockopt_still_closes_the_socket():
             self.closed = True
 
     sock = Sock()
-    RealBackend()._force_close_conn(RealConn("client", 1, sock))
+    RealBackend(PortPool(20000, 20000))._force_close_conn(RealConn("client", 1, sock))
     assert sock.closed
 
 
@@ -104,5 +105,5 @@ def test_bind_to_a_given_port_asks_no_local_address():
             raise AssertionError("getsockname is only needed for port 0")
 
     sock = Sock()
-    assert RealBackend()._do_bind(RealServer(sock), 23456) == 23456
+    assert RealBackend(PortPool(20000, 20000))._do_bind(RealServer(sock), 23456) == 23456
     assert sock.addr == ("127.0.0.1", 23456)

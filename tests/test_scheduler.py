@@ -345,8 +345,8 @@ def test_backends_die_with_their_test_without_the_cycle_collector(monkeypatch):
     refs = []
     make = explorer._make_backend
 
-    def tracked(config, test_seed):
-        backend = make(config, test_seed)
+    def tracked(config, test_seed, pool):
+        backend = make(config, test_seed, pool)
         refs.append(weakref.ref(backend))
         return backend
 
