@@ -112,12 +112,12 @@ class NetworkBackend:
         self._opened_servers.append(server)
         return server
 
-    def bind(self, server: ServerChannel, port: int = 0) -> int:
+    def bind(self, server: ServerChannel) -> int:
         if server.closed:
             raise AdapterError(ErrorKind.CLOSED_CHANNEL, "bind on closed server")
         if server.local_port is not None:
             raise AdapterError(ErrorKind.ALREADY_BOUND, "server is already bound")
-        server.local_port = self._do_bind(server, port)
+        server.local_port = self._do_bind(server)
         return server.local_port
 
     def get_local_port(self, server: ServerChannel) -> int:
@@ -283,7 +283,7 @@ class NetworkBackend:
     def _do_open_server(self) -> ServerChannel:
         raise NotImplementedError
 
-    def _do_bind(self, server: ServerChannel, port: int) -> int:
+    def _do_bind(self, server: ServerChannel) -> int:
         raise NotImplementedError
 
     def _do_close_server(self, server: ServerChannel) -> None:

@@ -9,7 +9,8 @@ the state that tag leads to.  Actions may raise PropertyViolation, may
 signal classified errors (redirected through per-transition exception
 overrides), and may launch child model instances through ``env.launch``,
 whose constructors (plain functions of the same shape) run synchronously
-at launch time.
+at launch time.  A label names one transition of its model, as traces and
+coverage do; ``<init>`` is reserved for the record of a launch.
 
 Enabledness is static: every transition leaving an instance's current state
 is enabled, whatever its variables hold.  define_model() therefore
@@ -25,6 +26,7 @@ from .errors import (AdapterError, BackendError, ErrorKind, PropertyViolation, S
                      WatchdogTimeout)
 
 ActionFn = Callable[["ModelInstance", Any], Optional[str]]
+INIT_LABEL = "<init>"  # the label of a launch's trace record
 
 
 class Transition:
@@ -99,15 +101,16 @@ def define_model(
             referenced.append(state)
         return state
 
-    seen_labels: set[tuple[str, str]] = set()
+    labels: set[str] = set()
     for t in transitions:
         _check_identifier("transition label", t.label)
         ref(t.source)
         ref(t.target)
-        key = (t.source, t.label)
-        if key in seen_labels:
-            raise SpecError(f"{name}: duplicate transition {t.label!r} from {t.source!r}")
-        seen_labels.add(key)
+        if t.label == INIT_LABEL:
+            raise SpecError(f"{name}: transition label {INIT_LABEL!r} is reserved")
+        if t.label in labels:
+            raise SpecError(f"{name}: duplicate transition label {t.label!r}")
+        labels.add(t.label)
         if not (t.weight > 0):
             raise SpecError(f"{name}: transition {t.label!r} has non-positive weight")
         for kind, target in t.exception_overrides.items():
@@ -194,6 +197,20 @@ def _name(instance: ModelInstance, transition: Transition) -> str:
     return f"{instance.spec.name}.{transition.label}"
 
 
+def failure_message(exc: Exception, where: str) -> str:
+    """The verdict message of a test that ``exc`` ends; ``where`` prefixes a
+    PropertyViolation's or a WatchdogTimeout's text.  A BackendError is raised
+    again, because it means no test can run."""
+    if isinstance(exc, PropertyViolation):
+        return f"{where}{exc}"
+    if isinstance(exc, WatchdogTimeout):
+        return f"watchdog: {where}{exc}"
+    if isinstance(exc, BackendError):
+        raise exc
+    # A model bug or an unclassified OS error fails this test only.
+    return f"unclassified {type(exc).__name__}: {exc}"
+
+
 def fire_transition(
     instance: ModelInstance, transition: Transition, env: Any
 ) -> tuple[str, str | None]:
@@ -205,9 +222,8 @@ def fire_transition(
     otherwise the transition's static target applies.  Returns ``(outcome,
     violation)``: the step's trace field (the tag, the ErrorKind value, or
     "-") and the violation message, or None when the step completed.  On a
-    violation the state is unchanged.  A WatchdogTimeout or any other
-    exception is a violation too; only BackendError propagates, because it
-    means no test can run.
+    violation the state is unchanged.  Any other exception is worded by
+    failure_message(), which lets only a BackendError propagate.
     """
     try:
         tag = transition.action(instance, env)
@@ -217,15 +233,8 @@ def fire_transition(
             return exc.kind._value_, f"unexpected exception in {_name(instance, transition)}: {exc}"
         instance.current = target
         return exc.kind._value_, None
-    except PropertyViolation as exc:
-        return "-", f"{_name(instance, transition)}: {exc}"
-    except WatchdogTimeout as exc:
-        return "-", f"watchdog: {_name(instance, transition)}: {exc}"
-    except BackendError:
-        raise
     except Exception as exc:
-        # A model bug or an unclassified OS error fails this test only.
-        return "-", f"unclassified {type(exc).__name__}: {exc}"
+        return "-", failure_message(exc, f"{_name(instance, transition)}: ")
 
     branches = transition.outcome_branches
     if tag is None:

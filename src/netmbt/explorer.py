@@ -6,6 +6,10 @@ interleaves all live model instances by picking one enabled (instance,
 transition) pair at a time, weight-proportionally, with exactly one rng
 draw per pick.  Everything observable ends up in a line-oriented trace
 that can be replayed step-for-step.
+
+A run's results (Trace, TestResult, ModelCoverage, SuiteReport) are
+NamedTuples that their one producer builds whole; a count they already
+hold, such as a test's fired transitions, is a property, not a field.
 """
 
 from __future__ import annotations
@@ -17,46 +21,25 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .efsm import (
+    INIT_LABEL,
     ModelInstance,
     ModelSpec,
     Transition,
     enabled_transitions,
+    failure_message,
     fire_transition,
     instantiate,
 )
-from .errors import (
-    BackendError,
-    ConfigError,
-    DivergenceError,
-    PropertyViolation,
-    WatchdogTimeout,
-)
+from .errors import ConfigError, DivergenceError
 from .models import OracleLedger
 from .portman import PortPool
 from .rng import SeededRng, derive_seed
 from .simnet import FaultSpec, LatencyModel, SimBackend
 
 _U64 = 1 << 64
-INIT_LABEL = "<init>"
 TRACE_MAGIC, TRACE_VERSION = "netmbt-trace ", "v1"
 TRACE_HEADER = TRACE_MAGIC + TRACE_VERSION
 _HEADER_KEYS = ("seed", "test", "backend")  # each exactly once, nothing else
-
-
-class _Record:
-    """Value equality and a field-by-field repr over ``__slots__``."""
-
-    __slots__ = ()
-    __hash__ = None  # mutable: equal by value, so unhashable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class SuiteConfig(NamedTuple):
@@ -105,17 +88,13 @@ class StepRecord(NamedTuple):
         return f"{self.index} {self.instance_id} {self.model} {self.label} {self.outcome} {self.state}"
 
 
-class Trace(_Record):
-    __slots__ = ("test_seed", "test_index", "backend", "steps", "verdict", "message")
-
-    def __init__(self, test_seed: int, test_index: int, backend: str,
-                 steps: list[StepRecord], verdict: str = "PASS", message: str = ""):
-        self.test_seed = test_seed
-        self.test_index = test_index
-        self.backend = backend
-        self.steps = steps
-        self.verdict = verdict  # "PASS" | "FAIL"
-        self.message = message
+class Trace(NamedTuple):
+    test_seed: int
+    test_index: int
+    backend: str
+    steps: list[StepRecord]
+    verdict: str = "PASS"  # "PASS" | "FAIL"
+    message: str = ""
 
     @property
     def failing_step_index(self) -> int | None:
@@ -124,20 +103,20 @@ class Trace(_Record):
         return self.steps[-1].index
 
 
-class TestResult(_Record):
-    __slots__ = ("trace", "ledger", "fired", "diagnostics", "flow_stats")
-
-    def __init__(self, trace: Trace, ledger: OracleLedger, fired: int,
-                 diagnostics: list[str] | None = None, flow_stats: list[dict] | None = None):
-        self.trace = trace
-        self.ledger = ledger
-        self.fired = fired
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        self.flow_stats = [] if flow_stats is None else flow_stats
+class TestResult(NamedTuple):
+    trace: Trace
+    ledger: OracleLedger
+    diagnostics: list[str]  # the sim's fault events; [] on real
+    flow_stats: list[dict]  # the sim's per-flow counters; [] on real
 
     @property
     def passed(self) -> bool:
         return self.trace.verdict == "PASS"
+
+    @property
+    def fired(self) -> int:
+        """Transitions fired: the records that are not a launch's."""
+        return sum(r.label != INIT_LABEL for r in self.trace.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +198,14 @@ def parse_traces(text: str) -> list[Trace]:
                 if current.backend not in ("sim", "real"):
                     raise ValueError(f"unknown backend {current.backend!r}")
                 append = current.steps.append
-                traces.append(current)
             elif current is None:
                 raise ValueError(f"record before trace header: {line!r}")
             elif line.startswith("verdict "):
                 parts = line.split(" ", 2)
                 if parts[1] not in ("PASS", "FAIL"):
                     raise ValueError(f"unknown verdict {parts[1]!r}")
-                current.verdict = parts[1]
-                current.message = parts[2] if len(parts) > 2 else ""
+                traces.append(current._replace(
+                    verdict=parts[1], message=parts[2] if len(parts) > 2 else ""))
                 current = None
             else:
                 head = line.split(" ", 2)
@@ -377,7 +355,7 @@ def run_single_test(
     run = _TestRun(backend, SeededRng(derive_seed(test_seed, 0)), config.p_close)
     instances, records, rng = run.instances, run.records, run.rng
     append, advance, new = records.append, backend.advance, tuple.__new__
-    verdict, message, fired = "PASS", "", 0
+    verdict, message = "PASS", ""
     try:
         run.launch(root_spec, {})
         table = EnabledTable(instances)
@@ -388,7 +366,6 @@ def run_single_test(
             inst, transition = pick
             state, launched = inst.current, len(instances)
             outcome, violation = fire_transition(inst, transition, run)
-            fired += 1
             append(new(StepRecord, (len(records), inst.id, inst.spec.name,
                                     transition.label, outcome, inst.current)))
             if inst.current != state or len(instances) != launched:
@@ -397,22 +374,16 @@ def run_single_test(
             if violation is not None:
                 verdict, message = "FAIL", violation
                 break
-    except PropertyViolation as exc:
-        verdict, message = "FAIL", str(exc)
-    except WatchdogTimeout as exc:
-        verdict, message = "FAIL", f"watchdog: {exc}"
-    except BackendError:
-        raise  # the network facility is unusable: no test can run
     except Exception as exc:
         # Raised outside an action (by the root constructor, say): this test
-        # fails, the suite goes on.
-        verdict, message = "FAIL", f"unclassified {type(exc).__name__}: {exc}"
+        # fails and the suite goes on, unless it is a BackendError.
+        verdict, message = "FAIL", failure_message(exc, "")
     finally:
         backend.force_close_all()
     trace = Trace(test_seed, test_index, config.backend, records, verdict, message)
     if not backend.is_sim:
-        return TestResult(trace, run.ledger, fired)
-    return TestResult(trace, run.ledger, fired, list(backend.fault_events), backend.flow_stats())
+        return TestResult(trace, run.ledger, [], [])
+    return TestResult(trace, run.ledger, list(backend.fault_events), backend.flow_stats())
 
 
 # ---------------------------------------------------------------------------
@@ -420,30 +391,31 @@ def run_single_test(
 # ---------------------------------------------------------------------------
 
 
-class ModelCoverage(_Record):
-    __slots__ = ("states_visited", "transitions_fired", "states_total", "transitions_total")
-
-    def __init__(self, states_visited: set[str] | None = None,
-                 transitions_fired: set[str] | None = None,
-                 states_total: int | None = None, transitions_total: int | None = None):
-        self.states_visited = set() if states_visited is None else states_visited
-        self.transitions_fired = set() if transitions_fired is None else transitions_fired
-        self.states_total = states_total
-        self.transitions_total = transitions_total
+class ModelCoverage(NamedTuple):
+    states_visited: set[str]
+    transitions_fired: set[str]
+    states_total: int | None  # None for a model the spec index lacks
+    transitions_total: int | None
 
 
 class SuiteReport(NamedTuple):
     config: SuiteConfig
-    tests_run: int
     passed: int
-    failed: int
     failures: list[TestResult]
     coverage: dict[str, ModelCoverage]
     elapsed_seconds: float
 
     @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def tests_run(self) -> int:
+        return self.passed + self.failed
+
+    @property
     def all_passed(self) -> bool:
-        return self.failed == 0
+        return not self.failures
 
 
 # A StepRecord's (model, label, state): its coverage key.
@@ -453,17 +425,17 @@ _COVERAGE_KEY = itemgetter(2, 3, 5)
 def _coverage(keys: set, spec_index: Mapping[str, ModelSpec]) -> dict[str, ModelCoverage]:
     """Per-model coverage from the coverage keys of any number of traces;
     totals come from the spec index when the model is known there."""
-    coverage: dict[str, ModelCoverage] = {}
+    visited: dict[str, tuple[set[str], set[str]]] = {}  # model -> (states, labels)
     for model, label, state in sorted(keys):
-        cov = coverage.setdefault(model, ModelCoverage())
-        cov.states_visited.add(state)
+        states, labels = visited.setdefault(model, (set(), set()))
+        states.add(state)
         if label != INIT_LABEL:
-            cov.transitions_fired.add(label)
-    for name, cov in coverage.items():
+            labels.add(label)
+    coverage: dict[str, ModelCoverage] = {}
+    for name, (states, labels) in visited.items():
         spec = spec_index.get(name)
-        if spec is not None:
-            cov.states_total = len(spec.states)
-            cov.transitions_total = len(spec.transitions)
+        totals = (None, None) if spec is None else (len(spec.states), len(spec.transitions))
+        coverage[name] = ModelCoverage(states, labels, *totals)
     return coverage
 
 
@@ -499,14 +471,13 @@ def run_suite(
     pool = port_pool(config)
     keys: set[tuple[str, str, str]] = set()  # coverage keys
     failures: list[TestResult] = []
-    passed = failed = tests_run = 0
+    passed = 0
     started = time.perf_counter()
     writer = open(config.trace_path, "w", encoding="utf-8") if config.trace_path else None
     try:
         for i in range(config.num_tests):
             test_seed = derive_seed(config.seed, i)
             result = run_single_test(root_spec, config, test_seed, i, pool)
-            tests_run += 1
             trace = result.trace
             if writer:
                 writer.write(serialize_trace(trace))
@@ -514,7 +485,6 @@ def run_suite(
             if result.passed:
                 passed += 1
             else:
-                failed += 1
                 failures.append(result)
                 if config.abort_on_first_failure:
                     break
@@ -523,9 +493,7 @@ def run_suite(
             writer.close()
     return SuiteReport(
         config=config,
-        tests_run=tests_run,
         passed=passed,
-        failed=failed,
         failures=failures,
         coverage=_coverage(keys, {root_spec.name: root_spec, **(spec_index or {})}),
         elapsed_seconds=time.perf_counter() - started,

@@ -381,7 +381,7 @@ def _sm_get_port(inst, env) -> None:
 
 
 def _sm_bind_again(inst, env) -> None:
-    env.net.bind(inst.vars["server"], inst.vars["port"])
+    env.net.bind(inst.vars["server"])
     raise PropertyViolation("oracle: second bind succeeded")
 
 

@@ -4,7 +4,7 @@ Rapid connection-heavy suites exhaust ephemeral ports; leasing listen ports
 from a fixed range and parking released ports in a short cooldown keeps the
 footprint bounded and deterministic.  Cooldown is measured in tests, not
 wall-clock time.  The real backend (realnet.RealBackend) is the only
-lessee: a bind to port 0 leases, the end-of-test cleanup releases.  The
+lessee: a bind leases, the end-of-test cleanup releases.  The
 simulator has no OS ports and numbers its own.
 
 A port that another process holds is retired: it leaves the pool for the

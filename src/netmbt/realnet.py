@@ -17,10 +17,10 @@ kernel sends one RST and keeps no TIME_WAIT socket for the 4-tuple.
 Without it each such connection would hold a TIME_WAIT socket on the
 listen port for 60 s, and a port with many of them binds more slowly.
 
-A bind to port 0 leases a port from the suite's PortPool; one that another
-process holds is retired and the next is leased, so only the pool's
-exhaustion error ends a suite.  An explicit port is bound as given.  The
-end-of-test cleanup returns the leases after it closes their sockets.
+A bind leases a port from the suite's PortPool; one that another process
+holds is retired and the next is leased, so only the pool's exhaustion
+error ends a suite.  The end-of-test cleanup returns the leases after it
+closes their sockets.
 """
 
 from __future__ import annotations
@@ -114,12 +114,10 @@ class RealBackend(NetworkBackend):
     def _do_open_server(self) -> RealServer:
         return RealServer(_listen_socket())
 
-    def _do_bind(self, server: RealServer, port: int) -> int:
-        leased = not port  # an explicit port is bound as given
+    def _do_bind(self, server: RealServer) -> int:
         while True:
-            if leased:
-                port = self.pool.acquire()
-                self._leases.append(port)
+            port = self.pool.acquire()
+            self._leases.append(port)
             sock = server.sock
             try:
                 sock.bind((_HOST, port))
@@ -131,7 +129,7 @@ class RealBackend(NetworkBackend):
                 # unbound and can bind another port.
                 sock.close()
                 server.sock = _listen_socket()
-                if not leased or exc.errno != errno.EADDRINUSE:
+                if exc.errno != errno.EADDRINUSE:
                     raise BackendError(f"cannot bind/listen on port {port}: {exc}") from exc
             self._leases.pop()
             self.pool.retire(port)  # another process holds it

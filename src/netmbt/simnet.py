@@ -42,7 +42,7 @@ from .adapter import (
     SelectorKey,
     ServerChannel,
 )
-from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
+from .errors import AdapterError, ErrorKind, WatchdogTimeout
 from .rng import SeededRng
 
 
@@ -201,14 +201,9 @@ class SimBackend(NetworkBackend):
     def _do_open_server(self) -> SimServer:
         return SimServer()
 
-    def _do_bind(self, server: SimServer, port: int) -> int:
-        if port == 0:
-            while self._ephemeral in self._listeners:
-                self._ephemeral += 1
-            port = self._ephemeral
-            self._ephemeral += 1
-        elif port in self._listeners:
-            raise BackendError(f"simulated port {port} already in use")
+    def _do_bind(self, server: SimServer) -> int:
+        port = self._ephemeral
+        self._ephemeral += 1
         self._listeners[port] = server
         return port
 

@@ -183,7 +183,7 @@ class TestAcceptance:
         for _ in range(10_000):
             net = SimBackend(SeededRng(driver.next_u64()), LatencyModel.default())
             srv = net.open_server()
-            port = net.bind(srv, 0)
+            port = net.bind(srv)
             chans = [net.connect(port)]
             sc = net.accept(srv)
             net.configure_blocking(sc, False)

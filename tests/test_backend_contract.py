@@ -35,7 +35,7 @@ def kind_of(excinfo) -> ErrorKind:
 
 def make_session(net):
     srv = net.open_server()
-    port = net.bind(srv, 0)
+    port = net.bind(srv)
     cli = net.connect(port)
     net.settle()
     sc = net.accept(srv)
@@ -47,8 +47,8 @@ def make_session(net):
 
 def _bind_twice(net):
     srv = net.open_server()
-    port = net.bind(srv, 0)
-    return lambda: net.bind(srv, port)
+    net.bind(srv)
+    return lambda: net.bind(srv)
 
 
 def _local_port_before_bind(net):
@@ -59,12 +59,12 @@ def _local_port_before_bind(net):
 def _bind_closed_server(net):
     srv = net.open_server()
     net.close_server(srv)
-    return lambda: net.bind(srv, 0)
+    return lambda: net.bind(srv)
 
 
 def _connect_without_listener(net):
     srv = net.open_server()
-    port = net.bind(srv, 0)
+    port = net.bind(srv)
     net.close_server(srv)
     return lambda: net.connect(port)
 
@@ -126,7 +126,7 @@ def test_misuse_raises_its_kind(net, kind):
 class TestServerLifecycle:
     def test_bind_zero_picks_port_and_get_local_port_agrees(self, net):
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         assert port > 0
         assert net.get_local_port(srv) == port
 
@@ -141,10 +141,10 @@ class TestServerLifecycle:
 
     def test_everything_fails_after_close(self, net):
         srv = net.open_server()
-        net.bind(srv, 0)
+        net.bind(srv)
         net.close_server(srv)
         for op in (lambda: net.accept(srv),
-                   lambda: net.bind(srv, 0),
+                   lambda: net.bind(srv),
                    lambda: net.get_local_port(srv),
                    lambda: net.configure_blocking(srv, False)):
             with pytest.raises(AdapterError) as e:
@@ -154,7 +154,7 @@ class TestServerLifecycle:
 
     def test_local_port_field_retained_after_close(self, net):
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         net.close_server(srv)
         assert srv.local_port == port  # the handle keeps it for inspection
 
@@ -162,7 +162,7 @@ class TestServerLifecycle:
 class TestAcceptAndModes:
     def test_queued_connection_accepted_blocking(self, net):
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         cli = net.connect(port)
         net.settle()
         conn = net.accept(srv)
@@ -171,13 +171,13 @@ class TestAcceptAndModes:
 
     def test_non_blocking_accept_empty_returns_none(self, net):
         srv = net.open_server()
-        net.bind(srv, 0)
+        net.bind(srv)
         net.configure_blocking(srv, False)
         assert net.accept(srv) is None
 
     def test_fifo_accept_order(self, net):
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         a = net.connect(port)
         b = net.connect(port)
         net.settle()
@@ -191,7 +191,7 @@ class TestAcceptAndModes:
 
     def test_toggle_twice_restores_mode(self, net):
         srv = net.open_server()
-        net.bind(srv, 0)
+        net.bind(srv)
         assert srv.blocking
         net.configure_blocking(srv, False)
         net.configure_blocking(srv, True)
@@ -319,7 +319,7 @@ class TestSelectors:
 
     def test_accept_readiness_tracks_backlog(self, net):
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         net.configure_blocking(srv, False)
         sel = net.open_selector()
         key = net.register(sel, srv, ACCEPT)
@@ -397,7 +397,7 @@ class TestSelectors:
 
     def test_interest_type_pairing_enforced(self, net):
         srv = net.open_server()
-        net.bind(srv, 0)
+        net.bind(srv)
         net.configure_blocking(srv, False)
         sel = net.open_selector()
         with pytest.raises(ValueError):
@@ -407,7 +407,7 @@ class TestSelectors:
 class TestWatchdog:
     def test_blocking_accept_with_no_client(self, net):
         srv = net.open_server()
-        net.bind(srv, 0)
+        net.bind(srv)
         with pytest.raises(WatchdogTimeout):
             net.accept(srv)
 

@@ -1,7 +1,6 @@
 """A listen port that another process holds: the real backend retires it
 from the suite's pool and binds the next port.  Only a range with no
-bindable port ends the suite, with exit 2 and one ``error:`` line; an
-explicit busy port is a backend error."""
+bindable port ends the suite, with exit 2 and one ``error:`` line."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import socket
 import pytest
 
 from conftest import run_cli
-from netmbt.errors import BackendError
 from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend
 
@@ -95,7 +93,7 @@ def test_a_socket_that_bound_but_could_not_listen_is_replaced(held_port):
         server.sock = racing
         # The port is retired, the socket that holds it is closed and
         # replaced, and the channel binds the next lease.
-        assert net.bind(server, 0) == port + 1 == server.sock.getsockname()[1]
+        assert net.bind(server) == port + 1 == server.sock.getsockname()[1]
         assert racing.fileno() == -1 and server.sock is not racing
         assert pool.retired == {port} and pool.leased == {port + 1}
         client = net.connect(server.local_port)
@@ -103,15 +101,3 @@ def test_a_socket_that_bound_but_could_not_listen_is_replaced(held_port):
         net.close_conn(client)
     net.force_close_all()
     assert pool.leased == frozenset() and pool.cooling == {port + 1}
-
-
-def test_an_explicit_busy_port_is_a_backend_error(held_port):
-    pool = PortPool(held_port + 1, held_port + 3)
-    net = RealBackend(pool, watchdog_seconds=2.0)
-    server = net.open_server()
-    with pytest.raises(BackendError, match=f"cannot bind/listen on port {held_port}"):
-        net.bind(server, held_port)
-    assert server.local_port is None
-    assert pool.leased == pool.retired == frozenset()  # an explicit port is not leased
-    assert net.bind(server, 0) == held_port + 1  # still unbound, so it binds
-    net.force_close_all()

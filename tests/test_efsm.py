@@ -48,12 +48,20 @@ class TestDefineModel:
 
     def test_duplicate_source_label(self):
         ts = [Transition("a", "a", "go", NOOP), Transition("a", "b", "go", NOOP)]
-        with pytest.raises(SpecError, match="duplicate"):
+        with pytest.raises(SpecError, match="duplicate transition label 'go'"):
             define_model("m", "a", ts)
 
-    def test_same_label_different_sources_is_fine(self):
+    def test_same_label_different_sources_is_rejected(self):
+        # Traces and coverage name a transition by its label alone, so two
+        # "go" edges would count as one transition fired of two.
         ts = [Transition("a", "b", "go", NOOP), Transition("b", "a", "go", NOOP)]
-        assert define_model("m", "a", ts).transitions
+        with pytest.raises(SpecError, match="duplicate transition label 'go'"):
+            define_model("m", "a", ts)
+
+    def test_init_label_is_reserved(self):
+        # "<init>" records a launch; coverage never counts it as fired.
+        with pytest.raises(SpecError, match="'<init>' is reserved"):
+            define_model("m", "a", [Transition("a", "a", "<init>", NOOP)])
 
     def test_non_positive_weight(self):
         with pytest.raises(SpecError, match="weight"):

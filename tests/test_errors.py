@@ -10,7 +10,6 @@ import pytest
 from netmbt.errors import AdapterError, ErrorKind
 from netmbt.explorer import SuiteConfig, run_single_test
 from netmbt.models import MODEL_REGISTRY
-from netmbt.portman import PortPool
 from netmbt.rng import derive_seed
 from netmbt.simnet import FaultKind, FaultSpec
 
@@ -41,10 +40,9 @@ def _value(result):
 
 def test_a_failing_sim_result_survives_pickling():
     config = SuiteConfig(seed=9, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
-    pool = PortPool(20000, 29999)
     for i in range(1000):
         result = run_single_test(MODEL_REGISTRY["server-main"], config,
-                                 derive_seed(9, i), i, pool)
+                                 derive_seed(9, i), i, None)
         if not result.passed:
             break
     assert not result.passed and "oracle" in result.trace.message

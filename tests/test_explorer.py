@@ -192,8 +192,7 @@ class TestSuites:
         rep = run_suite(spec, SuiteConfig(seed=1, num_tests=5))
         assert rep.passed == 5
         for i in range(5):
-            pool = PortPool(20000, 20010)
-            result = run_single_test(spec, SuiteConfig(seed=1), derive_seed(1, i), i, pool)
+            result = run_single_test(spec, SuiteConfig(seed=1), derive_seed(1, i), i, None)
             assert result.fired == 0
 
     def test_budget_is_respected(self):
@@ -250,8 +249,7 @@ class TestSuites:
         cfg = SuiteConfig(seed=88, num_tests=4, trace_path=str(p))
         run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         recorded = parse_traces(p.read_text())
-        pool = PortPool(20000, 29999)
-        alone = run_single_test(SERVER_MAIN, cfg, derive_seed(88, 1), 1, pool)
+        alone = run_single_test(SERVER_MAIN, cfg, derive_seed(88, 1), 1, None)
         assert serialize_trace(alone.trace) == serialize_trace(recorded[1])
 
     def test_abort_on_first_failure_stops_early(self):
@@ -275,10 +273,9 @@ class TestSuites:
 
     def test_constructor_record_precedes_all_later_steps(self):
         # every instance's <init> record comes before any of its other steps
-        pool = PortPool(20000, 29999)
         cfg = SuiteConfig(seed=4, num_tests=20)
         for i in range(20):
-            result = run_single_test(SERVER_MAIN, cfg, derive_seed(4, i), i, pool)
+            result = run_single_test(SERVER_MAIN, cfg, derive_seed(4, i), i, None)
             born: dict[int, int] = {}
             for rec in result.trace.steps:
                 if rec.label == "<init>":
@@ -336,8 +333,7 @@ class TestSuites:
         assert pool.free == {20000}
 
     def test_instance_ids_monotone_from_one(self):
-        pool = PortPool(20000, 29999)
-        result = run_single_test(SERVER_MAIN, SuiteConfig(seed=4), derive_seed(4, 0), 0, pool)
+        result = run_single_test(SERVER_MAIN, SuiteConfig(seed=4), derive_seed(4, 0), 0, None)
         init_ids = [r.instance_id for r in result.trace.steps if r.label == "<init>"]
         assert init_ids == list(range(1, len(init_ids) + 1))
 
@@ -380,6 +376,26 @@ class TestTraceFormat:
         assert rep.failed > 0 and sum(t.verdict == "FAIL" for t in traces) == rep.failed
         assert coverage_from_traces(traces, MODEL_REGISTRY) == rep.coverage
 
+    @pytest.mark.parametrize("cfg", [
+        SuiteConfig(seed=42, num_tests=300, fault=FaultSpec(FaultKind.DUPLICATE_BYTES)),
+        SuiteConfig(seed=42, num_tests=20, backend="real"),
+    ], ids=["sim-duplicate-bytes", "real"])
+    def test_results_equal_their_parsed_trace_file(self, cfg):
+        pool = port_pool(cfg)
+        results = [run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, pool)
+                   for i in range(cfg.num_tests)]
+        text = "".join(serialize_trace(r.trace) for r in results)
+        assert parse_traces(text) == [r.trace for r in results]
+        for r in results:
+            launches = max(rec.instance_id for rec in r.trace.steps)
+            assert r.fired == sum(rec.label != "<init>" for rec in r.trace.steps)
+            assert r.fired == len(r.trace.steps) - launches  # one <init> per instance
+        report = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        assert report.tests_run == report.passed + report.failed == cfg.num_tests
+        assert report.failures == [r for r in results if not r.passed]
+        if cfg.fault is not None:
+            assert report.failed > 0
+
 
     @pytest.mark.parametrize("text, error", [
         ("netmbt-trace v1 seed=abc test=0 backend=sim\nverdict PASS\n", "line 1: invalid"),
@@ -418,7 +434,7 @@ class TestReplay:
         run_suite(SERVER_MAIN, SuiteConfig(seed=31, num_tests=1, trace_path=str(p)),
                   MODEL_REGISTRY)
         trace = parse_traces(p.read_text())[0]
-        trace.test_seed ^= 1
+        trace = trace._replace(test_seed=trace.test_seed ^ 1)
         re_cfg = SuiteConfig(seed=0)
         with pytest.raises(DivergenceError) as e:
             replay(trace, SERVER_MAIN, re_cfg, port_pool(re_cfg))
@@ -527,16 +543,22 @@ class TestRecordTypes:
             with pytest.raises(AttributeError):
                 value.seed = 1
 
-    def test_traces_and_coverage_are_mutable_values(self):
+    def test_traces_and_coverage_are_immutable_values(self):
         trace = Trace(1, 0, "sim", [])
         assert (trace.verdict, trace.message) == ("PASS", "")
         assert trace == Trace(test_seed=1, test_index=0, backend="sim", steps=[])
-        trace.verdict = "FAIL"
-        assert trace != Trace(1, 0, "sim", [])
-        assert ModelCoverage() == ModelCoverage(set(), set(), None, None)
-        assert ModelCoverage().states_visited is not ModelCoverage().states_visited
-        result = RunResult(trace, None, 0)
-        assert (result.diagnostics, result.flow_stats, result.passed) == ([], [], False)
-        assert result.diagnostics is not RunResult(trace, None, 0).diagnostics
-        report = SuiteReport(SuiteConfig(1), 1, 1, 0, [], {}, 0.5)
+        failed = trace._replace(verdict="FAIL")
+        assert failed != trace and trace.verdict == "PASS"
+        coverage = ModelCoverage({"s"}, set(), 1, None)
+        assert coverage == ModelCoverage(states_visited={"s"}, transitions_fired=set(),
+                                         states_total=1, transitions_total=None)
+        result = RunResult(failed, None, [], [])
+        assert (result.diagnostics, result.flow_stats, result.passed, result.fired) == (
+            [], [], False, 0)
+        report = SuiteReport(SuiteConfig(1), 1, [], {}, 0.5)
         assert report.all_passed and report.elapsed_seconds == 0.5
+        assert (report.tests_run, report.failed) == (1, 0)
+        for value in (trace, coverage, result, report):
+            assert isinstance(value, tuple)
+            with pytest.raises(AttributeError):
+                setattr(value, value._fields[0], None)

@@ -10,7 +10,6 @@ from netmbt.efsm import enabled_transitions, fire_transition
 from netmbt.errors import ErrorKind
 from netmbt.explorer import SuiteConfig, _TestRun, run_single_test, run_suite
 from netmbt.models import MODEL_REGISTRY, OracleLedger
-from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
 from netmbt.simnet import FaultKind, FaultSpec, LatencyModel, SimBackend
 
@@ -90,9 +89,8 @@ class TestMinimalist:
         assert run.ledger.entries == {}
 
     def test_misordered_variant_deadlocks_on_sim(self):
-        pool = PortPool(20000, 20999)
         cfg = SuiteConfig(seed=5, num_tests=1)
-        result = run_single_test(MISORDERED, cfg, derive_seed(5, 0), 0, pool)
+        result = run_single_test(MISORDERED, cfg, derive_seed(5, 0), 0, None)
         assert not result.passed
         assert "watchdog" in result.trace.message
         last = result.trace.steps[-1]
@@ -158,7 +156,7 @@ class TestWorker:
     def make_worker(self, net):
         run = ManualRun(net)
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         cli = net.connect(port)
         sc = net.accept(srv)
         worker = run.launch(WORKER, {"conn": sc})
@@ -215,7 +213,7 @@ class TestClient:
         net = SimBackend(SeededRng(6), LatencyModel.zero())
         run = ManualRun(net, p_close=1.0)
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         client = run.launch(CLIENT, {"port": port})
         out = run.fire(client, "mayClose")
         assert out == ("closed", None)
@@ -225,7 +223,7 @@ class TestClient:
         net = SimBackend(SeededRng(6), LatencyModel.zero())
         run = ManualRun(net, p_close=0.0)
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         client = run.launch(CLIENT, {"port": port})
         for _ in range(10):
             assert run.fire(client, "mayClose") == ("stay", None)
@@ -234,7 +232,7 @@ class TestClient:
         net = SimBackend(SeededRng(6), LatencyModel.zero())
         run = ManualRun(net)
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         client = run.launch(CLIENT, {"port": port})
         sc = net.accept(srv)
         worker = run.launch(WORKER, {"conn": sc})
@@ -315,11 +313,10 @@ class TestOracleProperties:
     def test_eof_implies_peer_shut_and_full_delivery(self):
         # Fault-free: a side that saw end-of-stream has read exactly what the
         # peer wrote, and the peer really shut its output.
-        pool = PortPool(20000, 29999)
         cfg = SuiteConfig(seed=321, num_tests=300)
         eof_seen = 0
         for i in range(cfg.num_tests):
-            result = run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, pool)
+            result = run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, None)
             assert result.passed
             for entry in result.ledger.entries.values():
                 if entry["server"].saw_eof:
@@ -344,11 +341,10 @@ class TestOracleProperties:
 
         monkeypatch.setattr(explorer, "OracleLedger", RecordingLedger)
         monkeypatch.setattr(explorer, "fire_transition", firing)
-        pool = PortPool(20000, 29999)
         cfg = SuiteConfig(seed=555, num_tests=200)
         touched = 0
         for i in range(cfg.num_tests):
-            result = run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, pool)
+            result = run_single_test(SERVER_MAIN, cfg, derive_seed(cfg.seed, i), i, None)
             owners: dict[tuple[int, str], set[int]] = {}
             for conn_id, side, instance_id in result.ledger.touches:
                 owners.setdefault((conn_id, side), set()).add(instance_id)

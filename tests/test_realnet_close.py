@@ -12,7 +12,7 @@ import time
 import pytest
 
 from netmbt.portman import PortPool
-from netmbt.realnet import RealBackend, RealConn, RealServer
+from netmbt.realnet import RealBackend, RealConn
 
 _PROC_TCP = "/proc/net/tcp"
 _TIME_WAIT = "06"
@@ -40,7 +40,7 @@ def _time_wait_rows(a: tuple[str, int], b: tuple[str, int]) -> list[str]:
 def _session():
     net = RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
     srv = net.open_server()
-    port = net.bind(srv, 0)
+    port = net.bind(srv)
     cli = net.connect(port)
     net.settle()
     sc = net.accept(srv)
@@ -91,19 +91,3 @@ def test_a_failed_setsockopt_still_closes_the_socket():
     sock = Sock()
     RealBackend(PortPool(20000, 20000))._force_close_conn(RealConn("client", 1, sock))
     assert sock.closed
-
-
-def test_bind_to_a_given_port_asks_no_local_address():
-    class Sock:
-        def bind(self, addr):
-            self.addr = addr
-
-        def listen(self, backlog):
-            pass
-
-        def getsockname(self):
-            raise AssertionError("getsockname is only needed for port 0")
-
-    sock = Sock()
-    assert RealBackend(PortPool(20000, 20000))._do_bind(RealServer(sock), 23456) == 23456
-    assert sock.addr == ("127.0.0.1", 23456)

@@ -21,7 +21,6 @@ from netmbt.efsm import (
 )
 from netmbt.explorer import EnabledTable, SuiteConfig, pick_next, run_single_test
 from netmbt.models import MODEL_REGISTRY
-from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
 
 
@@ -159,7 +158,7 @@ def models(draw, name):
     """A model over three live states and a dead one, with mixed weights."""
     states = ["s0", "s1", "s2", "dead"]
     transitions = [
-        Transition(source, draw(st.sampled_from(states)), f"t{j}", NOOP,
+        Transition(source, draw(st.sampled_from(states)), f"{source}t{j}", NOOP,
                    weight=draw(st.sampled_from(WEIGHTS)))
         for source in states[:3]
         for j in range(draw(st.integers(0, 4)))
@@ -256,7 +255,7 @@ class TestIncrementalRefresh:
 
 def _run(spec, max_steps=12, seed=3):
     config = SuiteConfig(seed=seed, max_steps_per_test=max_steps)
-    result = run_single_test(spec, config, derive_seed(seed, 0), 0, PortPool(20000, 20010))
+    result = run_single_test(spec, config, derive_seed(seed, 0), 0, None)
     fired = [(r.model, r.label) for r in result.trace.steps if r.label != "<init>"]
     return fired, result
 
@@ -325,11 +324,10 @@ class TestTableInvalidation:
     def test_bundled_models_reuse_the_table_on_most_steps(self, monkeypatch):
         calls = _counting_enabled(monkeypatch)
         config = SuiteConfig(seed=11)
-        pool = PortPool(20000, 29999)
         fired = 0
         for i in range(30):
             fired += run_single_test(MODEL_REGISTRY["server-main"], config,
-                                     derive_seed(11, i), i, pool).fired
+                                     derive_seed(11, i), i, None).fired
         assert 0 < len(calls) < fired / 2
 
 

@@ -15,7 +15,7 @@ from netmbt.simnet import FaultKind, FaultSpec, LatencyModel, SimBackend
 
 def session(net):
     srv = net.open_server()
-    port = net.bind(srv, 0)
+    port = net.bind(srv)
     cli = net.connect(port)
     sc = net.accept(srv)
     net.configure_blocking(sc, False)
@@ -106,7 +106,7 @@ class TestLatency:
         # (nor ACCEPT-ready) until the clock advances twice.
         net = SimBackend(SeededRng(0), LatencyModel(choices=(2,), split=False))
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         net.configure_blocking(srv, False)
         sel = net.open_selector()
         key = net.register(sel, srv, ACCEPT)
@@ -292,7 +292,7 @@ class TestAbortiveVsGraceful:
     def test_listener_close_resets_queued_connections(self):
         net = SimBackend(SeededRng(0), LatencyModel.zero())
         srv = net.open_server()
-        port = net.bind(srv, 0)
+        port = net.bind(srv)
         cli = net.connect(port)
         net.close_server(srv)
         with pytest.raises(AdapterError) as e:

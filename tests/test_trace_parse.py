@@ -75,8 +75,8 @@ def reference_parse_traces(text: str) -> list[Trace]:
                 parts = line.split(" ", 2)
                 if parts[1] not in ("PASS", "FAIL"):
                     raise ValueError(f"unknown verdict {parts[1]!r}")
-                current.verdict = parts[1]
-                current.message = parts[2] if len(parts) > 2 else ""
+                traces[-1] = current._replace(
+                    verdict=parts[1], message=parts[2] if len(parts) > 2 else "")
                 current = None
             else:
                 parts = line.split(" ", 5)
