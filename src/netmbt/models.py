@@ -396,7 +396,6 @@ def _sm_accept_try(inst, env) -> str:
     if conn is None:
         return "nullResult"
     inst.vars["pending"] = conn
-    inst.vars["accepted"] = inst.vars.get("accepted", 0) + 1
     return "connected"
 
 

@@ -19,8 +19,9 @@ listen port for 60 s, and a port with many of them binds more slowly.
 
 A bind leases a port from the suite's PortPool; one that another process
 holds is retired and the next is leased, so only the pool's exhaustion
-error ends a suite.  The end-of-test cleanup returns the leases after it
-closes their sockets.
+error ends a suite.  A bound server's ``local_port`` is its lease, which
+the end-of-test cleanup releases after it closes the test's sockets; a
+bind that fails otherwise releases its port at once.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ class RealBackend(NetworkBackend):
         super().__init__()
         self.pool = pool
         self.watchdog_seconds = watchdog_seconds
-        self._leases: list[int] = []  # ports this test leased from the pool
         # client local address -> connection id, so the accepted side can be
         # paired with the connecting side for per-connection accounting
         self._pending_ids: dict[tuple[str, int], int] = {}
@@ -117,7 +117,6 @@ class RealBackend(NetworkBackend):
     def _do_bind(self, server: RealServer) -> int:
         while True:
             port = self.pool.acquire()
-            self._leases.append(port)
             sock = server.sock
             try:
                 sock.bind((_HOST, port))
@@ -130,8 +129,8 @@ class RealBackend(NetworkBackend):
                 sock.close()
                 server.sock = _listen_socket()
                 if exc.errno != errno.EADDRINUSE:
+                    self.pool.release(port)
                     raise BackendError(f"cannot bind/listen on port {port}: {exc}") from exc
-            self._leases.pop()
             self.pool.retire(port)  # another process holds it
 
     def _do_close_server(self, server: RealServer) -> None:
@@ -239,12 +238,12 @@ class RealBackend(NetworkBackend):
         return ready
 
     def force_close_all(self) -> None:
-        """Close the test's channels, then return its leases to the pool
-        and tick the pool's test clock."""
+        """Close the test's channels, then return the ports of its bound
+        servers to the pool and tick the pool's test clock."""
         super().force_close_all()
-        for port in self._leases:
-            self.pool.release(port)
-        self._leases.clear()
+        for server in self._opened_servers:
+            if server.local_port is not None:
+                self.pool.release(server.local_port)
         self.pool.next_test()
 
     def _force_close_conn(self, conn: RealConn) -> None:

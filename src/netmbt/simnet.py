@@ -24,9 +24,7 @@ read from the incoming flow, and only the first close has these effects.
 from __future__ import annotations
 
 import enum
-from bisect import insort
 from collections import deque
-from operator import attrgetter
 from typing import NamedTuple
 
 from .adapter import (
@@ -82,15 +80,13 @@ class FaultSpec(NamedTuple):
 
 
 class SimFlow:
-    """One direction of a connection; ``order`` is its index in the
-    backend's flows."""
+    """One direction of a connection."""
 
-    __slots__ = ("order", "cohorts", "delivered", "eof_signaled", "poisoned",
+    __slots__ = ("cohorts", "delivered", "eof_signaled", "poisoned",
                  "swallow_pending", "writer_closed", "written", "read_count",
                  "lost", "dropped", "duplicated")
 
-    def __init__(self, order: int):
-        self.order = order
+    def __init__(self):
         self.cohorts: deque[tuple[int, bytes]] = deque()  # (available_step, data)
         self.delivered = bytearray()
         self.eof_signaled = False
@@ -113,9 +109,6 @@ class SimFlow:
         self.cohorts.clear()
 
 
-_ORDER = attrgetter("order")
-
-
 class SimConn(ConnChannel):
     __slots__ = ("rx", "tx")
 
@@ -134,7 +127,8 @@ class SimServer(ServerChannel):
 
 
 class SimBackend(NetworkBackend):
-    """Adapter implementation backed by the simulated network state."""
+    """Adapter implementation backed by the simulated network state.  A
+    tick before ``_due`` only moves the clock."""
 
     is_sim = True
 
@@ -144,30 +138,33 @@ class SimBackend(NetworkBackend):
         self.latency = latency
         self.clock = 0
         self.fault = fault
-        self.fault_fired = False
         self.fault_events: list[str] = []
         self._listeners: dict[int, SimServer] = {}
+        # In connection order: the order that decides which cohort a drop or
+        # duplicate fault hits.
         self._flows: list[SimFlow] = []
-        # Every flow with cohorts in flight (and perhaps some that have just
-        # emptied), in _flows order: the order that decides which cohort a
-        # drop or duplicate fault hits.
-        self._pending: list[SimFlow] = []
+        # The earliest step at which a cohort in flight is due (inf: none):
+        # a write lowers it, a tick that reaches it delivers and recomputes it.
+        self._due = float("inf")
         self._ephemeral = 49152
 
     # -- time ----------------------------------------------------------------
 
     def advance(self) -> None:
         self.clock += 1
-        clock, idle = self.clock, False
-        for flow in self._pending:
+        clock = self.clock
+        if clock < self._due:
+            return
+        due = float("inf")
+        for flow in self._flows:
             # _deliver pops due cohorts from the front only: skip the call
             # when the first one is not due.
             cohorts = flow.cohorts
             if cohorts and cohorts[0][0] <= clock:
                 self._deliver(flow)
-            idle = idle or not cohorts
-        if idle:
-            self._pending = [flow for flow in self._pending if flow.cohorts]
+            if cohorts and cohorts[0][0] < due:
+                due = cohorts[0][0]
+        self._due = due
 
     def _deliver(self, flow: SimFlow) -> None:
         # Skip the fault checks (a call and an enum lookup each) with no fault.
@@ -188,12 +185,11 @@ class SimBackend(NetworkBackend):
         """Callers check first that a fault is set (``self.fault``)."""
         return (
             self.fault.kind is kind
-            and not self.fault_fired
+            and not self.fault_events
             and self.clock >= self.fault.trigger_step
         )
 
     def _fire_fault(self, event: str) -> None:
-        self.fault_fired = True
         self.fault_events.append(f"step {self.clock}: {event}")
 
     # -- transport hooks -------------------------------------------------------
@@ -233,8 +229,8 @@ class SimBackend(NetworkBackend):
         listener = self._listeners.get(port)
         if listener is None or listener.closed:
             raise AdapterError(ErrorKind.CONNECTION_REFUSED, f"no listener on port {port}")
-        up = SimFlow(len(self._flows))        # client -> server
-        down = SimFlow(len(self._flows) + 1)  # server -> client
+        up = SimFlow()    # client -> server
+        down = SimFlow()  # server -> client
         self._flows.extend((up, down))
         conn_id = next(self._conn_ids)
         client = SimConn("client", conn_id, rx=down, tx=up)
@@ -285,8 +281,8 @@ class SimBackend(NetworkBackend):
         else:
             flow.cohorts.append((start, payload))
         self._deliver(flow)  # zero-latency cohorts are readable immediately
-        if flow.cohorts and flow not in self._pending:
-            insort(self._pending, flow, key=_ORDER)
+        if flow.cohorts and flow.cohorts[0][0] < self._due:
+            self._due = flow.cohorts[0][0]
         return len(payload)
 
     def _do_shutdown_output(self, conn: SimConn) -> None:

@@ -1,14 +1,17 @@
 """A listen port that another process holds: the real backend retires it
 from the suite's pool and binds the next port.  Only a range with no
-bindable port ends the suite, with exit 2 and one ``error:`` line."""
+bindable port ends the suite, with exit 2 and one ``error:`` line.  Every
+other port a test leases is back in the pool when the test ends."""
 
 from __future__ import annotations
 
+import errno
 import socket
 
 import pytest
 
 from conftest import run_cli
+from netmbt.errors import BackendError
 from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend
 
@@ -101,3 +104,44 @@ def test_a_socket_that_bound_but_could_not_listen_is_replaced(held_port):
         net.close_conn(client)
     net.force_close_all()
     assert pool.leased == frozenset() and pool.cooling == {port + 1}
+
+
+def test_a_server_closed_by_the_model_keeps_its_port_until_the_test_ends():
+    pool = PortPool(23400, 23409)
+    net = RealBackend(pool, watchdog_seconds=2.0)
+    server = net.open_server()
+    port = net.bind(server)
+    net.close_server(server)
+    assert pool.leased == {port}
+    net.force_close_all()
+    assert pool.leased == frozenset() and pool.cooling == {port}
+
+
+class _CannotListenSocket(socket.socket):
+    """Binds, then fails to listen with an error other than EADDRINUSE."""
+
+    bound: list
+
+    def bind(self, address):
+        super().bind(address)
+        self.bound.append(address[1])
+
+    def listen(self, backlog=0):
+        raise OSError(errno.EINVAL, "listen refused")
+
+
+def test_a_bind_that_cannot_listen_leaves_nothing_leased():
+    pool = PortPool(23410, 23419)
+    net = RealBackend(pool, watchdog_seconds=2.0)
+    server = net.open_server()
+    failing = _CannotListenSocket(socket.AF_INET, socket.SOCK_STREAM)
+    failing.bound = []
+    server.sock.close()
+    server.sock = failing
+    with pytest.raises(BackendError, match="cannot bind/listen"):
+        net.bind(server)
+    [port] = failing.bound
+    assert failing.fileno() == -1 and server.local_port is None
+    assert pool.leased == frozenset() and pool.cooling == {port}
+    net.force_close_all()
+    assert pool.leased == frozenset() and pool.cooling == {port}

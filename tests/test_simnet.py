@@ -3,6 +3,8 @@ fault injection."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from netmbt.adapter import ACCEPT, READ, WRITE
@@ -194,7 +196,7 @@ class TestFaults:
         net.advance()
         result = net.read(sc, 64)
         assert result.data == b"1234512345"  # more than was ever written
-        assert net.fault_fired
+        assert net.fault_events
         assert any("duplicated" in e for e in net.fault_events)
 
     def test_drop_bytes_is_silent_underdelivery(self):
@@ -239,6 +241,41 @@ def advance_over_every_flow(self):
             self._deliver(flow)
 
 
+def suite(root, kind=None, trigger=0, latency="default"):
+    """The traces, diagnostics and flow stats of 120 tests of ``root``."""
+    config = SuiteConfig(seed=19, latency=latency,
+                         fault=FaultSpec(kind, trigger) if kind else None)
+    pool = port_pool(config)
+    kept = []
+    for i in range(120):
+        r = run_single_test(MODEL_REGISTRY[root], config, derive_seed(19, i), i, pool)
+        kept.append((serialize_trace(r.trace), r.diagnostics, r.flow_stats))
+    assert kind is None or any(diagnostics for _, diagnostics, _ in kept)
+    return kept
+
+
+def reset_with_a_cohort_in_flight():
+    """A server close resets a queued connection whose client has written,
+    which empties a flow with a cohort in flight; a later connection's
+    cohorts are then delivered, and the drop fault hits the first of them."""
+    net = SimBackend(SeededRng(1), LatencyModel(choices=(2,), split=False),
+                     FaultSpec(FaultKind.DROP_BYTES, trigger_step=0))
+    srv = net.open_server()
+    cli = net.connect(net.bind(srv))
+    net.write(cli, b"lost")
+    net.close_server(srv)
+    assert net.flow_stats()[0]["lost"] == 4  # the cohort in flight
+    net.advance()
+    _, cli_b, sc_b = session(net)
+    net.write(sc_b, b"ccc")
+    net.write(cli_b, b"bb")
+    reads = []
+    for _ in range(3):
+        net.advance()
+        reads.append((net.read(sc_b, 8), net.read(cli_b, 8)))
+    return net.clock, reads, net.fault_events, net.flow_stats()
+
+
 class TestIdleFlows:
     def test_fault_hits_the_first_due_flow_in_connection_order(self):
         # The later connection writes first; the drop still hits the earlier
@@ -256,36 +293,42 @@ class TestIdleFlows:
         assert net.read(cli_a, 64).data == b"aaaaa"
         assert net.read(sc_b, 64).data == b"bbb"
 
-    def test_advance_does_not_visit_idle_flows(self):
+    def test_advance_does_not_visit_idle_flows(self, monkeypatch):
         net = SimBackend(SeededRng(1), LatencyModel(choices=(2,), split=False))
         for _ in range(3):
             session(net)
         _, cli, sc = session(net)
+        delivered = []
+        deliver = SimBackend._deliver
+        monkeypatch.setattr(SimBackend, "_deliver",
+                            lambda self, flow: (delivered.append(flow), deliver(self, flow)))
         net.write(cli, b"x")
-        assert net._pending == [cli.tx]
+        delivered.clear()  # the write's own call, for zero-latency cohorts
+        assert net._due == net.clock + 2
         net.advance()
-        assert net._pending == [cli.tx]
+        assert delivered == []
         net.advance()
-        assert net._pending == [] and net.read(sc, 8).data == b"x"
+        assert delivered == [cli.tx] and net._due == float("inf")
+        assert net.read(sc, 8).data == b"x"
 
-    @pytest.mark.parametrize("kind, trigger", [
-        (FaultKind.DROP_BYTES, 3), (FaultKind.DUPLICATE_BYTES, 3),
-        (FaultKind.DUPLICATE_BYTES, 11), (None, 0),
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(partial(suite, "server-main", FaultKind.DROP_BYTES, 3),
+                     id="FaultKind.DROP_BYTES-3"),
+        pytest.param(partial(suite, "server-main", FaultKind.DUPLICATE_BYTES, 3),
+                     id="FaultKind.DUPLICATE_BYTES-3"),
+        pytest.param(partial(suite, "server-main", FaultKind.DUPLICATE_BYTES, 11),
+                     id="FaultKind.DUPLICATE_BYTES-11"),
+        pytest.param(partial(suite, "server-main"), id="None-0"),
+        # Its blocking accept ticks the clock from inside an action.
+        pytest.param(partial(suite, "minimalist"), id="minimalist"),
+        # The write itself delivers each cohort.
+        pytest.param(partial(suite, "server-main", latency="zero"), id="latency-zero"),
+        pytest.param(reset_with_a_cohort_in_flight, id="reset-with-a-cohort-in-flight"),
     ])
-    def test_tests_equal_those_of_a_walk_over_every_flow(self, monkeypatch, kind, trigger):
-        config = SuiteConfig(seed=19, fault=FaultSpec(kind, trigger) if kind else None)
-        pool = port_pool(config)
-
-        def results():
-            for i in range(120):
-                r = run_single_test(MODEL_REGISTRY["server-main"], config,
-                                    derive_seed(19, i), i, pool)
-                yield serialize_trace(r.trace), r.diagnostics, r.flow_stats
-
-        kept = list(results())
-        assert kind is None or any(diagnostics for _, diagnostics, _ in kept)
+    def test_tests_equal_those_of_a_walk_over_every_flow(self, monkeypatch, scenario):
+        kept = scenario()
         monkeypatch.setattr(SimBackend, "advance", advance_over_every_flow)
-        assert list(results()) == kept
+        assert scenario() == kept
 
 
 class TestAbortiveVsGraceful:
