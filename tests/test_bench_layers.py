@@ -42,3 +42,50 @@ def test_wrapped_methods_are_defined_on_their_own_class(layer, owner_path, attrs
     cls = owner(owner_path)
     missing = [attr for attr in attrs if not callable(vars(cls).get(attr))]
     assert not missing, f"bench/layers.py wraps {missing} on netmbt.{owner_path}"
+
+
+def counted(monkeypatch, module, attr: str) -> list:
+    """Wrap ``module.attr`` as the tracer does, in the namespace that calls
+    it; the returned list grows by one per call."""
+    calls, fn = [], getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(attr)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+class TestTracedTraceCalls:
+    """The trace codec is timed through the names bench/layers.py patches:
+    a call made through another name would leave its per-layer metrics at
+    zero without failing anything."""
+
+    def test_run_suite_serializes_through_explorer(self, tmp_path, monkeypatch):
+        from netmbt import explorer
+        from netmbt.models import MODEL_REGISTRY
+
+        calls = counted(monkeypatch, explorer, "serialize_trace")
+        config = explorer.SuiteConfig(seed=1, num_tests=2, trace_path=str(tmp_path / "t.trace"))
+        explorer.run_suite(MODEL_REGISTRY["server-main"], config)
+        assert len(calls) == 2
+
+    def test_failing_run_writes_its_default_file_through_cli(self, tmp_path, monkeypatch):
+        from netmbt import cli
+
+        calls = counted(monkeypatch, cli, "serialize_trace")
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--model", "minimalist-misordered", "--seed", "1", "--tests", "2"]
+        assert cli.main(argv) == 1
+        assert len(calls) == 2
+
+    def test_replay_parses_through_cli(self, tmp_path, monkeypatch):
+        from netmbt import cli
+
+        path = str(tmp_path / "t.trace")
+        assert cli.main(["run", "--model", "minimalist", "--seed", "1", "--tests", "2",
+                         "--trace-out", path]) == 0
+        calls = counted(monkeypatch, cli, "parse_traces")
+        assert cli.main(["replay", "--replay", path]) == 0
+        assert calls == ["parse_traces"]
