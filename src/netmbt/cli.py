@@ -17,18 +17,10 @@ import sys
 
 from .efsm import ModelSpec
 from .errors import BackendError, ConfigError, DivergenceError
-from .explorer import (
-    SuiteConfig,
-    format_report,
-    parse_traces,
-    port_pool,
-    replay,
-    run_suite,
-    serialize_trace,
-    export_dot,
-)
+from .explorer import SuiteConfig, export_dot, format_report, port_pool, replay, run_suite
 from .models import MODEL_REGISTRY, ROOT_MODELS
 from .simnet import FaultKind, FaultSpec
+from .trace import BACKENDS, parse_traces, serialize_trace
 
 DEFAULT_FAILURE_TRACE_PATH = "netmbt-failures.trace"
 
@@ -69,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", parents=[shared], help="derive and execute a test suite")
     run.add_argument("--model", required=True, help="root model name (see list-models)")
-    run.add_argument("--backend", choices=["sim", "real"], default="sim")
+    run.add_argument("--backend", choices=BACKENDS, default="sim")
     run.add_argument("--seed", type=_seed_u64, default=None,
                      help="suite seed; chosen at random (and printed) when omitted")
     run.add_argument("--tests", type=int, default=100)

@@ -4,7 +4,7 @@ A suite runs numTests independent tests.  Test i is seeded by a splitmix64
 derivation of (suite seed, i), uses a fresh backend and ledger, and
 interleaves all live model instances by picking one enabled (instance,
 transition) pair at a time, weight-proportionally, with exactly one rng
-draw per pick.  Everything observable ends up in a line-oriented trace
+draw per pick.  Everything observable ends up in a trace (see trace.py)
 that can be replayed step-for-step.
 
 A run's results (Trace, TestResult, ModelCoverage, SuiteReport) are
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .efsm import (
     INIT_LABEL,
@@ -35,18 +35,15 @@ from .models import OracleLedger
 from .portman import PortPool
 from .rng import SeededRng, derive_seed
 from .simnet import FaultSpec, LatencyModel, SimBackend
-
-_U64 = 1 << 64
-TRACE_MAGIC, TRACE_VERSION = "netmbt-trace ", "v1"
-TRACE_HEADER = TRACE_MAGIC + TRACE_VERSION
-_HEADER_KEYS = ("seed", "test", "backend")  # each exactly once, nothing else
+from .trace import BACKENDS, StepRecord, Trace, serialize_trace, verdict_line
+from .trace import parse_traces  # unused here: bench/layers.py patches explorer.parse_traces
 
 
 class SuiteConfig(NamedTuple):
     seed: int
     num_tests: int = 100
     max_steps_per_test: int = 100
-    backend: str = "sim"  # "sim" | "real"
+    backend: str = "sim"  # one of BACKENDS
     abort_on_first_failure: bool = False
     trace_path: str | None = None
     port_range: tuple[int, int] = (20000, 29999)
@@ -55,13 +52,13 @@ class SuiteConfig(NamedTuple):
     p_close: float = 0.1
 
     def validate(self) -> None:
-        if not 0 <= self.seed < _U64:
+        if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.num_tests < 1:
             raise ConfigError("tests must be >= 1")
         if self.max_steps_per_test < 1:
             raise ConfigError("max steps per test must be >= 1")
-        if self.backend not in ("sim", "real"):
+        if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}")
         lo, hi = self.port_range
         if not (0 < lo <= hi <= 65535):
@@ -74,33 +71,6 @@ class SuiteConfig(NamedTuple):
             raise ConfigError("a latency model requires the sim backend")
         if not 0.0 <= self.p_close <= 1.0:
             raise ConfigError("p-close must be within [0, 1]")
-
-
-class StepRecord(NamedTuple):
-    index: int
-    instance_id: int
-    model: str
-    label: str
-    outcome: str  # outcome tag, ErrorKind value, or "-"
-    state: str
-
-    def line(self) -> str:
-        return f"{self.index} {self.instance_id} {self.model} {self.label} {self.outcome} {self.state}"
-
-
-class Trace(NamedTuple):
-    test_seed: int
-    test_index: int
-    backend: str
-    steps: list[StepRecord]
-    verdict: str = "PASS"  # "PASS" | "FAIL"
-    message: str = ""
-
-    @property
-    def failing_step_index(self) -> int | None:
-        if self.verdict == "PASS" or not self.steps:
-            return None
-        return self.steps[-1].index
 
 
 class TestResult(NamedTuple):
@@ -117,115 +87,6 @@ class TestResult(NamedTuple):
     def fired(self) -> int:
         """Transitions fired: the records that are not a launch's."""
         return sum(r.label != INIT_LABEL for r in self.trace.steps)
-
-
-# ---------------------------------------------------------------------------
-# Trace serialization
-# ---------------------------------------------------------------------------
-
-
-def serialize_trace(trace: Trace) -> str:
-    lines = [
-        f"{TRACE_HEADER} seed={trace.test_seed} test={trace.test_index} backend={trace.backend}"
-    ]
-    lines.extend(r.line() for r in trace.steps)
-    if trace.verdict == "PASS":
-        lines.append("verdict PASS")
-    else:
-        message = " ".join(trace.message.split())
-        lines.append(f"verdict FAIL {message}" if message else "verdict FAIL")
-    return "\n".join(lines) + "\n"
-
-
-def _lines(text: str, size: int = 1 << 16) -> Iterator[str]:
-    """``text.splitlines()``, split a chunk of about ``size`` characters at a
-    time.  Each chunk but the last ends with a newline, where every line
-    boundary is complete, so the lines are those of the whole text; only one
-    chunk's lines exist at once."""
-    def chunks() -> Iterator[str]:
-        start, end = 0, len(text)
-        while start < end:
-            cut = text.find("\n", start + size) + 1 or end
-            yield text[start:cut]
-            start = cut
-
-    return chain.from_iterable(map(str.splitlines, chunks()))
-
-
-def parse_traces(text: str) -> list[Trace]:
-    """Parse the traces serialize_trace wrote.  A malformed file, including
-    one that ends inside a block, raises ConfigError naming the bad line.
-
-    Step records are shared: one StepRecord per distinct record line, and
-    one (model, label, outcome, state) tuple per distinct text after the
-    record's second space, so a file costs about a pointer per step.
-    """
-    traces: list[Trace] = []
-    current: Trace | None = None
-    records: dict[str, StepRecord] = {}  # record line -> its record
-    tails: dict[str, tuple[str, str, str, str]] = {}  # text after the 2nd space -> fields
-    new = tuple.__new__
-    lineno = 0
-    try:
-        for lineno, line in enumerate(_lines(text), start=1):
-            record = records.get(line)
-            if record is not None and current is not None:
-                append(record)  # a line seen before, so it takes the last branch
-                continue
-            if not line.strip():
-                continue
-            if line.startswith(TRACE_MAGIC):
-                version = line.split(" ", 2)[1]
-                if version != TRACE_VERSION:
-                    raise ValueError(f"unsupported trace version {version!r}")
-                if current is not None:
-                    raise ValueError("trace header before the previous trace's verdict")
-                fields: dict[str, str] = {}
-                for word in line.split()[2:]:
-                    key, eq, value = word.partition("=")
-                    if not eq:
-                        raise ValueError(f"header word {word!r} is not key=value")
-                    if key in fields:
-                        raise ValueError(f"repeated header field {key!r}")
-                    if key not in _HEADER_KEYS:
-                        raise ValueError(f"unknown header field {key!r}")
-                    fields[key] = value
-                current = Trace(int(fields["seed"]), int(fields["test"]), fields["backend"], [])
-                if not 0 <= current.test_seed < _U64:
-                    raise ValueError(f"seed={current.test_seed} is not a 64-bit unsigned integer")
-                if current.test_index < 0:
-                    raise ValueError(f"test={current.test_index} is negative")
-                if current.backend not in ("sim", "real"):
-                    raise ValueError(f"unknown backend {current.backend!r}")
-                append = current.steps.append
-            elif current is None:
-                raise ValueError(f"record before trace header: {line!r}")
-            elif line.startswith("verdict "):
-                parts = line.split(" ", 2)
-                if parts[1] not in ("PASS", "FAIL"):
-                    raise ValueError(f"unknown verdict {parts[1]!r}")
-                traces.append(current._replace(
-                    verdict=parts[1], message=parts[2] if len(parts) > 2 else ""))
-                current = None
-            else:
-                head = line.split(" ", 2)
-                # A cached tail has three spaces, so it never matches the
-                # last part of a line with fewer than three parts.
-                tail = tails.get(head[-1])
-                if tail is None:
-                    parts = line.split(" ", 5)
-                    if len(parts) != 6:
-                        raise ValueError(f"malformed step record: {line!r}")
-                    tail = tails[head[2]] = tuple(parts[2:])
-                record = records[line] = new(StepRecord, (int(head[0]), int(head[1])) + tail)
-                append(record)
-        if current is not None:
-            raise ValueError("end of file before the verdict line")
-    except KeyError as exc:
-        raise ConfigError(f"line {lineno}: trace header lacks {exc.args[0]}=") from None
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from None
-    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +414,8 @@ def replay(trace: Trace, root_spec: ModelSpec, config: SuiteConfig,
             actual = replayed[i].line() if i < len(replayed) else "<missing>"
             if expected != actual:
                 raise DivergenceError(i, expected, actual)
-    if (trace.verdict, " ".join(trace.message.split())) != (
-        rerun.trace.verdict, " ".join(rerun.trace.message.split())
-    ):
+    if verdict_line(trace) != verdict_line(rerun.trace):
+        # Reported as given: a hand-edited message keeps its spacing.
         raise DivergenceError(
             len(recorded),
             f"verdict {trace.verdict} {trace.message}".strip(),

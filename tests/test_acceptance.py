@@ -19,10 +19,11 @@ from conftest import child_env
 from conftest import run_cli as cli
 from netmbt.efsm import ModelInstance, Transition, define_model
 from netmbt.errors import AdapterError
-from netmbt.explorer import SuiteConfig, parse_traces, pick_next, run_suite
+from netmbt.explorer import SuiteConfig, pick_next, run_suite
 from netmbt.models import MODEL_REGISTRY
 from netmbt.rng import SeededRng, maybe
 from netmbt.simnet import LatencyModel, SimBackend
+from netmbt.trace import parse_traces
 
 # The models whose every state and transition the coverage criterion asks for.
 CORE_MODELS = ("minimalist", "server-main", "worker", "client")

@@ -129,7 +129,7 @@ class TestReplayCommand:
         assert out.count("MATCH verdict=PASS") == 5
 
     def test_replay_of_failures_exits_one_same_step(self, tmp_path, capsys):
-        from netmbt.explorer import parse_traces
+        from netmbt.trace import parse_traces
 
         trace = tmp_path / "t.trace"
         main(["run", "--model", "server-main", "--seed", "9", "--tests", "100",
@@ -183,6 +183,19 @@ class TestReplayCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: line 1: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_text_after_verdict_pass_is_a_malformed_line(self, tmp_path, capsys):
+        path = tmp_path / "t.trace"
+        main(["run", "--model", "minimalist", "--seed", "1", "--tests", "3",
+              "--trace-out", str(path)])
+        lines = path.read_text().splitlines()
+        n = lines.index("verdict PASS") + 1
+        lines[n - 1] = "verdict PASS stray words"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", "--replay", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: line {n}: verdict PASS carries no "
+                                           "message: 'verdict PASS stray words'\n")
 
     @pytest.mark.parametrize("text, error", [
         ("", "no traces in file"),

@@ -14,23 +14,21 @@ from netmbt.explorer import (
     ModelCoverage,
     SuiteConfig,
     SuiteReport,
-    Trace,
     coverage_from_traces,
     export_dot,
     format_report,
-    parse_traces,
     pick_next,
     port_pool,
     replay,
     run_single_test,
     run_suite,
-    serialize_trace,
 )
 from netmbt.explorer import TestResult as RunResult  # not a test class
 from netmbt.models import MODEL_REGISTRY
 from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
 from netmbt.simnet import FaultKind, FaultSpec, LatencyModel
+from netmbt.trace import Trace, parse_traces, serialize_trace
 
 
 def NOOP(inst, env):

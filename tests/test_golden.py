@@ -27,17 +27,22 @@ from netmbt.cli import main
 ROWS = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
 BY_ID = {row["id"]: row for row in ROWS}
 _ELAPSED = re.compile(r"\(\d+\.\d\ds\)")
-_written: dict[str, dict[str, bytes]] = {}  # row id -> the files it wrote
+
+
+@pytest.fixture(scope="module")
+def written() -> dict[str, dict[str, bytes]]:
+    """Row id -> the files that row wrote, kept for the rows that need them."""
+    return {}
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_row(row, path: Path, monkeypatch, capsys) -> tuple[int, str, dict[str, bytes]]:
+def run_row(row, path: Path, written, monkeypatch, capsys) -> tuple[int, str, dict[str, bytes]]:
     """Run ``row`` in the empty directory ``path``: (exit code, masked
     stdout, the files it wrote)."""
-    inputs = inputs_of(row, path.parent / "inputs", monkeypatch, capsys)
+    inputs = inputs_of(row, path.parent / "inputs", written, monkeypatch, capsys)
     for name, data in inputs.items():
         (path / name).write_bytes(data)
     monkeypatch.chdir(path)
@@ -48,34 +53,33 @@ def run_row(row, path: Path, monkeypatch, capsys) -> tuple[int, str, dict[str, b
     return code, out, files
 
 
-def inputs_of(row, scratch: Path, monkeypatch, capsys) -> dict[str, bytes]:
+def inputs_of(row, scratch: Path, written, monkeypatch, capsys) -> dict[str, bytes]:
     """The files of the row that ``row`` needs, running it once if no
     earlier case has."""
     need = row.get("needs")
     if need is None:
         return {}
-    if need not in _written:
+    if need not in written:
         scratch = scratch / need
         scratch.mkdir(parents=True)
-        _written[need] = run_row(BY_ID[need], scratch, monkeypatch, capsys)[2]
-    return _written[need]
+        written[need] = run_row(BY_ID[need], scratch, written, monkeypatch, capsys)[2]
+    return written[need]
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row["id"] for row in ROWS])
-def test_golden_run(row, tmp_path, monkeypatch, capsys):
+def test_golden_run(row, tmp_path, written, monkeypatch, capsys):
     here = tmp_path / "run"
     here.mkdir()
-    code, out, files = run_row(row, here, monkeypatch, capsys)
-    _written[row["id"]] = files
+    code, out, files = run_row(row, here, written, monkeypatch, capsys)
+    written[row["id"]] = files
     assert code == row["exit"], f"{row['id']}: exit is now {code}"
     assert sha256(out.encode()) == row["stdout"], (
         f"{row['id']}: stdout is now {sha256(out.encode())}:\n{out}")
     assert sorted(files) == sorted(row["files"]), f"{row['id']}: files are now {sorted(files)}"
-    unpinned = [name for name, digest in row["files"].items() if digest is None]
-    if unpinned:
+    if None in row["files"].values():
         again = tmp_path / "again"
         again.mkdir()
-        second = run_row(row, again, monkeypatch, capsys)[2]
+        second = run_row(row, again, written, monkeypatch, capsys)[2]
     for name, digest in row["files"].items():
         got = sha256(files[name])
         if digest is None:

@@ -9,10 +9,11 @@ import pytest
 
 from netmbt.adapter import ACCEPT, READ, WRITE
 from netmbt.errors import AdapterError, ErrorKind
-from netmbt.explorer import SuiteConfig, port_pool, run_single_test, serialize_trace
+from netmbt.explorer import SuiteConfig, port_pool, run_single_test
 from netmbt.models import MODEL_REGISTRY
 from netmbt.rng import SeededRng, derive_seed
 from netmbt.simnet import FaultKind, FaultSpec, LatencyModel, SimBackend
+from netmbt.trace import serialize_trace
 
 
 def session(net):

@@ -11,23 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmbt.errors import ConfigError
-from netmbt.explorer import (
+from netmbt.explorer import SuiteConfig, port_pool, run_single_test, run_suite
+from netmbt.models import MODEL_REGISTRY
+from netmbt.rng import derive_seed
+from netmbt.simnet import FaultKind, FaultSpec
+from netmbt.trace import (
     TRACE_HEADER,
     TRACE_MAGIC,
     TRACE_VERSION,
     StepRecord,
-    SuiteConfig,
     Trace,
     _lines,
     parse_traces,
-    port_pool,
-    run_single_test,
-    run_suite,
     serialize_trace,
 )
-from netmbt.models import MODEL_REGISTRY
-from netmbt.rng import derive_seed
-from netmbt.simnet import FaultKind, FaultSpec
 
 
 def reference_parse_traces(text: str) -> list[Trace]:
@@ -75,6 +72,8 @@ def reference_parse_traces(text: str) -> list[Trace]:
                 parts = line.split(" ", 2)
                 if parts[1] not in ("PASS", "FAIL"):
                     raise ValueError(f"unknown verdict {parts[1]!r}")
+                if parts[1] == "PASS" and len(parts) > 2:
+                    raise ValueError(f"verdict PASS carries no message: {line!r}")
                 traces[-1] = current._replace(
                     verdict=parts[1], message=parts[2] if len(parts) > 2 else "")
                 current = None
@@ -229,6 +228,25 @@ class TestCompactParse:
         assert got == _parse(reference_parse_traces, text)
         if error is None:
             assert (got[1][0].test_seed, got[1][0].test_index) == (1, 0)
+        else:
+            assert got == ("error", error)
+
+    @pytest.mark.parametrize("verdict, error", [
+        ("verdict PASS", None),
+        ("verdict FAIL", None),
+        ("verdict FAIL lost  bytes", None),  # kept as written
+        ("verdict PASS stray words",
+         "line 2: verdict PASS carries no message: 'verdict PASS stray words'"),
+        ("verdict PASS ", "line 2: verdict PASS carries no message: 'verdict PASS '"),
+        ("verdict PASSED", "line 2: unknown verdict 'PASSED'"),
+    ])
+    def test_only_a_fail_verdict_carries_a_message(self, verdict, error):
+        text = f"{TRACE_HEADER} seed=1 test=0 backend=sim\n{verdict}\n"
+        got = _parse(parse_traces, text)
+        assert got == _parse(reference_parse_traces, text)
+        if error is None:
+            trace = got[1][0]
+            assert f"verdict {trace.verdict} {trace.message}".strip() == verdict
         else:
             assert got == ("error", error)
 
