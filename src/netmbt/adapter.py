@@ -4,7 +4,8 @@ Channels, selectors and read results are plain state-carrying handles; the
 behavior lives in a NetworkBackend (real OS sockets or the in-memory
 simulator).  The (state, operation) legality table is enforced here, in one
 place, so both backends classify misuse identically; subclasses implement
-only the transport.
+only the transport.  At the end of a test the base marks every channel the
+test opened closed; a backend that holds OS resources frees them first.
 
 Blocking operations honor a per-call watchdog budget: instead of hanging, a
 call that cannot complete raises WatchdogTimeout, which the explorer turns
@@ -219,6 +220,10 @@ class NetworkBackend:
                 raise ValueError("connection channels do not support ACCEPT interest")
         if not interest:
             raise ValueError("empty interest set")
+        for key in selector.keys:
+            if key.channel is channel and not key.cancelled:
+                key.interest = interest  # java.nio: the one key, new interest
+                return key
         key = SelectorKey(channel, interest)
         selector.keys.append(key)
         channel.registered += 1
@@ -252,7 +257,6 @@ class NetworkBackend:
             key.ready = ready
             if ready:
                 ready_keys.add(key)
-        self._post_select(selector, ready_keys)
         return ready_keys
 
     # -- lifecycle -----------------------------------------------------------
@@ -264,19 +268,10 @@ class NetworkBackend:
         """Let in-flight effects land; the backend contract tests call it."""
 
     def force_close_all(self) -> None:
-        """End-of-test cleanup: close every channel opened during the test
-        without modeling semantic side effects."""
-        for conn in self._opened_conns:
-            if not conn.closed:
-                self._force_close_conn(conn)
-                conn.closed = True
-        for server in self._opened_servers:
-            if not server.closed:
-                self._force_close_server(server)
-                server.closed = True
-
-    def _post_select(self, selector: Selector, ready_keys: set[SelectorKey]) -> None:
-        """Hook for fault injection; default does nothing."""
+        """End-of-test cleanup: mark every channel the test opened closed, with
+        no modeled side effect.  A backend holding OS resources frees them first."""
+        for channel in (*self._opened_conns, *self._opened_servers):
+            channel.closed = True
 
     # -- transport hooks -----------------------------------------------------
 
@@ -309,10 +304,4 @@ class NetworkBackend:
 
     def _raw_readiness(self, channel, interest: int) -> int:
         """Ready bits of ``channel`` as an int mask, before adapter rules."""
-        raise NotImplementedError
-
-    def _force_close_conn(self, conn: ConnChannel) -> None:
-        raise NotImplementedError
-
-    def _force_close_server(self, server: ServerChannel) -> None:
         raise NotImplementedError

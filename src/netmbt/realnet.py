@@ -238,12 +238,17 @@ class RealBackend(NetworkBackend):
         return ready
 
     def force_close_all(self) -> None:
-        """Close the test's channels, then return the ports of its bound
-        servers to the pool and tick the pool's test clock."""
-        super().force_close_all()
+        """Reset the open connections, close the open server sockets and
+        release the bound servers' ports; then mark closed and tick the pool."""
+        for conn in self._opened_conns:
+            if not conn.closed:
+                self._force_close_conn(conn)
         for server in self._opened_servers:
+            if not server.closed:
+                server.sock.close()
             if server.local_port is not None:
                 self.pool.release(server.local_port)
+        super().force_close_all()
         self.pool.next_test()
 
     def _force_close_conn(self, conn: RealConn) -> None:
@@ -254,11 +259,5 @@ class RealBackend(NetworkBackend):
             pass
         try:
             sock.close()
-        except OSError:
-            pass
-
-    def _force_close_server(self, server: RealServer) -> None:
-        try:
-            server.sock.close()
         except OSError:
             pass

@@ -3,8 +3,9 @@
 Bytes move through explicit latency cohorts driven by a step clock (one
 tick per fired transition), so every outcome - read contents, readiness
 sets, end-of-stream timing - is a pure function of the test seed and the
-adapter call sequence.  An optional fault plan corrupts delivery in one
-controlled way per test to probe oracle sensitivity.
+adapter call sequence.  An optional fault plan corrupts one thing per test
+to probe oracle sensitivity: the drop and duplicate faults act at delivery,
+phantom readiness acts at readiness.
 
 Close semantics mirror loopback TCP deterministically:
 
@@ -36,8 +37,6 @@ from .adapter import (
     ConnChannel,
     NetworkBackend,
     ReadResult,
-    Selector,
-    SelectorKey,
     ServerChannel,
 )
 from .errors import AdapterError, ErrorKind, WatchdogTimeout
@@ -139,7 +138,7 @@ class SimBackend(NetworkBackend):
         self.clock = 0
         self.fault = fault
         self.fault_events: list[str] = []
-        self._listeners: dict[int, SimServer] = {}
+        self._listeners: dict[int, SimServer] = {}  # cleanup leaves closed ones here
         # In connection order: the order that decides which cohort a drop or
         # duplicate fault hits.
         self._flows: list[SimFlow] = []
@@ -315,31 +314,12 @@ class SimBackend(NetworkBackend):
             flow.delivered or (flow.eof_signaled and not flow.cohorts)
         ):
             return READ | WRITE
+        # select_now asks for live keys in selector order: the first eligible takes it
+        if (self.fault is not None and interest & READ and not channel.input_shut
+                and self._fault_armed(FaultKind.PHANTOM_READINESS)):
+            self._fire_fault(f"phantom READ readiness on connection {channel.connection_id}")
+            return READ | WRITE
         return WRITE
-
-    def _post_select(self, selector: Selector, ready_keys: set[SelectorKey]) -> None:
-        if self.fault is None or not self._fault_armed(FaultKind.PHANTOM_READINESS):
-            return
-        for key in selector.keys:
-            if key.cancelled or key.channel.closed:
-                continue
-            if not (key.interest & READ):
-                continue
-            ch = key.channel
-            if not isinstance(ch, SimConn) or ch.input_shut:
-                continue
-            if key.ready & READ:
-                continue
-            key.ready |= READ
-            ready_keys.add(key)
-            self._fire_fault(f"phantom READ readiness on connection {ch.connection_id}")
-            return
-
-    def _force_close_conn(self, conn: SimConn) -> None:
-        pass
-
-    def _force_close_server(self, server: SimServer) -> None:
-        self._listeners.pop(server.local_port, None)
 
     # -- introspection for invariant checks ------------------------------------
 

@@ -19,12 +19,15 @@ from netmbt.rng import SeededRng
 from netmbt.simnet import LatencyModel, SimBackend
 
 
+def backend_of(kind: str):
+    if kind == "sim":
+        return SimBackend(SeededRng(1), LatencyModel.zero())
+    return RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
+
+
 @pytest.fixture(params=["sim", "real"])
 def net(request):
-    if request.param == "sim":
-        backend = SimBackend(SeededRng(1), LatencyModel.zero())
-    else:
-        backend = RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
+    backend = backend_of(request.param)
     yield backend
     backend.force_close_all()
 
@@ -386,6 +389,18 @@ class TestSelectors:
         net.configure_blocking(sc, True)
         assert sc.blocking
 
+    def test_register_twice_returns_the_live_key(self, net):
+        # java.nio: the existing key comes back with the new interest set
+        _, _, cli, sc = make_session(net)
+        net.configure_blocking(sc, False)
+        sel = net.open_selector()
+        key = net.register(sel, sc, READ)
+        assert net.register(sel, sc, WRITE) is key
+        assert key.interest == WRITE and sel.keys == [key] and sc.registered == 1
+        net.deregister(sel, key)
+        net.configure_blocking(sc, True)  # that one key was the only one
+        assert sc.blocking
+
     def test_register_closed_channel(self, net):
         _, _, cli, sc = make_session(net)
         net.configure_blocking(sc, False)
@@ -415,6 +430,24 @@ class TestWatchdog:
         _, _, cli, sc = make_session(net)
         with pytest.raises(WatchdogTimeout):
             net.read(sc, 8)
+
+
+@pytest.mark.parametrize("kind", ["sim", "real"])
+def test_end_of_test_cleanup_closes_what_the_test_left_open(kind):
+    # force_close_all runs once per test: the real pool releases each lease once
+    net = backend_of(kind)
+    srv, port, cli, sc = make_session(net)
+    unbound = net.open_server()
+    net.close_conn(cli)  # closed by the model before the end
+    net.force_close_all()
+    assert all(ch.closed for ch in (srv, unbound, cli, sc))
+    if net.is_sim:
+        with pytest.raises(AdapterError) as e:
+            net.connect(port)
+        assert kind_of(e) is ErrorKind.CONNECTION_REFUSED
+    else:
+        assert srv.sock.fileno() == -1 and sc.sock.fileno() == -1
+        assert port in net.pool.cooling and not net.pool.leased
 
 
 def test_real_read_takes_each_calls_mode_on_one_connection():

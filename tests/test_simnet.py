@@ -222,6 +222,28 @@ class TestFaults:
         # one-shot: the next select is honest again
         assert key not in net.select_now(sel)
 
+    def test_phantom_readiness_picks_the_first_eligible_key(self):
+        # eligible: live, READ interest, input open, not READ-ready
+        net = SimBackend(SeededRng(1), LatencyModel.zero(),
+                         FaultSpec(FaultKind.PHANTOM_READINESS, trigger_step=0))
+        (_, a, b), (_, c, d), (_, e, _), (_, f, _), (_, g, _) = (
+            session(net) for _ in range(5))
+        sel = net.open_selector()
+        keys = [net.register(sel, a, WRITE)]
+        keys += [net.register(sel, ch, READ) for ch in (b, c, d, e, f, g)]
+        net.shutdown_input(b)
+        net.write(d, b"data")  # delivered to c at zero latency
+        net.deregister(sel, keys[3])
+        net.close_conn(e)
+        ready = net.select_now(sel)
+        assert [k.ready for k in keys] == [WRITE, 0, READ, 0, 0, READ, 0]
+        assert ready == {keys[0], keys[2], keys[5]}
+        assert len(net.fault_events) == 1
+        assert net.fault_events[0].endswith(f"connection {f.connection_id}")
+        # one-shot: the next select is honest again
+        assert net.select_now(sel) == {keys[0], keys[2]}
+        assert len(net.fault_events) == 1
+
     def test_fault_fires_exactly_once(self):
         net = SimBackend(SeededRng(1), LatencyModel.zero(),
                          FaultSpec(FaultKind.DUPLICATE_BYTES, trigger_step=0))
