@@ -230,11 +230,13 @@ class NetworkBackend:
         return key
 
     def deregister(self, selector: Selector, key: SelectorKey) -> None:
-        if not key.cancelled:
-            key.cancelled = True
-            key.channel.registered -= 1
-        if key in selector.keys:
-            selector.keys.remove(key)
+        if key.cancelled:
+            return  # idempotent
+        if key not in selector.keys:
+            raise ValueError("the key belongs to another selector")
+        key.cancelled = True
+        key.channel.registered -= 1
+        selector.keys.remove(key)
 
     def select_now(self, selector: Selector) -> set[SelectorKey]:
         """Non-waiting readiness query over the selector's live keys.

@@ -13,9 +13,15 @@ is only legal once the peer's output is shut.  A deliberately mis-ordered
 minimalist variant (blocking accept before the client launch) is included
 to demonstrate watchdog-detected deadlock.
 
-Each state carries a fixed set of self-transitions (traffic and probes) and
-expected-exception edges; the adapter's (state, operation) legality table is
-the authority for which calls must fail where.
+Every model is declared the one way Modbat declares one: a tuple of edge
+rows ``(source, target, label, action, weight, expected kinds[, outcome
+branches])`` in declaration order, whose first source is the initial state.
+One rule gives every exception override: an expected error leads to the
+row's target, except PeerClosedError, which leads to the model's peer-gone
+state (``peerGone`` in the worker, ``reset`` in the client).  A probe is a
+named action whose call must fail; it raises PropertyViolation when the
+call succeeds.  The adapter's (state, operation) legality table is the
+authority for which calls must fail where.
 """
 
 from __future__ import annotations
@@ -165,14 +171,23 @@ def _close_conn(inst, env) -> None:
     env.ledger.record_output_shut(inst.vars["conn"])
 
 
-def _expect_failure(op, message: str):
-    """Action body for the red probe edges: ``op(conn, net)`` must raise."""
+# ---------------------------------------------------------------------------
+# Declaring a model
+# ---------------------------------------------------------------------------
 
-    def run(inst, env) -> None:
-        op(inst.vars["conn"], env.net)
-        raise PropertyViolation(message)
+_P, _I, _O = E.PEER_CLOSED, E.INPUT_SHUTDOWN, E.OUTPUT_SHUTDOWN
 
-    return run
+
+def _declare(name: str, constructor, rows, peer_gone: str | None = None,
+             states: list[str] | None = None) -> ModelSpec:
+    """define_model() of edge rows under the expected-error rule (see the
+    module docstring), in which PeerClosedError leads to ``peer_gone``."""
+    transitions = [
+        Transition(source, target, label, action, weight,
+                   {kind: peer_gone if kind is _P else target for kind in kinds}, *branches)
+        for source, target, label, action, weight, kinds, *branches in rows
+    ]
+    return define_model(name, rows[0][0], transitions, constructor, states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +212,20 @@ def _w_shut_out(inst, env):
     env.ledger.record_output_shut(inst.vars["conn"])
 
 
-# The four probe edges: a read after shutdownInput, a write after
-# shutdownOutput.
-_READ_PROBE = _expect_failure(lambda conn, net: net.read(conn, 8),
-                              "oracle: read succeeded after shutdownInput")
-_WRITE_PROBE = _expect_failure(lambda conn, net: net.write(conn, b"x"),
-                               "oracle: write succeeded after shutdownOutput")
+def _read_probe(inst, env) -> None:
+    env.net.read(inst.vars["conn"], 8)
+    raise PropertyViolation("oracle: read succeeded after shutdownInput")
 
-_P, _I, _O = E.PEER_CLOSED, E.INPUT_SHUTDOWN, E.OUTPUT_SHUTDOWN
 
-# The worker's edges in declaration order: source, target, label, action,
-# weight, expected error kinds.  A PeerClosedError leads to peerGone; any
-# other expected kind keeps the source state.
-_WORKER_EDGES = (
+def _write_probe(inst, env) -> None:
+    env.net.write(inst.vars["conn"], b"x")
+    raise PropertyViolation("oracle: write succeeded after shutdownOutput")
+
+
+# Reads, writes and selector checks in every live state; half-closes and
+# close move between states; a read after shutdownInput and a write after
+# shutdownOutput are probes.
+WORKER = _declare("worker", _watch_conn, (
     # connected: everything is legal; traffic dominates, closes are rare
     ("connected", "connected", "read", _checked_read, 2.0, (_P,)),
     ("connected", "connected", "write", _checked_write, 2.0, (_P,)),
@@ -218,20 +234,20 @@ _WORKER_EDGES = (
     ("connected", "outShut", "shutdownOutput", _w_shut_out, 0.5, (_P,)),
     ("connected", "closed", "close", _close_conn, 0.5, ()),
     # input shut: reads must fail, writes still flow
-    ("inShut", "inShut", "readAfterInShut", _READ_PROBE, 1.0, (_I,)),
+    ("inShut", "inShut", "readAfterInShut", _read_probe, 1.0, (_I,)),
     ("inShut", "inShut", "writeInShut", _checked_write, 2.0, (_P,)),
     ("inShut", "inShut", "checkSelectorInShut", _poll_then_read, 1.0, (_P,)),
     ("inShut", "bothShut", "shutdownOutputInShut", _w_shut_out, 0.5, (_P,)),
     ("inShut", "closed", "closeInShut", _close_conn, 0.5, ()),
     # output shut: writes must fail, reads still drain
-    ("outShut", "outShut", "writeAfterOutShut", _WRITE_PROBE, 1.0, (_O,)),
+    ("outShut", "outShut", "writeAfterOutShut", _write_probe, 1.0, (_O,)),
     ("outShut", "outShut", "readOutShut", _checked_read, 2.0, (_P,)),
     ("outShut", "outShut", "checkSelectorOutShut", _poll_then_read, 1.0, (_P,)),
     ("outShut", "bothShut", "shutdownInputOutShut", _w_shut_in, 0.5, ()),
     ("outShut", "closed", "closeOutShut", _close_conn, 0.5, ()),
     # both halves shut: only probes and close remain
-    ("bothShut", "bothShut", "readBothShut", _READ_PROBE, 1.0, (_I,)),
-    ("bothShut", "bothShut", "writeBothShut", _WRITE_PROBE, 1.0, (_O,)),
+    ("bothShut", "bothShut", "readBothShut", _read_probe, 1.0, (_I,)),
+    ("bothShut", "bothShut", "writeBothShut", _write_probe, 1.0, (_O,)),
     ("bothShut", "bothShut", "checkSelectorBothShut", _poll_then_read, 1.0, ()),
     ("bothShut", "closed", "closeBothShut", _close_conn, 1.0, ()),
     # peer gone: the other endpoint reset or vanished; the channel may
@@ -241,19 +257,7 @@ _WORKER_EDGES = (
     ("peerGone", "peerGone", "writePeerGone", _checked_write, 1.0, (_P, _O)),
     ("peerGone", "peerGone", "checkSelectorPeerGone", _poll_then_read, 1.0, (_P,)),
     ("peerGone", "closed", "closePeerGone", _close_conn, 0.5, ()),
-)
-
-
-def worker_model() -> ModelSpec:
-    """Server-side connection model: reads, writes and selector checks in
-    every live state; half-closes and close move between states; operations
-    that must fail after a (partial) close are expected-exception probes."""
-    transitions = [
-        Transition(source, target, label, fn, weight,
-                   {kind: "peerGone" if kind is _P else source for kind in kinds})
-        for source, target, label, fn, weight, kinds in _WORKER_EDGES
-    ]
-    return define_model("worker", "connected", transitions, _watch_conn)
+), peer_gone="peerGone")
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +278,16 @@ def _c_may_close(inst, env) -> str:
     return "stay"
 
 
-def client_model() -> ModelSpec:
-    """Client connection: connects in the constructor, then mostly reads,
-    occasionally writes, and closes by a seeded coin flip.  A reset from the
-    peer ends the model in a terminal state."""
-    to_reset = {E.PEER_CLOSED: "reset"}
-    transitions = [
-        Transition("active", "active", "read", _checked_read, exception_overrides=to_reset),
-        Transition("active", "active", "write", _checked_write, weight=0.5,
-                   exception_overrides=to_reset),
-        Transition("active", "active", "checkSelector", _poll_then_read,
-                   exception_overrides=to_reset),
-        Transition("active", "active", "mayClose", _c_may_close,
-                   outcome_branches={"stay": "active", "closed": "closed"}),
-    ]
-    return define_model("client", "active", transitions, _client_ctor,
-                        states=["active", "closed", "reset"])
+# Connects in the constructor, then mostly reads, occasionally writes, and
+# closes by a seeded coin flip.  A reset from the peer ends the model in a
+# terminal state.
+CLIENT = _declare("client", _client_ctor, (
+    ("active", "active", "read", _checked_read, 1.0, (_P,)),
+    ("active", "active", "write", _checked_write, 0.5, (_P,)),
+    ("active", "active", "checkSelector", _poll_then_read, 1.0, (_P,)),
+    ("active", "active", "mayClose", _c_may_close, 1.0, (),
+     {"stay": "active", "closed": "closed"}),
+), peer_gone="reset", states=["active", "closed", "reset"])
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +325,15 @@ def _close_server(inst, env) -> None:
     env.net.close_server(inst.vars["server"])
 
 
-def minimalist_model() -> ModelSpec:
-    transitions = [
-        Transition("bound", "bound", "session", _session, weight=3.0),
-        Transition("bound", "closed", "close", _close_server),
-    ]
-    return define_model("minimalist", "bound", transitions, _bind_ctor)
+MINIMALIST = _declare("minimalist", _bind_ctor, (
+    ("bound", "bound", "session", _session, 3.0, ()),
+    ("bound", "closed", "close", _close_server, 1.0, ()),
+))
 
-
-def minimalist_misordered_model() -> ModelSpec:
-    transitions = [
-        Transition("bound", "bound", "session", _session_misordered),
-        Transition("bound", "closed", "close", _close_server, weight=0.1),
-    ]
-    return define_model("minimalist-misordered", "bound", transitions, _bind_ctor)
+MINIMALIST_MISORDERED = _declare("minimalist-misordered", _bind_ctor, (
+    ("bound", "bound", "session", _session_misordered, 1.0, ()),
+    ("bound", "closed", "close", _close_server, 0.1, ()),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -415,62 +408,44 @@ def _sm_port_closed(inst, env) -> None:
     raise PropertyViolation("oracle: getLocalPort succeeded on a closed server")
 
 
-def server_main_model() -> ModelSpec:
-    """Selector-based server main model.
-
-    bound -> selectorConfigured -> accepting <-> connected, with close edges
-    to a terminal region.  Every live state carries toggleBlocking,
-    checkSelector and getLocalPort self-transitions; expected-exception
-    probes loop back to the same state, and probes on the closed channel
-    land in "err".
-    """
-
-    def self_probes(state, suffix, toggle_fn, toggle_override):
-        return [
-            Transition(state, state, f"toggleBlocking{suffix}", toggle_fn,
-                       exception_overrides=toggle_override),
-            Transition(state, state, f"checkSelector{suffix}", _sm_check_selector),
-            Transition(state, state, f"getLocalPort{suffix}", _sm_get_port),
-        ]
-
-    transitions = [
-        Transition("bound", "selectorConfigured", "configureSelector", _configure_selector),
-        *self_probes("bound", "Bound", _sm_toggle_free, {}),
-        Transition("bound", "bound", "bindAgain", _sm_bind_again,
-                   exception_overrides={E.ALREADY_BOUND: "bound"}),
-        Transition("bound", "closed", "closeFromBound", _close_server, weight=0.3),
-        Transition("selectorConfigured", "accepting", "startAccepting",
-                   _sm_start_accepting, weight=2.0),
-        *self_probes("selectorConfigured", "Configured", _sm_toggle_registered,
-                     {E.ILLEGAL_BLOCKING_MODE: "selectorConfigured"}),
-        Transition("selectorConfigured", "closed", "closeFromConfigured",
-                   _close_server, weight=0.3),
-        Transition("accepting", "accepting", "acceptTry", _sm_accept_try, weight=3.0,
-                   outcome_branches={"nullResult": "accepting", "connected": "connected"}),
-        *self_probes("accepting", "Accepting", _sm_toggle_registered,
-                     {E.ILLEGAL_BLOCKING_MODE: "accepting"}),
-        Transition("accepting", "closed", "closeFromAccepting", _close_server, weight=0.3),
-        Transition("connected", "accepting", "handOff", _sm_hand_off, weight=3.0),
-        *self_probes("connected", "Connected", _sm_toggle_registered,
-                     {E.ILLEGAL_BLOCKING_MODE: "connected"}),
-        Transition("connected", "closed", "closeFromConnected", _close_server, weight=0.3),
-        Transition("closed", "err", "acceptAfterClose", _sm_accept_closed,
-                   exception_overrides={E.CLOSED_CHANNEL: "err"}),
-        Transition("closed", "err", "getLocalPortAfterClose", _sm_port_closed,
-                   exception_overrides={E.CLOSED_CHANNEL: "err"}),
-    ]
-    return define_model("server-main", "bound", transitions, _bind_ctor)
+# bound -> selectorConfigured -> accepting <-> connected, and close edges to a
+# terminal region.  Every live state has toggleBlocking, checkSelector and
+# getLocalPort self-loops; probes on the closed channel land in "err".
+_BLOCKING = (E.ILLEGAL_BLOCKING_MODE,)
+SERVER_MAIN = _declare("server-main", _bind_ctor, (
+    ("bound", "selectorConfigured", "configureSelector", _configure_selector, 1.0, ()),
+    ("bound", "bound", "toggleBlockingBound", _sm_toggle_free, 1.0, ()),
+    ("bound", "bound", "checkSelectorBound", _sm_check_selector, 1.0, ()),
+    ("bound", "bound", "getLocalPortBound", _sm_get_port, 1.0, ()),
+    ("bound", "bound", "bindAgain", _sm_bind_again, 1.0, (E.ALREADY_BOUND,)),
+    ("bound", "closed", "closeFromBound", _close_server, 0.3, ()),
+    ("selectorConfigured", "accepting", "startAccepting", _sm_start_accepting, 2.0, ()),
+    ("selectorConfigured", "selectorConfigured", "toggleBlockingConfigured",
+     _sm_toggle_registered, 1.0, _BLOCKING),
+    ("selectorConfigured", "selectorConfigured", "checkSelectorConfigured",
+     _sm_check_selector, 1.0, ()),
+    ("selectorConfigured", "selectorConfigured", "getLocalPortConfigured",
+     _sm_get_port, 1.0, ()),
+    ("selectorConfigured", "closed", "closeFromConfigured", _close_server, 0.3, ()),
+    ("accepting", "accepting", "acceptTry", _sm_accept_try, 3.0, (),
+     {"nullResult": "accepting", "connected": "connected"}),
+    ("accepting", "accepting", "toggleBlockingAccepting", _sm_toggle_registered, 1.0, _BLOCKING),
+    ("accepting", "accepting", "checkSelectorAccepting", _sm_check_selector, 1.0, ()),
+    ("accepting", "accepting", "getLocalPortAccepting", _sm_get_port, 1.0, ()),
+    ("accepting", "closed", "closeFromAccepting", _close_server, 0.3, ()),
+    ("connected", "accepting", "handOff", _sm_hand_off, 3.0, ()),
+    ("connected", "connected", "toggleBlockingConnected", _sm_toggle_registered, 1.0, _BLOCKING),
+    ("connected", "connected", "checkSelectorConnected", _sm_check_selector, 1.0, ()),
+    ("connected", "connected", "getLocalPortConnected", _sm_get_port, 1.0, ()),
+    ("connected", "closed", "closeFromConnected", _close_server, 0.3, ()),
+    ("closed", "err", "acceptAfterClose", _sm_accept_closed, 1.0, (E.CLOSED_CHANNEL,)),
+    ("closed", "err", "getLocalPortAfterClose", _sm_port_closed, 1.0, (E.CLOSED_CHANNEL,)),
+))
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-
-WORKER = worker_model()
-CLIENT = client_model()
-MINIMALIST = minimalist_model()
-MINIMALIST_MISORDERED = minimalist_misordered_model()
-SERVER_MAIN = server_main_model()
 
 MODEL_REGISTRY: dict[str, ModelSpec] = {
     "minimalist": MINIMALIST,

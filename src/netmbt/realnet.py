@@ -93,6 +93,7 @@ class RealBackend(NetworkBackend):
         # client local address -> connection id, so the accepted side can be
         # paired with the connecting side for per-connection accounting
         self._pending_ids: dict[tuple[str, int], int] = {}
+        self._cleaned_up = False  # force_close_all runs once
 
     @staticmethod
     def probe() -> None:
@@ -239,7 +240,11 @@ class RealBackend(NetworkBackend):
 
     def force_close_all(self) -> None:
         """Reset the open connections, close the open server sockets and
-        release the bound servers' ports; then mark closed and tick the pool."""
+        release the bound servers' ports; then mark closed and tick the pool.
+        A second call does nothing."""
+        if self._cleaned_up:
+            return
+        self._cleaned_up = True
         for conn in self._opened_conns:
             if not conn.closed:
                 self._force_close_conn(conn)

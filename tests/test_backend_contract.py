@@ -389,6 +389,20 @@ class TestSelectors:
         net.configure_blocking(sc, True)
         assert sc.blocking
 
+    def test_deregister_refuses_another_selectors_key(self, net):
+        _, _, cli, sc = make_session(net)
+        net.configure_blocking(sc, False)
+        sel_a, sel_b = net.open_selector(), net.open_selector()
+        key = net.register(sel_a, sc, WRITE)
+        with pytest.raises(ValueError):
+            net.deregister(sel_b, key)
+        # nothing changed: the key is still live in its own selector
+        assert not key.cancelled and sel_a.keys == [key] and sc.registered == 1
+        assert key in net.select_now(sel_a)
+        with pytest.raises(AdapterError) as e:
+            net.configure_blocking(sc, True)
+        assert kind_of(e) is ErrorKind.ILLEGAL_BLOCKING_MODE
+
     def test_register_twice_returns_the_live_key(self, net):
         # java.nio: the existing key comes back with the new interest set
         _, _, cli, sc = make_session(net)
@@ -448,6 +462,22 @@ def test_end_of_test_cleanup_closes_what_the_test_left_open(kind):
     else:
         assert srv.sock.fileno() == -1 and sc.sock.fileno() == -1
         assert port in net.pool.cooling and not net.pool.leased
+
+
+@pytest.mark.parametrize("kind", ["sim", "real"])
+def test_second_end_of_test_cleanup_does_nothing(kind):
+    net = backend_of(kind)
+    srv, port, cli, sc = make_session(net)
+    net.force_close_all()
+    if not net.is_sim:
+        leased, cooling = net.pool.leased, net.pool.cooling
+    net.force_close_all()
+    assert all(ch.closed for ch in (srv, cli, sc))
+    if not net.is_sim:
+        # no second release and no second pool tick, which would end the
+        # port's two-test cooldown
+        assert (net.pool.leased, net.pool.cooling) == (leased, cooling)
+        assert cooling == {port} and not leased
 
 
 def test_real_read_takes_each_calls_mode_on_one_connection():

@@ -419,18 +419,18 @@ worker connected connected peerGone inShut outShut closed bothShut | _watch_conn
   connected>inShut shutdownInput 0.5 _w_shut_in - -
   connected>outShut shutdownOutput 0.5 _w_shut_out PeerClosedError:peerGone -
   connected>closed close 0.5 _close_conn - -
-  inShut>inShut readAfterInShut 1.0 _expect_failure.<locals>.run InputShutdownError:inShut -
+  inShut>inShut readAfterInShut 1.0 _read_probe InputShutdownError:inShut -
   inShut>inShut writeInShut 2.0 _checked_write PeerClosedError:peerGone -
   inShut>inShut checkSelectorInShut 1.0 _poll_then_read PeerClosedError:peerGone -
   inShut>bothShut shutdownOutputInShut 0.5 _w_shut_out PeerClosedError:peerGone -
   inShut>closed closeInShut 0.5 _close_conn - -
-  outShut>outShut writeAfterOutShut 1.0 _expect_failure.<locals>.run OutputShutdownError:outShut -
+  outShut>outShut writeAfterOutShut 1.0 _write_probe OutputShutdownError:outShut -
   outShut>outShut readOutShut 2.0 _checked_read PeerClosedError:peerGone -
   outShut>outShut checkSelectorOutShut 1.0 _poll_then_read PeerClosedError:peerGone -
   outShut>bothShut shutdownInputOutShut 0.5 _w_shut_in - -
   outShut>closed closeOutShut 0.5 _close_conn - -
-  bothShut>bothShut readBothShut 1.0 _expect_failure.<locals>.run InputShutdownError:bothShut -
-  bothShut>bothShut writeBothShut 1.0 _expect_failure.<locals>.run OutputShutdownError:bothShut -
+  bothShut>bothShut readBothShut 1.0 _read_probe InputShutdownError:bothShut -
+  bothShut>bothShut writeBothShut 1.0 _write_probe OutputShutdownError:bothShut -
   bothShut>bothShut checkSelectorBothShut 1.0 _poll_then_read - -
   bothShut>closed closeBothShut 1.0 _close_conn - -
   peerGone>peerGone readPeerGone 1.0 _checked_read InputShutdownError:peerGone,PeerClosedError:peerGone -
