@@ -3,8 +3,10 @@
 Each row of ``golden.json`` is one ``netmbt`` command, run in-process
 through ``cli.main`` in an empty directory.  A row pins its exit code, the
 sha256 of stdout with the elapsed time ``(N.NNs)`` masked, and the sha256
-of every file the command writes there.  A ``needs`` row first gets the
-files another row wrote (a ``replay`` of a recorded file).  A file whose
+of every file the command writes there.  A command that argparse ends
+(``--help``) exits with the code of its ``SystemExit``, and help text is
+formatted for 80 columns, whatever the terminal.  A ``needs`` row first
+gets the files another row wrote (a ``replay`` of a recorded file).  A file whose
 digest is ``null`` is not pinned: it is compared with a second run of the
 same command, as for the real backend, whose bytes no other kernel has
 been checked against.
@@ -46,8 +48,12 @@ def run_row(row, path: Path, written, monkeypatch, capsys) -> tuple[int, str, di
     for name, data in inputs.items():
         (path / name).write_bytes(data)
     monkeypatch.chdir(path)
+    monkeypatch.setenv("COLUMNS", "80")
     capsys.readouterr()
-    code = main(list(row["argv"]))
+    try:
+        code = main(list(row["argv"]))
+    except SystemExit as exc:
+        code = exc.code
     out = _ELAPSED.sub("(N.NNs)", capsys.readouterr().out)
     files = {p.name: p.read_bytes() for p in path.iterdir() if p.name not in inputs}
     return code, out, files
