@@ -19,10 +19,11 @@ from .efsm import ModelSpec
 from .errors import BackendError, ConfigError, DivergenceError
 from .explorer import SuiteConfig, export_dot, format_report, port_pool, replay, run_suite
 from .models import MODEL_REGISTRY, ROOT_MODELS
-from .simnet import FaultKind, FaultSpec
+from .simnet import LATENCIES, FaultKind
 from .trace import BACKENDS, parse_traces, serialize_trace
 
 DEFAULT_FAILURE_TRACE_PATH = "netmbt-failures.trace"
+_DEFAULTS = SuiteConfig._field_defaults
 
 
 def _port_range(text: str) -> tuple[int, int]:
@@ -49,23 +50,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Flags that shape every test; replay must be given the recorded run's values.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--max-steps", type=int, default=100)
-    shared.add_argument("--port-range", type=_port_range, default=(20000, 29999),
+    shared.add_argument("--max-steps", type=int, default=_DEFAULTS["max_steps_per_test"])
+    shared.add_argument("--port-range", type=_port_range, default=_DEFAULTS["port_range"],
                         metavar="LO:HI",
                         help="listen ports of a real run; a sim run only validates it")
     shared.add_argument("--fault", choices=sorted(["none", *(k.value for k in FaultKind)]),
                         default="none")
-    shared.add_argument("--latency", choices=["zero", "default"], default="default")
-    shared.add_argument("--p-close", type=float, default=0.1,
+    shared.add_argument("--latency", choices=list(LATENCIES), default=_DEFAULTS["latency"])
+    shared.add_argument("--p-close", type=float, default=_DEFAULTS["p_close"],
                         help="client's per-opportunity close probability")
 
     run = sub.add_parser("run", parents=[shared], help="derive and execute a test suite")
     run.add_argument("--model", required=True, help="root model name (see list-models)")
-    run.add_argument("--backend", choices=BACKENDS, default="sim")
+    run.add_argument("--backend", choices=BACKENDS, default=_DEFAULTS["backend"])
     run.add_argument("--seed", type=_seed_u64, default=None,
                      help="suite seed; chosen at random (and printed) when omitted")
-    run.add_argument("--tests", type=int, default=100)
-    run.add_argument("--trace-out", default=None, help="write all traces to this file")
+    run.add_argument("--tests", type=int, default=_DEFAULTS["num_tests"])
+    run.add_argument("--trace-out", help="write all traces to this file")
     run.add_argument("--abort-on-failure", action="store_true")
 
     rep = sub.add_parser("replay", parents=[shared],
@@ -103,7 +104,7 @@ def _config(args, seed: int, backend: str, **fields) -> SuiteConfig:
         backend=backend,
         port_range=args.port_range,
         latency=args.latency,
-        fault=None if args.fault == "none" else FaultSpec(FaultKind(args.fault)),
+        fault=None if args.fault == "none" else FaultKind(args.fault),
         p_close=args.p_close,
         **fields,
     )
@@ -133,6 +134,9 @@ def _cmd_replay(args) -> int:
     backends = sorted({t.backend for t in traces})
     if len(backends) > 1:
         raise ConfigError(f"trace file mixes backends {' and '.join(backends)}")
+    roots = sorted({t.steps[0].model for t in traces if t.steps})
+    if len(roots) > 1:
+        raise ConfigError(f"trace file mixes root models {' and '.join(roots)}")
     model_name = args.model
     if model_name is None:
         if not traces[0].steps:

@@ -34,7 +34,7 @@ from .errors import ConfigError, DivergenceError
 from .models import OracleLedger
 from .portman import PortPool
 from .rng import SeededRng, derive_seed
-from .simnet import FaultSpec, LatencyModel, SimBackend
+from .simnet import LATENCIES, FaultKind, SimBackend
 from .trace import BACKENDS, StepRecord, Trace, serialize_trace, verdict_line
 from .trace import parse_traces  # unused here: bench/layers.py patches explorer.parse_traces
 
@@ -47,8 +47,8 @@ class SuiteConfig(NamedTuple):
     abort_on_first_failure: bool = False
     trace_path: str | None = None
     port_range: tuple[int, int] = (20000, 29999)
-    latency: str = "default"  # "default" | "zero" (sim only)
-    fault: FaultSpec | None = None
+    latency: str = "default"  # a key of simnet.LATENCIES; any other needs sim
+    fault: FaultKind | None = None
     p_close: float = 0.1
 
     def validate(self) -> None:
@@ -63,14 +63,16 @@ class SuiteConfig(NamedTuple):
         lo, hi = self.port_range
         if not (0 < lo <= hi <= 65535):
             raise ConfigError(f"invalid port range {lo}:{hi}")
-        if self.latency not in ("default", "zero"):
+        if self.latency not in LATENCIES:
             raise ConfigError(f"unknown latency model {self.latency!r}")
         if self.fault is not None and self.backend != "sim":
             raise ConfigError("fault injection requires the sim backend")
-        if self.latency != "default" and self.backend != "sim":
+        if self.latency != self._field_defaults["latency"] and self.backend != "sim":
             raise ConfigError("a latency model requires the sim backend")
         if not 0.0 <= self.p_close <= 1.0:
             raise ConfigError("p-close must be within [0, 1]")
+        if self.trace_path == "":
+            raise ConfigError("trace-out must name a file")
 
 
 class TestResult(NamedTuple):
@@ -96,8 +98,8 @@ class TestResult(NamedTuple):
 
 def _make_backend(config: SuiteConfig, test_seed: int, pool: PortPool | None):
     if config.backend == "sim":
-        latency = LatencyModel.zero() if config.latency == "zero" else LatencyModel.default()
-        return SimBackend(SeededRng(derive_seed(test_seed, 1)), latency, config.fault)
+        return SimBackend(SeededRng(derive_seed(test_seed, 1)), LATENCIES[config.latency],
+                          config.fault)
     from .realnet import RealBackend  # sockets load only for a real run
 
     return RealBackend(pool)
@@ -181,18 +183,12 @@ class EnabledTable:
             self.sizes.append(len(group_weights))
 
 
-def pick_next(
-    instances: Iterable[ModelInstance], rng: SeededRng, table: EnabledTable | None = None
-) -> tuple[ModelInstance, Transition] | None:
-    """Weight-proportional choice over all enabled (instance, transition)
-    pairs; exactly one rng draw when any pair is enabled, none otherwise.
-
-    ``table`` must be an exact EnabledTable of ``instances``; without one,
-    it is built here.  The pick is the first pair whose cumulative weight
-    exceeds the drawn point, falling back to the last pair.
+def pick_next(table: EnabledTable, rng: SeededRng) -> tuple[ModelInstance, Transition] | None:
+    """Weight-proportional choice over the enabled (instance, transition)
+    pairs of ``table``; exactly one rng draw when any pair is enabled, none
+    otherwise.  The pick is the first pair whose cumulative weight exceeds
+    the drawn point, falling back to the last pair.
     """
-    if table is None:
-        table = EnabledTable(instances)
     pairs = table.pairs
     if not pairs:
         return None
@@ -221,7 +217,7 @@ def run_single_test(
         run.launch(root_spec, {})
         table = EnabledTable(instances)
         for _ in range(config.max_steps_per_test):
-            pick = pick_next(instances, rng, table)
+            pick = pick_next(table, rng)
             if pick is None:
                 break
             inst, transition = pick

@@ -139,18 +139,15 @@ class RealBackend(NetworkBackend):
 
     def _do_accept(self, server: RealServer, blocking: bool) -> RealConn | None:
         sock = server.sock
-        if blocking:
-            _set_timeout(sock, self.watchdog_seconds)
-            try:
-                raw, peer = sock.accept()
-            except socket.timeout as exc:
-                raise WatchdogTimeout("blocking accept exceeded the watchdog budget") from exc
-        else:
-            _set_timeout(sock, 0.0)
-            try:
-                raw, peer = sock.accept()
-            except (BlockingIOError, InterruptedError):
-                return None
+        _set_timeout(sock, self.watchdog_seconds if blocking else 0.0)
+        try:
+            raw, peer = sock.accept()
+        except socket.timeout as exc:
+            raise WatchdogTimeout("blocking accept exceeded the watchdog budget") from exc
+        except (BlockingIOError, InterruptedError):
+            if blocking:
+                raise
+            return None
         conn_id = self._pending_ids.pop(peer, None)
         if conn_id is None:
             conn_id = next(self._conn_ids)

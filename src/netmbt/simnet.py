@@ -50,19 +50,18 @@ class LatencyModel(NamedTuple):
     apart, which is what produces partial reads downstream.
     """
 
-    choices: tuple[int, ...] = (0, 1, 2)
-    split: bool = True
-
-    @staticmethod
-    def default() -> "LatencyModel":
-        return LatencyModel()
-
-    @staticmethod
-    def zero() -> "LatencyModel":
-        return LatencyModel(choices=(0,), split=False)
+    choices: tuple[int, ...]
+    split: bool
 
     def draw(self, rng: SeededRng) -> int:
         return self.choices[rng.below(len(self.choices))]
+
+
+# The latency presets a run names (``--latency``), in their listed order.
+LATENCIES = {
+    "zero": LatencyModel(choices=(0,), split=False),
+    "default": LatencyModel(choices=(0, 1, 2), split=True),
+}
 
 
 class FaultKind(enum.Enum):
@@ -71,11 +70,8 @@ class FaultKind(enum.Enum):
     PHANTOM_READINESS = "phantom-readiness"
 
 
-class FaultSpec(NamedTuple):
-    """One fault per test, armed once the clock reaches ``trigger_step``."""
-
-    kind: FaultKind
-    trigger_step: int = 3
+# A fault plan is one FaultKind per test, armed once the clock reaches this step.
+FAULT_TRIGGER_STEP = 3
 
 
 class SimFlow:
@@ -131,7 +127,7 @@ class SimBackend(NetworkBackend):
 
     is_sim = True
 
-    def __init__(self, rng: SeededRng, latency: LatencyModel, fault: FaultSpec | None = None):
+    def __init__(self, rng: SeededRng, latency: LatencyModel, fault: FaultKind | None = None):
         super().__init__()
         self.rng = rng
         self.latency = latency
@@ -181,11 +177,10 @@ class SimBackend(NetworkBackend):
                 flow.duplicated += len(data)
 
     def _fault_armed(self, kind: FaultKind) -> bool:
-        """Callers check first that a fault is set (``self.fault``)."""
         return (
-            self.fault.kind is kind
+            self.fault is kind
             and not self.fault_events
-            and self.clock >= self.fault.trigger_step
+            and self.clock >= FAULT_TRIGGER_STEP
         )
 
     def _fire_fault(self, event: str) -> None:

@@ -19,10 +19,10 @@ from conftest import child_env
 from conftest import run_cli as cli
 from netmbt.efsm import ModelInstance, Transition, define_model
 from netmbt.errors import AdapterError
-from netmbt.explorer import SuiteConfig, pick_next, run_suite
+from netmbt.explorer import EnabledTable, SuiteConfig, pick_next, run_suite
 from netmbt.models import MODEL_REGISTRY
 from netmbt.rng import SeededRng, maybe
-from netmbt.simnet import LatencyModel, SimBackend
+from netmbt.simnet import LATENCIES, SimBackend
 from netmbt.trace import parse_traces
 
 # The models whose every state and transition the coverage criterion asks for.
@@ -168,8 +168,8 @@ class TestAcceptance:
         spec_a = define_model("A", "s", [Transition("s", "s", f"a{i}", noop) for i in range(2)])
         spec_b = define_model("B", "s", [Transition("s", "s", f"b{i}", noop) for i in range(3)])
         instances = [ModelInstance(1, spec_a, {}), ModelInstance(2, spec_b, {})]
-        rng = SeededRng(2024)
-        counts = Counter(pick_next(instances, rng)[1].label for _ in range(50_000))
+        table, rng = EnabledTable(instances), SeededRng(2024)
+        counts = Counter(pick_next(table, rng)[1].label for _ in range(50_000))
         pick_ok = len(counts) == 5 and all(
             9500 <= n <= 10500 for n in counts.values())
 
@@ -182,7 +182,7 @@ class TestAcceptance:
         driver = SeededRng(271828)
         conservation_ok = True
         for _ in range(10_000):
-            net = SimBackend(SeededRng(driver.next_u64()), LatencyModel.default())
+            net = SimBackend(SeededRng(driver.next_u64()), LATENCIES["default"])
             srv = net.open_server()
             port = net.bind(srv)
             chans = [net.connect(port)]

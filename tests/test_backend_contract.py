@@ -16,12 +16,12 @@ from netmbt.errors import AdapterError, ErrorKind, WatchdogTimeout
 from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend
 from netmbt.rng import SeededRng
-from netmbt.simnet import LatencyModel, SimBackend
+from netmbt.simnet import LATENCIES, SimBackend
 
 
 def backend_of(kind: str):
     if kind == "sim":
-        return SimBackend(SeededRng(1), LatencyModel.zero())
+        return SimBackend(SeededRng(1), LATENCIES["zero"])
     return RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
 
 

@@ -39,6 +39,15 @@ class TestRunCommand:
         assert (tmp_path / "netmbt-failures.trace").exists()
         assert "failing traces written" in captured.out
 
+    def test_empty_trace_out_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # "" would write no trace file and, being given, no failures file.
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--model", "server-main", "--seed", "5", "--tests", "50",
+                     "--fault", "duplicate-bytes", "--trace-out", ""])
+        assert code == 2
+        assert capsys.readouterr().err == "error: trace-out must name a file\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_chosen_and_printed_when_omitted(self, capsys):
         code = main(["run", "--model", "minimalist", "--tests", "2"])
         assert code == 0
@@ -230,6 +239,21 @@ class TestReplayCommand:
         capsys.readouterr()
         assert main(["replay", "--replay", str(mixed)]) == 2
         assert capsys.readouterr() == ("", "error: trace file mixes backends real and sim\n")
+
+    def test_mixed_root_file_exits_two_with_one_error_line(self, tmp_path, capsys):
+        blocks = []
+        for model in ("server-main", "minimalist"):
+            trace = tmp_path / f"{model}.trace"
+            main(["run", "--model", model, "--seed", "5", "--tests", "2",
+                  "--trace-out", str(trace)])
+            blocks.append(trace.read_text())
+        mixed = tmp_path / "mixed.trace"
+        mixed.write_text("".join(blocks))
+        capsys.readouterr()
+        for model in ([], ["--model", "server-main"]):
+            assert main(["replay", "--replay", str(mixed), *model]) == 2
+            assert capsys.readouterr() == (
+                "", "error: trace file mixes root models minimalist and server-main\n")
 
     def test_binary_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"

@@ -11,7 +11,7 @@ from netmbt.errors import AdapterError, ErrorKind
 from netmbt.explorer import SuiteConfig, run_single_test
 from netmbt.models import MODEL_REGISTRY
 from netmbt.rng import derive_seed
-from netmbt.simnet import FaultKind, FaultSpec
+from netmbt.simnet import FaultKind
 
 
 def test_text_names_the_kind_then_the_detail():
@@ -39,7 +39,7 @@ def _value(result):
 
 
 def test_a_failing_sim_result_survives_pickling():
-    config = SuiteConfig(seed=9, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
+    config = SuiteConfig(seed=9, fault=FaultKind.DUPLICATE_BYTES)
     for i in range(1000):
         result = run_single_test(MODEL_REGISTRY["server-main"], config,
                                  derive_seed(9, i), i, None)

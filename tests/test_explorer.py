@@ -11,6 +11,7 @@ import pytest
 from netmbt.efsm import ModelInstance, Transition, define_model
 from netmbt.errors import BackendError, ConfigError, DivergenceError
 from netmbt.explorer import (
+    EnabledTable,
     ModelCoverage,
     SuiteConfig,
     SuiteReport,
@@ -27,7 +28,7 @@ from netmbt.explorer import TestResult as RunResult  # not a test class
 from netmbt.models import MODEL_REGISTRY
 from netmbt.portman import PortPool
 from netmbt.rng import SeededRng, derive_seed
-from netmbt.simnet import FaultKind, FaultSpec, LatencyModel
+from netmbt.simnet import LATENCIES, FaultKind, LatencyModel
 from netmbt.trace import Trace, parse_traces, serialize_trace
 
 
@@ -136,7 +137,7 @@ class TestPickNext:
         spec = define_model("m", "s", [Transition("s", "s", "only", NOOP)])
         inst = ModelInstance(1, spec, {})
         rng = SeededRng(0)
-        assert pick_next([inst], rng)[1].label == "only"
+        assert pick_next(EnabledTable([inst]), rng)[1].label == "only"
 
     def test_empty_returns_none_and_consumes_no_draw(self):
         spec = define_model("m", "s", [])
@@ -144,13 +145,14 @@ class TestPickNext:
         rng = SeededRng(42)
         before = rng.next_u64()
         rng2 = SeededRng(42)
-        assert pick_next([inst], rng2) is None
+        assert pick_next(EnabledTable([inst]), rng2) is None
         assert rng2.next_u64() == before
 
     def test_same_rng_state_same_pick(self):
         spec = define_model("m", "s", [Transition("s", "s", f"t{i}", NOOP) for i in range(5)])
         inst = ModelInstance(1, spec, {})
-        assert pick_next([inst], SeededRng(7))[1] is pick_next([inst], SeededRng(7))[1]
+        table = EnabledTable([inst])
+        assert pick_next(table, SeededRng(7))[1] is pick_next(table, SeededRng(7))[1]
 
     def test_uniform_frequency_over_two_instances(self):
         # Two instances with 2 and 3 unit-weight transitions: each of the five
@@ -158,10 +160,10 @@ class TestPickNext:
         spec_a = define_model("A", "s", [Transition("s", "s", f"a{i}", NOOP) for i in range(2)])
         spec_b = define_model("B", "s", [Transition("s", "s", f"b{i}", NOOP) for i in range(3)])
         instances = [ModelInstance(1, spec_a, {}), ModelInstance(2, spec_b, {})]
-        rng = SeededRng(2024)
+        table, rng = EnabledTable(instances), SeededRng(2024)
         counts = Counter()
         for _ in range(50_000):
-            _, t = pick_next(instances, rng)
+            _, t = pick_next(table, rng)
             counts[t.label] += 1
         assert len(counts) == 5
         for label, n in counts.items():
@@ -171,16 +173,16 @@ class TestPickNext:
         ts = [Transition("s", "s", "heavy", NOOP, weight=9.0),
               Transition("s", "s", "light", NOOP, weight=1.0)]
         inst = ModelInstance(1, define_model("m", "s", ts), {})
-        rng = SeededRng(1)
-        counts = Counter(pick_next([inst], rng)[1].label for _ in range(10_000))
+        table, rng = EnabledTable([inst]), SeededRng(1)
+        counts = Counter(pick_next(table, rng)[1].label for _ in range(10_000))
         assert 0.87 <= counts["heavy"] / 10_000 <= 0.93
 
     def test_dead_instances_never_scheduled(self):
         live = ModelInstance(1, define_model("m", "s", [Transition("s", "s", "go", NOOP)]), {})
         dead = ModelInstance(2, define_model("d", "s", []), {})
-        rng = SeededRng(3)
+        table, rng = EnabledTable([dead, live]), SeededRng(3)
         for _ in range(50):
-            inst, _ = pick_next([dead, live], rng)
+            inst, _ = pick_next(table, rng)
             assert inst is live
 
 
@@ -221,11 +223,11 @@ class TestSuites:
         pinned = [
             (MINIMALIST, 2000, {}, 0,
              "0e006581b60b326bd4753c1f0bb335bade8da0b1f7633c85b866a30b556fd09a"),
-            (SERVER_MAIN, 500, {"fault": FaultSpec(FaultKind.DUPLICATE_BYTES)}, 156,
+            (SERVER_MAIN, 500, {"fault": FaultKind.DUPLICATE_BYTES}, 156,
              "c6bdc482741dc60696a90343b1ea7b8cbe349c7a483bf0b31b0b920a77f749df"),
-            (SERVER_MAIN, 500, {"fault": FaultSpec(FaultKind.PHANTOM_READINESS)}, 292,
+            (SERVER_MAIN, 500, {"fault": FaultKind.PHANTOM_READINESS}, 292,
              "9562f1d6c45fa494f2601769210f8d22f00b40cda62cece8c0592596b6db1bd4"),
-            (SERVER_MAIN, 500, {"fault": FaultSpec(FaultKind.DROP_BYTES)}, 0,
+            (SERVER_MAIN, 500, {"fault": FaultKind.DROP_BYTES}, 0,
              "4b30f1f02d24c516e3b9389454332f35c69856253a0384bb6703c18d821c20cc"),
             (SERVER_MAIN, 500, {"latency": "zero"}, 0,
              "3441bc233415ef61467cba2933d1783beaa36129a2a15bf113a451a01bdd9200"),
@@ -252,7 +254,7 @@ class TestSuites:
 
     def test_abort_on_first_failure_stops_early(self):
         cfg = SuiteConfig(seed=9, num_tests=1000,
-                          fault=FaultSpec(FaultKind.DUPLICATE_BYTES),
+                          fault=FaultKind.DUPLICATE_BYTES,
                           abort_on_first_failure=True)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failed == 1
@@ -264,7 +266,7 @@ class TestSuites:
         with pytest.raises(ConfigError):
             run_suite(MINIMALIST, SuiteConfig(seed=1, backend="carrier-pigeon"))
         with pytest.raises(ConfigError):
-            run_suite(MINIMALIST, SuiteConfig(seed=1, fault=FaultSpec(FaultKind.DROP_BYTES),
+            run_suite(MINIMALIST, SuiteConfig(seed=1, fault=FaultKind.DROP_BYTES,
                                               backend="real"))
         with pytest.raises(ConfigError):
             run_suite(MINIMALIST, SuiteConfig(seed=-1))
@@ -368,14 +370,14 @@ class TestTraceFormat:
     def test_coverage_from_traces_equals_suite_coverage_with_failures(self, tmp_path):
         p = tmp_path / "t.trace"
         cfg = SuiteConfig(seed=42, num_tests=500, trace_path=str(p),
-                          fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
+                          fault=FaultKind.DUPLICATE_BYTES)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         traces = parse_traces(p.read_text())
         assert rep.failed > 0 and sum(t.verdict == "FAIL" for t in traces) == rep.failed
         assert coverage_from_traces(traces, MODEL_REGISTRY) == rep.coverage
 
     @pytest.mark.parametrize("cfg", [
-        SuiteConfig(seed=42, num_tests=300, fault=FaultSpec(FaultKind.DUPLICATE_BYTES)),
+        SuiteConfig(seed=42, num_tests=300, fault=FaultKind.DUPLICATE_BYTES),
         SuiteConfig(seed=42, num_tests=20, backend="real"),
     ], ids=["sim-duplicate-bytes", "real"])
     def test_results_equal_their_parsed_trace_file(self, cfg):
@@ -472,11 +474,11 @@ class TestReplay:
         assert (e.value.step_index, e.value.expected, e.value.actual) == want
 
     def test_failing_fault_trace_replays_to_same_step(self):
-        cfg = SuiteConfig(seed=9, num_tests=200, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
+        cfg = SuiteConfig(seed=9, num_tests=200, fault=FaultKind.DUPLICATE_BYTES)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failures
         failing = rep.failures[0].trace
-        re_cfg = SuiteConfig(seed=0, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
+        re_cfg = SuiteConfig(seed=0, fault=FaultKind.DUPLICATE_BYTES)
         result = replay(failing, SERVER_MAIN, re_cfg, port_pool(re_cfg))
         assert result.trace.verdict == "FAIL"
         assert result.trace.failing_step_index == failing.failing_step_index
@@ -532,12 +534,11 @@ class TestRecordTypes:
                                      backend="sim", abort_on_first_failure=False,
                                      trace_path=None, port_range=(20000, 29999),
                                      latency="default", fault=None, p_close=0.1)
-        fault = FaultSpec(FaultKind.DROP_BYTES)
-        assert fault == FaultSpec(kind=FaultKind.DROP_BYTES, trigger_step=3)
-        assert LatencyModel() == LatencyModel((0, 1, 2), True)
-        assert LatencyModel.zero() == LatencyModel(choices=(0,), split=False)
-        assert len({fault, FaultSpec(FaultKind.DROP_BYTES), LatencyModel(), LatencyModel()}) == 2
-        for value in (config, fault, LatencyModel()):
+        default = LATENCIES["default"]
+        assert default == LatencyModel((0, 1, 2), True)
+        assert LATENCIES["zero"] == LatencyModel(choices=(0,), split=False)
+        assert len({default, LatencyModel((0, 1, 2), True)}) == 1
+        for value in (config, default):
             with pytest.raises(AttributeError):
                 value.seed = 1
 

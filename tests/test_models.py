@@ -11,7 +11,7 @@ from netmbt.errors import ErrorKind
 from netmbt.explorer import SuiteConfig, _TestRun, run_single_test, run_suite
 from netmbt.models import MODEL_REGISTRY, OracleLedger
 from netmbt.rng import SeededRng, derive_seed
-from netmbt.simnet import FaultKind, FaultSpec, LatencyModel, SimBackend
+from netmbt.simnet import LATENCIES, FaultKind, LatencyModel, SimBackend
 
 MINIMALIST = MODEL_REGISTRY["minimalist"]
 SERVER_MAIN = MODEL_REGISTRY["server-main"]
@@ -58,7 +58,7 @@ class ManualRun(_TestRun):
 
 class TestMinimalist:
     def test_session_then_close_passes_and_accounts(self):
-        net = SimBackend(SeededRng(1), LatencyModel.zero())
+        net = SimBackend(SeededRng(1), LATENCIES["zero"])
         run = ManualRun(net)
         server = run.launch(MINIMALIST, {})
         out = run.fire(server, "session")
@@ -81,7 +81,7 @@ class TestMinimalist:
         assert entry["client"].read <= entry["server"].wrote
 
     def test_zero_sessions_immediate_close_empty_ledger(self):
-        net = SimBackend(SeededRng(1), LatencyModel.zero())
+        net = SimBackend(SeededRng(1), LATENCIES["zero"])
         run = ManualRun(net)
         server = run.launch(MINIMALIST, {})
         out = run.fire(server, "close")
@@ -117,7 +117,7 @@ class TestServerMain:
         assert out == ("connected", None) and server.current == "connected"
 
     def test_hand_off_launches_worker_then_client(self):
-        net = SimBackend(SeededRng(3), LatencyModel.zero())
+        net = SimBackend(SeededRng(3), LATENCIES["zero"])
         run = ManualRun(net)
         server = run.launch(SERVER_MAIN, {})
         run.fire(server, "configureSelector")
@@ -130,7 +130,7 @@ class TestServerMain:
         assert server.current == "accepting"
 
     def test_expected_exception_probes_stay_put(self):
-        net = SimBackend(SeededRng(3), LatencyModel.zero())
+        net = SimBackend(SeededRng(3), LATENCIES["zero"])
         run = ManualRun(net)
         server = run.launch(SERVER_MAIN, {})
         out = run.fire(server, "bindAgain")
@@ -142,7 +142,7 @@ class TestServerMain:
         assert server.current == "selectorConfigured"
 
     def test_closed_state_probes_reach_err(self):
-        net = SimBackend(SeededRng(3), LatencyModel.zero())
+        net = SimBackend(SeededRng(3), LATENCIES["zero"])
         run = ManualRun(net)
         server = run.launch(SERVER_MAIN, {})
         run.fire(server, "closeFromBound")
@@ -163,7 +163,7 @@ class TestWorker:
         return run, worker, cli, sc
 
     def test_read_within_ledger_passes(self):
-        net = SimBackend(SeededRng(4), LatencyModel.zero())
+        net = SimBackend(SeededRng(4), LATENCIES["zero"])
         run, worker, cli, _ = self.make_worker(net)
         run.ledger.record_write(cli, 5)
         net.write(cli, b"abcde")
@@ -171,7 +171,7 @@ class TestWorker:
         assert out == ("-", None)
 
     def test_read_beyond_ledger_is_violation(self):
-        net = SimBackend(SeededRng(4), LatencyModel.zero())
+        net = SimBackend(SeededRng(4), LATENCIES["zero"])
         run, worker, cli, _ = self.make_worker(net)
         net.write(cli, b"abcde")  # delivered but never recorded by a client model
         out = run.fire(worker, "read")
@@ -179,7 +179,7 @@ class TestWorker:
         assert outcome == "-" and "oracle" in violation
 
     def test_half_close_probe_edges(self):
-        net = SimBackend(SeededRng(4), LatencyModel.zero())
+        net = SimBackend(SeededRng(4), LATENCIES["zero"])
         run, worker, _, _ = self.make_worker(net)
         run.fire(worker, "shutdownInput")
         assert worker.current == "inShut"
@@ -194,7 +194,7 @@ class TestWorker:
         assert worker.current == "closed" and not worker.alive
 
     def test_peer_reset_moves_to_peer_gone(self):
-        net = SimBackend(SeededRng(4), LatencyModel.zero())
+        net = SimBackend(SeededRng(4), LATENCIES["zero"])
         run, worker, cli, _ = self.make_worker(net)
         run.fire(worker, "write")  # unread data at the client
         net.close_conn(cli)  # abortive
@@ -210,7 +210,7 @@ class TestWorker:
 
 class TestClient:
     def test_forced_close_probability_one(self):
-        net = SimBackend(SeededRng(6), LatencyModel.zero())
+        net = SimBackend(SeededRng(6), LATENCIES["zero"])
         run = ManualRun(net, p_close=1.0)
         srv = net.open_server()
         port = net.bind(srv)
@@ -220,7 +220,7 @@ class TestClient:
         assert client.current == "closed" and not client.alive
 
     def test_stay_probability_zero(self):
-        net = SimBackend(SeededRng(6), LatencyModel.zero())
+        net = SimBackend(SeededRng(6), LATENCIES["zero"])
         run = ManualRun(net, p_close=0.0)
         srv = net.open_server()
         port = net.bind(srv)
@@ -229,7 +229,7 @@ class TestClient:
             assert run.fire(client, "mayClose") == ("stay", None)
 
     def test_eof_after_server_close_and_drain(self):
-        net = SimBackend(SeededRng(6), LatencyModel.zero())
+        net = SimBackend(SeededRng(6), LATENCIES["zero"])
         run = ManualRun(net)
         srv = net.open_server()
         port = net.bind(srv)
@@ -250,7 +250,7 @@ class TestClient:
         assert entry["server"].output_shut
 
     def test_refused_connect_is_violation(self):
-        net = SimBackend(SeededRng(6), LatencyModel.zero())
+        net = SimBackend(SeededRng(6), LATENCIES["zero"])
         run = ManualRun(net)
         from netmbt.errors import PropertyViolation
 
@@ -358,7 +358,7 @@ class TestOracleProperties:
 class TestFaultDetection:
     def test_duplicate_bytes_detected_within_1000_tests(self):
         cfg = SuiteConfig(seed=9, num_tests=1000,
-                          fault=FaultSpec(FaultKind.DUPLICATE_BYTES),
+                          fault=FaultKind.DUPLICATE_BYTES,
                           abort_on_first_failure=True)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failed >= 1
@@ -366,7 +366,7 @@ class TestFaultDetection:
 
     def test_phantom_readiness_detected_within_1000_tests(self):
         cfg = SuiteConfig(seed=9, num_tests=1000,
-                          fault=FaultSpec(FaultKind.PHANTOM_READINESS),
+                          fault=FaultKind.PHANTOM_READINESS,
                           abort_on_first_failure=True)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failed >= 1
@@ -374,7 +374,7 @@ class TestFaultDetection:
 
     def test_drop_bytes_not_detected(self):
         cfg = SuiteConfig(seed=9, num_tests=1000,
-                          fault=FaultSpec(FaultKind.DROP_BYTES))
+                          fault=FaultKind.DROP_BYTES)
         rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
         assert rep.failed == 0
 

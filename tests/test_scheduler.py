@@ -129,9 +129,9 @@ class TestPickEquivalence:
         table = EnabledTable(instances)
         for _ in range(picks):
             expected = reference_pick(instances, ref)
-            assert pick_next(instances, ours) == expected
+            assert pick_next(EnabledTable(instances), ours) == expected
             # A table built once and kept picks the same pair.
-            assert pick_next(instances, twin, table) == expected
+            assert pick_next(table, twin) == expected
             # Each pick took as many draws as the reference's: one, or none
             # when no pair is enabled.
             assert ours.next_u64() == ref.next_u64() == twin.next_u64()
@@ -142,14 +142,15 @@ class TestPickEquivalence:
         spec = define_model("m", "s", [Transition("s", "s", f"t{j}", NOOP, weight=w)
                                        for j, w in enumerate(weights)])
         instances = [ModelInstance(1, spec, {}), ModelInstance(2, spec, {})]
-        assert pick_next(instances, FixedRng(draw)) == reference_pick(instances, FixedRng(draw))
+        assert pick_next(EnabledTable(instances), FixedRng(draw)) == reference_pick(
+            instances, FixedRng(draw))
 
     def test_duplicate_instances_count_twice_as_before(self):
         spec = define_model("m", "s", [Transition("s", "s", "a", NOOP),
                                        Transition("s", "s", "b", NOOP, weight=0.5)])
         inst = ModelInstance(1, spec, {})
         for seed in range(50):
-            assert pick_next([inst, inst], SeededRng(seed)) == reference_pick(
+            assert pick_next(EnabledTable([inst, inst]), SeededRng(seed)) == reference_pick(
                 [inst, inst], SeededRng(seed))
 
 

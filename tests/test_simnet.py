@@ -12,7 +12,8 @@ from netmbt.errors import AdapterError, ErrorKind
 from netmbt.explorer import SuiteConfig, port_pool, run_single_test
 from netmbt.models import MODEL_REGISTRY
 from netmbt.rng import SeededRng, derive_seed
-from netmbt.simnet import FaultKind, FaultSpec, LatencyModel, SimBackend
+from netmbt import simnet
+from netmbt.simnet import LATENCIES, FaultKind, LatencyModel, SimBackend
 from netmbt.trace import serialize_trace
 
 
@@ -40,7 +41,7 @@ class TestLatency:
         assert net.read(sc, 10).data == b"12345"
 
     def test_zero_latency_immediate_without_advance(self):
-        net = SimBackend(SeededRng(0), LatencyModel.zero())
+        net = SimBackend(SeededRng(0), LATENCIES["zero"])
         _, cli, sc = session(net)
         net.write(cli, b"now")
         assert net.read(sc, 10).data == b"now"
@@ -79,7 +80,7 @@ class TestLatency:
 
     def test_fixed_seed_identical_cohorts(self):
         def run():
-            net = SimBackend(SeededRng(77), LatencyModel.default())
+            net = SimBackend(SeededRng(77), LATENCIES["default"])
             _, cli, sc = session(net)
             out = []
             for i in range(10):
@@ -128,7 +129,7 @@ class TestConservation:
         # + lost + dropped; without faults or closes, lost and dropped are 0.
         driver_rng = SeededRng(31415)
         for round_ in range(500):
-            net = SimBackend(SeededRng(driver_rng.next_u64()), LatencyModel.default())
+            net = SimBackend(SeededRng(driver_rng.next_u64()), LATENCIES["default"])
             _, cli, sc = session(net)
             chans = [cli, sc]
             for _ in range(30):
@@ -154,7 +155,7 @@ class TestConservation:
 
     def test_fifo_content_is_prefix_of_written(self):
         rng = SeededRng(999)
-        net = SimBackend(SeededRng(5), LatencyModel.default())
+        net = SimBackend(SeededRng(5), LATENCIES["default"])
         _, cli, sc = session(net)
         written = b""
         read_back = b""
@@ -172,7 +173,7 @@ class TestConservation:
 class TestDeterminism:
     def test_identical_seed_and_calls_identical_results(self):
         def run():
-            net = SimBackend(SeededRng(4242), LatencyModel.default())
+            net = SimBackend(SeededRng(4242), LATENCIES["default"])
             srv, cli, sc = session(net)
             sel = net.open_selector()
             key = net.register(sel, sc, READ | WRITE)
@@ -189,9 +190,13 @@ class TestDeterminism:
 
 
 class TestFaults:
+    @pytest.fixture(autouse=True)
+    def armed_from_step_0(self, monkeypatch):
+        monkeypatch.setattr(simnet, "FAULT_TRIGGER_STEP", 0)
+
     def test_duplicate_bytes_breaks_accounting(self):
-        net = SimBackend(SeededRng(1), LatencyModel.zero(),
-                         FaultSpec(FaultKind.DUPLICATE_BYTES, trigger_step=0))
+        net = SimBackend(SeededRng(1), LATENCIES["zero"],
+                         FaultKind.DUPLICATE_BYTES)
         _, cli, sc = session(net)
         net.write(cli, b"12345")
         net.advance()
@@ -202,7 +207,7 @@ class TestFaults:
 
     def test_drop_bytes_is_silent_underdelivery(self):
         net = SimBackend(SeededRng(1), LatencyModel(choices=(1,), split=False),
-                         FaultSpec(FaultKind.DROP_BYTES, trigger_step=0))
+                         FaultKind.DROP_BYTES)
         _, cli, sc = session(net)
         net.write(cli, b"12345")
         net.advance()
@@ -211,8 +216,8 @@ class TestFaults:
         assert any(s["dropped"] == 5 for s in stats)
 
     def test_phantom_readiness_reports_read_on_empty_flow(self):
-        net = SimBackend(SeededRng(1), LatencyModel.zero(),
-                         FaultSpec(FaultKind.PHANTOM_READINESS, trigger_step=0))
+        net = SimBackend(SeededRng(1), LATENCIES["zero"],
+                         FaultKind.PHANTOM_READINESS)
         _, cli, sc = session(net)
         sel = net.open_selector()
         key = net.register(sel, sc, READ)
@@ -224,8 +229,8 @@ class TestFaults:
 
     def test_phantom_readiness_picks_the_first_eligible_key(self):
         # eligible: live, READ interest, input open, not READ-ready
-        net = SimBackend(SeededRng(1), LatencyModel.zero(),
-                         FaultSpec(FaultKind.PHANTOM_READINESS, trigger_step=0))
+        net = SimBackend(SeededRng(1), LATENCIES["zero"],
+                         FaultKind.PHANTOM_READINESS)
         (_, a, b), (_, c, d), (_, e, _), (_, f, _), (_, g, _) = (
             session(net) for _ in range(5))
         sel = net.open_selector()
@@ -245,8 +250,8 @@ class TestFaults:
         assert len(net.fault_events) == 1
 
     def test_fault_fires_exactly_once(self):
-        net = SimBackend(SeededRng(1), LatencyModel.zero(),
-                         FaultSpec(FaultKind.DUPLICATE_BYTES, trigger_step=0))
+        net = SimBackend(SeededRng(1), LATENCIES["zero"],
+                         FaultKind.DUPLICATE_BYTES)
         _, cli, sc = session(net)
         net.write(cli, b"aa")
         net.advance()
@@ -265,14 +270,16 @@ def advance_over_every_flow(self):
 
 
 def suite(root, kind=None, trigger=0, latency="default"):
-    """The traces, diagnostics and flow stats of 120 tests of ``root``."""
-    config = SuiteConfig(seed=19, latency=latency,
-                         fault=FaultSpec(kind, trigger) if kind else None)
+    """The traces, diagnostics and flow stats of 120 tests of ``root``, with
+    a ``kind`` fault armed from step ``trigger``."""
+    config = SuiteConfig(seed=19, latency=latency, fault=kind)
     pool = port_pool(config)
     kept = []
-    for i in range(120):
-        r = run_single_test(MODEL_REGISTRY[root], config, derive_seed(19, i), i, pool)
-        kept.append((serialize_trace(r.trace), r.diagnostics, r.flow_stats))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "FAULT_TRIGGER_STEP", trigger)
+        for i in range(120):
+            r = run_single_test(MODEL_REGISTRY[root], config, derive_seed(19, i), i, pool)
+            kept.append((serialize_trace(r.trace), r.diagnostics, r.flow_stats))
     assert kind is None or any(diagnostics for _, diagnostics, _ in kept)
     return kept
 
@@ -281,30 +288,33 @@ def reset_with_a_cohort_in_flight():
     """A server close resets a queued connection whose client has written,
     which empties a flow with a cohort in flight; a later connection's
     cohorts are then delivered, and the drop fault hits the first of them."""
-    net = SimBackend(SeededRng(1), LatencyModel(choices=(2,), split=False),
-                     FaultSpec(FaultKind.DROP_BYTES, trigger_step=0))
-    srv = net.open_server()
-    cli = net.connect(net.bind(srv))
-    net.write(cli, b"lost")
-    net.close_server(srv)
-    assert net.flow_stats()[0]["lost"] == 4  # the cohort in flight
-    net.advance()
-    _, cli_b, sc_b = session(net)
-    net.write(sc_b, b"ccc")
-    net.write(cli_b, b"bb")
-    reads = []
-    for _ in range(3):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "FAULT_TRIGGER_STEP", 0)
+        net = SimBackend(SeededRng(1), LatencyModel(choices=(2,), split=False),
+                         FaultKind.DROP_BYTES)
+        srv = net.open_server()
+        cli = net.connect(net.bind(srv))
+        net.write(cli, b"lost")
+        net.close_server(srv)
+        assert net.flow_stats()[0]["lost"] == 4  # the cohort in flight
         net.advance()
-        reads.append((net.read(sc_b, 8), net.read(cli_b, 8)))
-    return net.clock, reads, net.fault_events, net.flow_stats()
+        _, cli_b, sc_b = session(net)
+        net.write(sc_b, b"ccc")
+        net.write(cli_b, b"bb")
+        reads = []
+        for _ in range(3):
+            net.advance()
+            reads.append((net.read(sc_b, 8), net.read(cli_b, 8)))
+        return net.clock, reads, net.fault_events, net.flow_stats()
 
 
 class TestIdleFlows:
-    def test_fault_hits_the_first_due_flow_in_connection_order(self):
+    def test_fault_hits_the_first_due_flow_in_connection_order(self, monkeypatch):
         # The later connection writes first; the drop still hits the earlier
         # connection's cohort, as a walk over every flow in order would.
+        monkeypatch.setattr(simnet, "FAULT_TRIGGER_STEP", 0)
         net = SimBackend(SeededRng(1), LatencyModel(choices=(1,), split=False),
-                         FaultSpec(FaultKind.DROP_BYTES, trigger_step=0))
+                         FaultKind.DROP_BYTES)
         _, cli_a, sc_a = session(net)
         _, cli_b, sc_b = session(net)
         net.write(cli_b, b"bbb")
@@ -356,7 +366,7 @@ class TestIdleFlows:
 
 class TestAbortiveVsGraceful:
     def test_listener_close_resets_queued_connections(self):
-        net = SimBackend(SeededRng(0), LatencyModel.zero())
+        net = SimBackend(SeededRng(0), LATENCIES["zero"])
         srv = net.open_server()
         port = net.bind(srv)
         cli = net.connect(port)

@@ -14,7 +14,7 @@ from netmbt.errors import ConfigError
 from netmbt.explorer import SuiteConfig, port_pool, run_single_test, run_suite
 from netmbt.models import MODEL_REGISTRY
 from netmbt.rng import derive_seed
-from netmbt.simnet import FaultKind, FaultSpec
+from netmbt.simnet import FaultKind
 from netmbt.trace import (
     TRACE_HEADER,
     TRACE_MAGIC,
@@ -97,7 +97,7 @@ def reference_parse_traces(text: str) -> list[Trace]:
 def recorded_lines() -> tuple[str, ...]:
     """Six server-main tests under duplicate-bytes: PASS and FAIL blocks,
     FAIL messages, and record lines that repeat across blocks."""
-    config = SuiteConfig(seed=43, fault=FaultSpec(FaultKind.DUPLICATE_BYTES))
+    config = SuiteConfig(seed=43, fault=FaultKind.DUPLICATE_BYTES)
     pool = port_pool(config)
     traces = []
     for i in range(6):
