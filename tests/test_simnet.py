@@ -7,12 +7,12 @@ from functools import partial
 
 import pytest
 
+from netmbt import simnet
 from netmbt.adapter import ACCEPT, READ, WRITE
 from netmbt.errors import AdapterError, ErrorKind
 from netmbt.explorer import SuiteConfig, port_pool, run_single_test
 from netmbt.models import MODEL_REGISTRY
 from netmbt.rng import SeededRng, derive_seed
-from netmbt import simnet
 from netmbt.simnet import LATENCIES, FaultKind, LatencyModel, SimBackend
 from netmbt.trace import serialize_trace
 
@@ -195,8 +195,7 @@ class TestFaults:
         monkeypatch.setattr(simnet, "FAULT_TRIGGER_STEP", 0)
 
     def test_duplicate_bytes_breaks_accounting(self):
-        net = SimBackend(SeededRng(1), LATENCIES["zero"],
-                         FaultKind.DUPLICATE_BYTES)
+        net = SimBackend(SeededRng(1), LATENCIES["zero"], FaultKind.DUPLICATE_BYTES)
         _, cli, sc = session(net)
         net.write(cli, b"12345")
         net.advance()
@@ -216,8 +215,7 @@ class TestFaults:
         assert any(s["dropped"] == 5 for s in stats)
 
     def test_phantom_readiness_reports_read_on_empty_flow(self):
-        net = SimBackend(SeededRng(1), LATENCIES["zero"],
-                         FaultKind.PHANTOM_READINESS)
+        net = SimBackend(SeededRng(1), LATENCIES["zero"], FaultKind.PHANTOM_READINESS)
         _, cli, sc = session(net)
         sel = net.open_selector()
         key = net.register(sel, sc, READ)
@@ -229,8 +227,7 @@ class TestFaults:
 
     def test_phantom_readiness_picks_the_first_eligible_key(self):
         # eligible: live, READ interest, input open, not READ-ready
-        net = SimBackend(SeededRng(1), LATENCIES["zero"],
-                         FaultKind.PHANTOM_READINESS)
+        net = SimBackend(SeededRng(1), LATENCIES["zero"], FaultKind.PHANTOM_READINESS)
         (_, a, b), (_, c, d), (_, e, _), (_, f, _), (_, g, _) = (
             session(net) for _ in range(5))
         sel = net.open_selector()
@@ -250,8 +247,7 @@ class TestFaults:
         assert len(net.fault_events) == 1
 
     def test_fault_fires_exactly_once(self):
-        net = SimBackend(SeededRng(1), LATENCIES["zero"],
-                         FaultKind.DUPLICATE_BYTES)
+        net = SimBackend(SeededRng(1), LATENCIES["zero"], FaultKind.DUPLICATE_BYTES)
         _, cli, sc = session(net)
         net.write(cli, b"aa")
         net.advance()
