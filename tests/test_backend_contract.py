@@ -305,6 +305,17 @@ class TestPeerClosure:
             net.write(sc, b"again")
         assert kind_of(e) is ErrorKind.PEER_CLOSED
 
+    def test_writes_after_peer_shutdown_output_are_delivered(self, net):
+        # a half-close is no close: nothing is swallowed, nothing resets
+        _, _, cli, sc = make_session(net)
+        net.shutdown_output(cli)
+        net.settle()
+        assert net.read(sc, 8).is_eof
+        assert net.write(sc, b"one") == 3
+        assert net.write(sc, b"two") == 3
+        net.settle()
+        assert net.read(cli, 16).data == b"onetwo"
+
 
 class TestSelectors:
     def test_empty_selector_empty_readiness(self, net):

@@ -379,3 +379,13 @@ class TestAbortiveVsGraceful:
         net.advance()
         assert net.read(sc, 64).data == b"pending"
         assert net.read(sc, 64).is_eof
+
+    def test_second_close_with_unread_data_resets_nothing(self):
+        net = SimBackend(SeededRng(0), LATENCIES["zero"])
+        _, cli, sc = session(net)
+        net.write(cli, b"unread")
+        net.close_conn(cli)  # nothing unread at cli: graceful
+        net.close_conn(sc)  # unread data, but the peer closed first
+        up, down = net.flow_stats()
+        assert up["delivered_unread"] == 6 and up["lost"] == 0
+        assert down["lost"] == 0
