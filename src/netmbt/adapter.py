@@ -13,8 +13,9 @@ into a Fail("watchdog ...") verdict.
 
 References point one way (backend -> channels, selector -> keys -> channel),
 so a test's objects are freed by reference counting.  A channel only counts
-its keys (``registered``).  A key is live while it is not cancelled
-(deregistered) and its channel is open.
+its keys (``registered``).  deregister cancels a key and unlists it at
+once, so a listed key is never cancelled; it is live while its channel
+is open.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class SelectorKey:
         self.channel = channel
         self.interest = interest  # int mask of ACCEPT/READ/WRITE
         self.ready = 0
-        self.cancelled = False  # deregistered
+        self.cancelled = False  # deregistered (and so no longer listed)
 
 
 class Selector:
@@ -221,7 +222,7 @@ class NetworkBackend:
         if not interest:
             raise ValueError("empty interest set")
         for key in selector.keys:
-            if key.channel is channel and not key.cancelled:
+            if key.channel is channel:
                 key.interest = interest  # java.nio: the one key, new interest
                 return key
         key = SelectorKey(channel, interest)
@@ -248,7 +249,7 @@ class NetworkBackend:
         ready_keys: set[SelectorKey] = set()
         for key in selector.keys:
             ch = key.channel
-            if key.cancelled or ch.closed:
+            if ch.closed:
                 continue
             ready = self._raw_readiness(ch, key.interest) & key.interest
             if isinstance(ch, ConnChannel):

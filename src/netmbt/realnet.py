@@ -144,9 +144,7 @@ class RealBackend(NetworkBackend):
             raw, peer = sock.accept()
         except socket.timeout as exc:
             raise WatchdogTimeout("blocking accept exceeded the watchdog budget") from exc
-        except (BlockingIOError, InterruptedError):
-            if blocking:
-                raise
+        except BlockingIOError:  # non-blocking: PEP 475 retries EINTR, a timeout EAGAIN
             return None
         conn_id = self._pending_ids.pop(peer, None)
         if conn_id is None:
@@ -175,9 +173,7 @@ class RealBackend(NetworkBackend):
             data = sock.recv(capacity)
         except socket.timeout as exc:
             raise WatchdogTimeout("blocking read exceeded the watchdog budget") from exc
-        except (BlockingIOError, InterruptedError):
-            if blocking:
-                raise
+        except BlockingIOError:  # non-blocking: PEP 475 retries EINTR, a timeout EAGAIN
             return EMPTY
         except OSError as exc:
             if exc.errno in _RESET_ERRNOS:
@@ -195,7 +191,7 @@ class RealBackend(NetworkBackend):
             _set_timeout(sock, 0.0)
             try:
                 return sock.send(payload)
-            except (BlockingIOError, InterruptedError):
+            except BlockingIOError:  # non-blocking: PEP 475 retries EINTR, a timeout EAGAIN
                 return 0
         except socket.timeout as exc:
             raise WatchdogTimeout("blocking write exceeded the watchdog budget") from exc

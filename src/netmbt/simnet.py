@@ -17,9 +17,13 @@ Close semantics mirror loopback TCP deterministically:
   immediately; pending data is discarded and the peer's reads and writes
   fail with PeerClosedError - the reset pattern.
 
-The two ends share their flows and never refer to each other.  A close
-marks its outgoing flow ``writer_closed``, so the peer that closed first is
-read from the incoming flow, and only the first close has these effects.
+The two ends share their flows and never refer to each other; each fact
+about a direction is stored once, on its flow (see SimFlow).  Every close
+marks its outgoing flow ``eof_signaled`` and ``writer_closed``, and resets
+the pair only while the peer is still open and unread data waits, so a
+second close resets nothing.  The swallow is derived: a write on a flow
+that is not poisoned, once the peer has closed, is lost and poisons the
+flow.  A peer's shutdownOutput alone swallows nothing.
 """
 
 from __future__ import annotations
@@ -78,16 +82,15 @@ class SimFlow:
     """One direction of a connection."""
 
     __slots__ = ("cohorts", "delivered", "eof_signaled", "poisoned",
-                 "swallow_pending", "writer_closed", "written", "read_count",
-                 "lost", "dropped", "duplicated")
+                 "writer_closed", "written", "read_count", "lost", "dropped",
+                 "duplicated")
 
     def __init__(self):
         self.cohorts: deque[tuple[int, bytes]] = deque()  # (available_step, data)
         self.delivered = bytearray()
-        self.eof_signaled = False
-        self.poisoned = False
-        self.swallow_pending = False
-        self.writer_closed = False  # the end that writes this flow has closed
+        self.eof_signaled = False   # the writer shut its output or closed
+        self.poisoned = False       # reset: reads and writes fail
+        self.writer_closed = False  # the writer closed
         self.written = 0
         self.read_count = 0
         self.lost = 0          # bytes destroyed by closes (swallow/reset)
@@ -97,11 +100,6 @@ class SimFlow:
     @property
     def in_flight(self) -> int:
         return sum(len(data) for _, data in self.cohorts)
-
-    def discard_pending(self) -> None:
-        self.lost += len(self.delivered) + self.in_flight
-        self.delivered.clear()
-        self.cohorts.clear()
 
 
 class SimConn(ConnChannel):
@@ -212,8 +210,6 @@ class SimBackend(NetworkBackend):
                 )
             while server.backlog[0][1] > self.clock:
                 self.advance()
-            conn, _ = server.backlog.popleft()
-            return conn
         if server.backlog and server.backlog[0][1] <= self.clock:
             conn, _ = server.backlog.popleft()
             return conn
@@ -257,10 +253,9 @@ class SimBackend(NetworkBackend):
         flow = conn.tx
         if flow.poisoned:
             raise AdapterError(ErrorKind.PEER_CLOSED, "broken pipe")
-        if flow.swallow_pending:
-            # Peer closed gracefully: this write is accepted and lost; the
-            # reset surfaces on the next one.
-            flow.swallow_pending = False
+        if conn.rx.writer_closed:
+            # The peer closed: this write is accepted and lost; the reset
+            # surfaces on the next one.
             flow.poisoned = True
             flow.written += len(payload)
             flow.lost += len(payload)
@@ -283,20 +278,17 @@ class SimBackend(NetworkBackend):
         conn.tx.eof_signaled = True
 
     def _do_close_conn(self, conn: SimConn) -> None:
-        rx = conn.rx
-        conn.tx.writer_closed = True
-        if rx.writer_closed:
-            return  # the peer closed first
-        if rx.delivered or rx.cohorts:
+        rx, tx = conn.rx, conn.tx
+        tx.eof_signaled = tx.writer_closed = True
+        if not rx.writer_closed and (rx.delivered or rx.cohorts):
             self._poison_pair(conn)
-        else:
-            conn.tx.eof_signaled = True
-            rx.swallow_pending = True
 
     def _poison_pair(self, conn: SimConn) -> None:
         """Reset ``conn``'s connection: both directions unusable, data lost."""
         for flow in (conn.rx, conn.tx):
-            flow.discard_pending()
+            flow.lost += len(flow.delivered) + flow.in_flight
+            flow.delivered.clear()
+            flow.cohorts.clear()
             flow.poisoned = True
 
     def _raw_readiness(self, channel, interest: int) -> int:
