@@ -236,7 +236,7 @@ WORKER = _declare("worker", _watch_conn, (
     # input shut: reads must fail, writes still flow
     ("inShut", "inShut", "readAfterInShut", _read_probe, 1.0, (_I,)),
     ("inShut", "inShut", "writeInShut", _checked_write, 2.0, (_P,)),
-    ("inShut", "inShut", "checkSelectorInShut", _poll_then_read, 1.0, (_P,)),
+    ("inShut", "inShut", "checkSelectorInShut", _poll_then_read, 1.0, ()),
     ("inShut", "bothShut", "shutdownOutputInShut", _w_shut_out, 0.5, (_P,)),
     ("inShut", "closed", "closeInShut", _close_conn, 0.5, ()),
     # output shut: writes must fail, reads still drain

@@ -208,6 +208,25 @@ class TestWorker:
         assert out[1] is None
 
 
+    @pytest.mark.parametrize("peer", ["data-pending", "peer-reset"])
+    def test_selector_check_in_in_shut_never_reads(self, peer):
+        # select_now clears READ for an input-shut channel, so the check has
+        # no outcome of its own: no PeerClosedError, no read
+        net = SimBackend(SeededRng(4), LATENCIES["zero"])
+        run, worker, cli, sc = self.make_worker(net)
+        if peer == "data-pending":
+            run.ledger.record_write(cli, 5)
+            net.write(cli, b"abcde")
+        else:
+            run.fire(worker, "write")  # unread data at the client
+            net.close_conn(cli)  # abortive
+        run.fire(worker, "shutdownInput")
+        for _ in range(3):
+            assert run.fire(worker, "checkSelectorInShut") == ("-", None)
+            assert worker.current == "inShut"
+        assert run.ledger.entries[sc.connection_id]["server"].read == 0
+
+
 class TestClient:
     def test_forced_close_probability_one(self):
         net = SimBackend(SeededRng(6), LATENCIES["zero"])
@@ -421,7 +440,7 @@ worker connected connected peerGone inShut outShut closed bothShut | _watch_conn
   connected>closed close 0.5 _close_conn - -
   inShut>inShut readAfterInShut 1.0 _read_probe InputShutdownError:inShut -
   inShut>inShut writeInShut 2.0 _checked_write PeerClosedError:peerGone -
-  inShut>inShut checkSelectorInShut 1.0 _poll_then_read PeerClosedError:peerGone -
+  inShut>inShut checkSelectorInShut 1.0 _poll_then_read - -
   inShut>bothShut shutdownOutputInShut 0.5 _w_shut_out PeerClosedError:peerGone -
   inShut>closed closeInShut 0.5 _close_conn - -
   outShut>outShut writeAfterOutShut 1.0 _write_probe OutputShutdownError:outShut -
