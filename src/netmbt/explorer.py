@@ -65,6 +65,8 @@ class SuiteConfig(NamedTuple):
             raise ConfigError(f"invalid port range {lo}:{hi}")
         if self.latency not in LATENCIES:
             raise ConfigError(f"unknown latency model {self.latency!r}")
+        if self.fault is not None and not isinstance(self.fault, FaultKind):
+            raise ConfigError(f"fault must be a FaultKind, not {self.fault!r}")
         if self.fault is not None and self.backend != "sim":
             raise ConfigError("fault injection requires the sim backend")
         if self.latency != self._field_defaults["latency"] and self.backend != "sim":

@@ -271,6 +271,11 @@ class TestSuites:
         with pytest.raises(ConfigError):
             run_suite(MINIMALIST, SuiteConfig(seed=-1))
 
+    def test_fault_that_is_not_a_fault_kind_is_config_error(self):
+        # its value string would otherwise run the suite with no fault at all
+        with pytest.raises(ConfigError, match="FaultKind"):
+            SuiteConfig(seed=42, num_tests=300, fault="duplicate-bytes").validate()
+
     def test_constructor_record_precedes_all_later_steps(self):
         # every instance's <init> record comes before any of its other steps
         cfg = SuiteConfig(seed=4, num_tests=20)
