@@ -113,7 +113,7 @@ class _TestRun:
     the rng, the live instances and the step records.  No instance refers
     to it: a test forms no cycle."""
 
-    __slots__ = ("net", "ledger", "p_close", "rng", "instances", "records", "_last_id")
+    __slots__ = ("net", "ledger", "p_close", "rng", "instances", "records")
 
     def __init__(self, net, rng: SeededRng, p_close: float):
         self.net = net
@@ -122,13 +122,11 @@ class _TestRun:
         self.rng = rng
         self.instances: list[ModelInstance] = []
         self.records: list[StepRecord] = []
-        self._last_id = 0
 
     def launch(self, spec: ModelSpec, args: Mapping) -> ModelInstance:
         """Instantiate a model (its constructor runs now), schedule it and
-        record its ``<init>`` step."""
-        self._last_id += 1
-        inst = instantiate(spec, self._last_id, args, self)
+        record its ``<init>`` step.  Ids number instances from 1 in launch order."""
+        inst = instantiate(spec, len(self.instances) + 1, args, self)
         self.instances.append(inst)
         self.records.append(tuple.__new__(
             StepRecord, (len(self.records), inst.id, spec.name, INIT_LABEL, "-", inst.current)))
