@@ -25,9 +25,10 @@ from .errors import PoolExhaustedError
 
 class PortPool:
     """Ports never leased are handed out first, by a counter over [lo, hi];
-    after that acquire() takes the free port released longest ago.  Released
-    ports wait out their cooldown in ``_cooldown`` (in release order, so in
-    the order they come due) and then queue in ``_recycled``."""
+    after that acquire() takes the port released longest ago, once its
+    cooldown is over.  ``_released`` queues released ports in release order,
+    which is also the order they come due: every release adds the same
+    cooldown to a test index that never decreases."""
 
     def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
         if not (0 < lo <= hi <= 65535):
@@ -36,19 +37,17 @@ class PortPool:
         self.hi = hi
         self.cooldown_tests = cooldown_tests
         self._next = lo  # the lowest port never leased
-        self._recycled: deque[int] = deque()  # free ports below _next, oldest release first
+        self._released: deque[tuple[int, int]] = deque()  # (usable from test, port)
         self._leased: set[int] = set()
-        self._cooldown: dict[int, int] = {}  # port -> test index when usable again
         self._retired: set[int] = set()  # held by another process; never leased again
         self._test_index = 0
 
     def acquire(self) -> int:
-        self._expire()
         if self._next <= self.hi:
             port = self._next
             self._next += 1
-        elif self._recycled:
-            port = self._recycled.popleft()
+        elif self._released and self._released[0][0] <= self._test_index:
+            port = self._released.popleft()[1]
         else:
             busy = f" ({len(self._retired)} in use by another process)" if self._retired else ""
             raise PoolExhaustedError(
@@ -62,7 +61,7 @@ class PortPool:
         if port not in self._leased:
             raise ValueError(f"port {port} is not leased")
         self._leased.remove(port)
-        self._cooldown[port] = self._test_index + self.cooldown_tests
+        self._released.append((self._test_index + self.cooldown_tests, port))
 
     def retire(self, port: int) -> None:
         """Take a leased port out of the pool for good: it could not be bound."""
@@ -74,26 +73,20 @@ class PortPool:
     def next_test(self) -> None:
         """Advance the test counter; called once per finished test."""
         self._test_index += 1
-        self._expire()
 
-    def _expire(self) -> None:
-        due = [p for p, when in self._cooldown.items() if when <= self._test_index]
-        for port in due:
-            del self._cooldown[port]
-            self._recycled.append(port)
-
-    # introspection, used by invariant tests
+    # introspection, used by invariant tests; free and cooling are views of the queue
     @property
     def leased(self) -> frozenset[int]:
         return frozenset(self._leased)
 
     @property
     def free(self) -> frozenset[int]:
-        return frozenset(self._recycled).union(range(self._next, self.hi + 1))
+        due = (port for when, port in self._released if when <= self._test_index)
+        return frozenset(due).union(range(self._next, self.hi + 1))
 
     @property
     def cooling(self) -> frozenset[int]:
-        return frozenset(self._cooldown)
+        return frozenset(port for when, port in self._released if when > self._test_index)
 
     @property
     def retired(self) -> frozenset[int]:

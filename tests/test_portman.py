@@ -152,7 +152,7 @@ class ReferencePortPool:
     """The pool before the lease counter: a set of every free port, built
     over the whole range up front.  acquire() picks the lowest port never
     leased, and when every port has been leased, the free port whose
-    release came first."""
+    release came first.  A retired port leaves the pool for good."""
 
     def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
         self.lo, self.hi, self.cooldown_tests = lo, hi, cooldown_tests
@@ -161,6 +161,7 @@ class ReferencePortPool:
         self._releases = 0
         self._leased: set[int] = set()
         self._cooldown: dict[int, int] = {}
+        self._retired: set[int] = set()
         self._test_index = 0
 
     def acquire(self) -> int:
@@ -179,6 +180,13 @@ class ReferencePortPool:
         self._cooldown[port] = self._test_index + self.cooldown_tests
         self._released[port] = self._releases
         self._releases += 1
+        self._expire()
+
+    def retire(self, port: int) -> None:
+        if port not in self._leased:
+            raise ValueError(f"port {port} is not leased")
+        self._leased.remove(port)
+        self._retired.add(port)
 
     def next_test(self) -> None:
         self._test_index += 1
@@ -200,7 +208,7 @@ def _outcome(call):
 
 class TestAgainstReference:
     @given(size=st.integers(1, 9), cooldown=st.integers(0, 3),
-           ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)), max_size=120))
+           ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=120))
     @settings(max_examples=300, deadline=None)
     def test_same_ports_sets_and_exhaustion_as_the_full_set_pool(self, size, cooldown, ops):
         lo = 40000
@@ -209,15 +217,17 @@ class TestAgainstReference:
         for op, pick in ops:
             if op == 0:
                 assert _outcome(pool.acquire) == _outcome(ref.acquire)
-            elif op == 1:
-                # a leased port, or, now and then, one that is not
+            elif op in (1, 2):
+                # release or retire a leased port, or, now and then, one that is not
+                name = "release" if op == 1 else "retire"
                 leased = sorted(ref._leased)
                 port = leased[pick % len(leased)] if leased and pick else lo + pick
-                assert _outcome(lambda: pool.release(port)) == _outcome(
-                    lambda: ref.release(port))
+                assert _outcome(lambda: getattr(pool, name)(port)) == _outcome(
+                    lambda: getattr(ref, name)(port))
             else:
                 pool.next_test()
                 ref.next_test()
             assert pool.leased == ref._leased
             assert pool.free == ref._free_set
             assert pool.cooling == set(ref._cooldown)
+            assert pool.retired == ref._retired
