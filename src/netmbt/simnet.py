@@ -132,14 +132,13 @@ class SimBackend(NetworkBackend):
         self.clock = 0
         self.fault = fault
         self.fault_events: list[str] = []
-        self._listeners: dict[int, SimServer] = {}  # cleanup leaves closed ones here
         # In connection order: the order that decides which cohort a drop or
         # duplicate fault hits.
         self._flows: list[SimFlow] = []
         # The earliest step at which a cohort in flight is due (inf: none):
         # a write lowers it, a tick that reaches it delivers and recomputes it.
         self._due = float("inf")
-        self._ephemeral = 49152
+        self._ephemeral = 49151  # the last port bound
 
     # -- time ----------------------------------------------------------------
 
@@ -190,13 +189,10 @@ class SimBackend(NetworkBackend):
         return SimServer()
 
     def _do_bind(self, server: SimServer) -> int:
-        port = self._ephemeral
         self._ephemeral += 1
-        self._listeners[port] = server
-        return port
+        return self._ephemeral
 
     def _do_close_server(self, server: SimServer) -> None:
-        self._listeners.pop(server.local_port, None)
         # Queued-but-unaccepted connections get reset, as the OS would.
         for conn, _ in server.backlog:
             self._poison_pair(conn)
@@ -216,8 +212,11 @@ class SimBackend(NetworkBackend):
         return None
 
     def _do_connect(self, port: int) -> SimConn:
-        listener = self._listeners.get(port)
-        if listener is None or listener.closed:
+        # The listener on a port is the server bound to it that is not closed,
+        # which covers both close_server and the end-of-test cleanup.
+        listener = next((s for s in self._opened_servers
+                         if s.local_port == port and not s.closed), None)
+        if listener is None:
             raise AdapterError(ErrorKind.CONNECTION_REFUSED, f"no listener on port {port}")
         up = SimFlow()    # client -> server
         down = SimFlow()  # server -> client

@@ -161,6 +161,17 @@ class TestServerLifecycle:
         net.close_server(srv)
         assert srv.local_port == port  # the handle keeps it for inspection
 
+    def test_connect_reaches_only_the_open_server_on_its_port(self, net):
+        first, second = net.open_server(), net.open_server()
+        first_port, second_port = net.bind(first), net.bind(second)
+        net.close_server(first)
+        with pytest.raises(AdapterError) as e:
+            net.connect(first_port)
+        assert kind_of(e) is ErrorKind.CONNECTION_REFUSED
+        cli = net.connect(second_port)
+        net.settle()
+        assert net.accept(second).connection_id == cli.connection_id
+
 
 class TestAcceptAndModes:
     def test_queued_connection_accepted_blocking(self, net):
