@@ -1,11 +1,11 @@
 """Listen-port pool with per-test cooldown recycling.
 
 Rapid connection-heavy suites exhaust ephemeral ports; leasing listen ports
-from a fixed range and parking released ports in a short cooldown keeps the
-footprint bounded and deterministic.  Cooldown is measured in tests, not
-wall-clock time.  The real backend (realnet.RealBackend) is the only
-lessee: a bind leases, the end-of-test cleanup releases.  The
-simulator has no OS ports and numbers its own.
+from a fixed range keeps the footprint bounded and deterministic.  A counter
+hands out the ports never leased; a released port waits in one release
+queue until its cooldown, counted in tests, not wall-clock time, is over.
+The real backend (realnet.RealBackend) is the only lessee: a bind leases,
+the end-of-test cleanup releases.  The simulator numbers its own ports.
 
 A port that another process holds is retired: it leaves the pool for the
 rest of the suite, and the next lease takes another port.

@@ -83,8 +83,8 @@ def test_golden_run(row, tmp_path, written, monkeypatch, capsys):
     changed = []  # every field of the row that differs, with its new value
     if code != row["exit"]:
         changed.append(f"exit is now {code}")
-    if sha256(out.encode()) != row["stdout"]:
-        changed.append(f"stdout is now {sha256(out.encode())}:\n{out}")
+    if (got := sha256(out.encode())) != row["stdout"]:
+        changed.append(f"stdout is now {got}:\n{out}")
     if sorted(files) != sorted(row["files"]):
         changed.append(f"files are now {sorted(files)}")
     if None in row["files"].values():
@@ -96,6 +96,6 @@ def test_golden_run(row, tmp_path, written, monkeypatch, capsys):
         if pinned is None:
             if data != second.get(name):
                 changed.append(f"{name} differs between two runs")
-        elif sha256(data) != pinned:
-            changed.append(f"{name} is now {sha256(data)}")
+        elif (got := sha256(data)) != pinned:
+            changed.append(f"{name} is now {got}")
     assert not changed, f"{row['id']}: " + "\n".join(changed)
