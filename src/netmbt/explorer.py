@@ -7,6 +7,13 @@ transition) pair at a time, weight-proportionally, with exactly one rng
 draw per pick.  Everything observable ends up in a trace (see trace.py)
 that can be replayed step-for-step.
 
+Tests share nothing, so a suite is a merge of shards: contiguous index
+ranges, each run by ``run_chunk`` with its own port pool.  A real suite
+runs one shard per usable CPU (``plan_shards``), the first in this
+process and the others in forked workers, and ``merge_chunks`` joins
+their traces, counts, coverage keys and failures in index order: the
+output is the bytes of a one-process run.  A sim suite is one shard.
+
 A run's results (Trace, TestResult, ModelCoverage, SuiteReport) are
 NamedTuples that their one producer builds whole; a count they already
 hold, such as a test's fired transitions, is a property, not a field.
@@ -14,11 +21,12 @@ hold, such as a test's fired transitions, is a property, not a field.
 
 from __future__ import annotations
 
+import os
 import time
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .efsm import (
     INIT_LABEL,
@@ -30,9 +38,9 @@ from .efsm import (
     fire_transition,
     instantiate,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import BackendError, ConfigError, DivergenceError
 from .models import OracleLedger
-from .portman import PortPool
+from .portman import COOLDOWN_TESTS, PortPool
 from .rng import SeededRng, derive_seed
 from .simnet import LATENCIES, FaultKind, SimBackend
 from .trace import BACKENDS, StepRecord, Trace, serialize_trace, verdict_line
@@ -306,38 +314,75 @@ def coverage_from_traces(
     return _coverage(keys, spec_index or {})
 
 
-def port_pool(config: SuiteConfig) -> PortPool | None:
+def port_pool(config: SuiteConfig, ports: tuple[int, int] | None = None) -> PortPool | None:
     """Validate ``config``; for a run on real sockets, probe loopback TCP and
-    build the listen-port pool its tests lease from.  The sim numbers its
-    own ports, so a sim run gets None."""
+    build the listen-port pool its tests lease from, over ``ports`` (by
+    default the whole ``config.port_range``).  The sim numbers its own
+    ports, so a sim run gets None."""
     config.validate()
     if config.backend != "real":
         return None
     from .realnet import RealBackend
 
     RealBackend.probe()
-    return PortPool(config.port_range[0], config.port_range[1])
+    return PortPool(*(ports or config.port_range))
 
 
-def run_suite(
+class Shard(NamedTuple):
+    tests: range  # contiguous test indices
+    ports: tuple[int, int]  # the listen ports its pool leases from, lo and hi
+
+
+def plan_shards(config: SuiteConfig, cpus: int, can_fork: bool) -> list[Shard]:
+    """Split a suite into J contiguous shards of tests, each with a disjoint,
+    contiguous sub-range of ``config.port_range``; together they cover both
+    exactly.  J = min(cpus, tests, ports // (cooldown + 1)) on real sockets,
+    so every sub-range can serve a test while its last ports cool down, and
+    1 on sim (not sharded yet) or where the platform cannot fork."""
+    lo, hi = config.port_range
+    size, n = hi - lo + 1, config.num_tests
+    jobs = 1
+    if config.backend == "real" and can_fork:
+        jobs = max(1, min(cpus, n, size // (COOLDOWN_TESTS + 1)))
+    return [Shard(range(k * n // jobs, (k + 1) * n // jobs),
+                  (lo + k * size // jobs, lo + (k + 1) * size // jobs - 1))
+            for k in range(jobs)]
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class ChunkResult(NamedTuple):
+    """What a shard's tests add to their suite, in index order."""
+
+    text: str  # the serialized traces a worker ships; "" when streamed or not written
+    passed: int
+    keys: set[tuple[str, str, str]]  # coverage keys
+    failures: list[TestResult]
+    error: Exception | None  # what ended the shard early: a BackendError, in practice
+
+
+def run_chunk(
     root_spec: ModelSpec,
     config: SuiteConfig,
-    spec_index: Mapping[str, ModelSpec] | None = None,
-) -> SuiteReport:
-    """Run the whole suite; traces stream to config.trace_path when set."""
-    pool = port_pool(config)
-    keys: set[tuple[str, str, str]] = set()  # coverage keys
+    tests: range,
+    pool: PortPool | None,
+    write: Callable[[str], object] | None = None,
+) -> ChunkResult:
+    """Run the tests of one shard in index order, passing each serialized
+    trace to ``write`` (when a trace file is written).  Under
+    abort-on-failure it stops at its first failing test; an exception that
+    escapes a test (a BackendError) ends it and is returned, not raised."""
+    keys: set[tuple[str, str, str]] = set()
     failures: list[TestResult] = []
     passed = 0
-    started = time.perf_counter()
-    writer = open(config.trace_path, "w", encoding="utf-8") if config.trace_path else None
     try:
-        for i in range(config.num_tests):
-            test_seed = derive_seed(config.seed, i)
-            result = run_single_test(root_spec, config, test_seed, i, pool)
+        for i in tests:
+            result = run_single_test(root_spec, config, derive_seed(config.seed, i), i, pool)
             trace = result.trace
-            if writer:
-                writer.write(serialize_trace(trace))
+            if write:
+                write(serialize_trace(trace))
             keys.update(map(_COVERAGE_KEY, trace.steps))
             if result.passed:
                 passed += 1
@@ -345,9 +390,123 @@ def run_suite(
                 failures.append(result)
                 if config.abort_on_first_failure:
                     break
+    except Exception as exc:
+        return ChunkResult("", passed, keys, failures, exc)
+    return ChunkResult("", passed, keys, failures, None)
+
+
+def merge_chunks(
+    chunks: Iterable[ChunkResult],
+    write: Callable[[str], object] | None,
+    abort_on_first_failure: bool,
+) -> tuple[int, set[tuple[str, str, str]], list[TestResult]]:
+    """Combine shard results in index order: (passed, coverage keys,
+    failures).  A shard's traces go to ``write`` before its error is raised,
+    so the file holds every test below the one that raised; under
+    abort-on-failure the first shard with a failure is the last one taken,
+    and it stopped at its own first failure."""
+    passed = 0
+    keys: set[tuple[str, str, str]] = set()
+    failures: list[TestResult] = []
+    for chunk in chunks:
+        if write and chunk.text:
+            write(chunk.text)
+        if chunk.error is not None:
+            raise chunk.error
+        passed += chunk.passed
+        keys |= chunk.keys
+        failures += chunk.failures
+        if abort_on_first_failure and chunk.failures:
+            break
+    return passed, keys, failures
+
+
+def _fork_chunk(root_spec: ModelSpec, config: SuiteConfig, shard: Shard) -> tuple[int, int]:
+    """Fork a worker that runs ``shard`` with its own pool and writes its
+    pickled ChunkResult to a pipe; returns (pid, read end).  The worker
+    leaves by os._exit: no atexit handler runs and no inherited buffer, such
+    as an unflushed stdout, is written twice."""
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        os.close(read_end)
+        parts: list[str] = []
+        chunk = run_chunk(root_spec, config, shard.tests, PortPool(*shard.ports),
+                          parts.append if config.trace_path else None)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(chunk._replace(text="".join(parts))))
+        code = 0
     finally:
-        if writer:
-            writer.close()
+        os._exit(code)
+
+
+def _read_chunk(read_end: int, shard: Shard) -> ChunkResult:
+    """A worker's ChunkResult, read to the end of its pipe."""
+    import pickle
+
+    data = bytearray()
+    while block := os.read(read_end, 1 << 16):
+        data += block
+    if not data:
+        first, last = shard.tests[0], shard.tests[-1]
+        raise BackendError(f"the worker running tests {first}-{last} ended without a result")
+    return pickle.loads(data)
+
+
+def _stop_workers(workers: list[tuple[int, int]]) -> None:
+    """SIGKILL and reap every worker, finished or not, and close its pipe."""
+    if not workers:
+        return  # a one-process suite loads no signal module
+    import signal
+
+    for pid, read_end in workers:
+        os.close(read_end)
+        os.kill(pid, signal.SIGKILL)  # a no-op on one that has exited
+        os.waitpid(pid, 0)
+
+
+def run_suite(
+    root_spec: ModelSpec,
+    config: SuiteConfig,
+    spec_index: Mapping[str, ModelSpec] | None = None,
+) -> SuiteReport:
+    """Run the whole suite; traces stream to config.trace_path when set.
+
+    A real suite is sharded by plan_shards over the usable CPUs: shard 0
+    runs in this process, each other one in a forked worker, and the
+    results merge in index order, so stdout and the trace file are the
+    bytes of a one-process run.  ``taskset -c 0`` forces one process."""
+    shards = plan_shards(config, _usable_cpus(), hasattr(os, "fork"))
+    pool = port_pool(config, shards[0].ports)
+    started = time.perf_counter()
+    workers: list[tuple[int, int]] = []
+    try:
+        for shard in shards[1:]:
+            workers.append(_fork_chunk(root_spec, config, shard))
+        # Opened after forking, so no worker holds the file.
+        writer = open(config.trace_path, "w", encoding="utf-8") if config.trace_path else None
+        try:
+            write = writer.write if writer else None
+            own = run_chunk(root_spec, config, shards[0].tests, pool, write)
+            rest = (_read_chunk(fd, shard) for (_, fd), shard in zip(workers, shards[1:]))
+            passed, keys, failures = merge_chunks(
+                chain((own,), rest), write, config.abort_on_first_failure)
+        finally:
+            if writer:
+                writer.close()
+    finally:
+        _stop_workers(workers)
     return SuiteReport(
         config=config,
         passed=passed,

@@ -6,6 +6,8 @@ hands out the ports never leased; a released port waits in one release
 queue until its cooldown, counted in tests, not wall-clock time, is over.
 The real backend (realnet.RealBackend) is the only lessee: a bind leases,
 the end-of-test cleanup releases.  The simulator numbers its own ports.
+A sharded suite gives each shard its own pool over a disjoint sub-range
+of --port-range (explorer.plan_shards), so no two processes lease a port.
 
 A port that another process holds is retired: it leaves the pool for the
 rest of the suite, and the next lease takes another port.
@@ -22,6 +24,8 @@ from collections import deque
 
 from .errors import PoolExhaustedError
 
+COOLDOWN_TESTS = 2  # the tests a released port rests before its next lease
+
 
 class PortPool:
     """Ports never leased are handed out first, by a counter over [lo, hi];
@@ -30,7 +34,7 @@ class PortPool:
     which is also the order they come due: every release adds the same
     cooldown to a test index that never decreases."""
 
-    def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
+    def __init__(self, lo: int, hi: int, cooldown_tests: int = COOLDOWN_TESTS):
         if not (0 < lo <= hi <= 65535):
             raise ValueError(f"invalid port range [{lo}, {hi}]")
         self.lo = lo

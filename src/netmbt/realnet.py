@@ -17,7 +17,7 @@ kernel sends one RST and keeps no TIME_WAIT socket for the 4-tuple.
 Without it each such connection would hold a TIME_WAIT socket on the
 listen port for 60 s, and a port with many of them binds more slowly.
 
-A bind leases a port from the suite's PortPool; one that another process
+A bind leases a port from its shard's PortPool; one that another process
 holds is retired and the next is leased, so only the pool's exhaustion
 error ends a suite.  A bound server's ``local_port`` is its lease, which
 the end-of-test cleanup releases after it closes the test's sockets; a

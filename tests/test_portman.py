@@ -206,9 +206,15 @@ def _outcome(call):
         return type(exc)
 
 
+# Ops: 0 acquire, 1 release, 2 retire, 3 next test.  Acquire-weighted and
+# long, so that most examples lease every port and then take ports from the
+# release queue (about 270 of 300, a median of 4 queue pops each).
+_OPS = st.lists(st.tuples(st.sampled_from((0, 0, 0, 1, 1, 3, 3, 2)), st.integers(0, 9)),
+                min_size=30, max_size=100)
+
+
 class TestAgainstReference:
-    @given(size=st.integers(1, 9), cooldown=st.integers(0, 3),
-           ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=120))
+    @given(size=st.integers(1, 9), cooldown=st.integers(0, 3), ops=_OPS)
     @settings(max_examples=300, deadline=None)
     def test_same_ports_sets_and_exhaustion_as_the_full_set_pool(self, size, cooldown, ops):
         lo = 40000
