@@ -200,8 +200,6 @@ class NetworkBackend:
             return  # idempotent
         self._do_close_conn(conn)
         conn.closed = True
-        conn.input_shut = True
-        conn.output_shut = True
 
     # -- selectors -----------------------------------------------------------
 

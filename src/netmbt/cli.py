@@ -35,10 +35,13 @@ def _port_range(text: str) -> tuple[int, int]:
 
 
 def _seed_u64(text: str) -> int:
-    value = int(text, 0)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return value
+    try:
+        value = int(text, 0)
+        if 0 <= value < 1 << 64:
+            return value
+    except ValueError:  # not an integer literal: 08, 0x, abc
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,12 +140,9 @@ def _cmd_replay(args) -> int:
     roots = sorted({t.steps[0].model for t in traces if t.steps})
     if len(roots) > 1:
         raise ConfigError(f"trace file mixes root models {' and '.join(roots)}")
-    model_name = args.model
-    if model_name is None:
-        if not traces[0].steps:
-            raise ConfigError("cannot infer the root model from an empty trace; pass --model")
-        model_name = traces[0].steps[0].model
-    spec = _model(model_name)
+    if args.model is None and not roots:
+        raise ConfigError("cannot infer the root model: no trace has a record; pass --model")
+    spec = _model(roots[0] if args.model is None else args.model)
     config = _config(args, 0, backends[0])  # each replay runs from its recorded seed
     if backends[0] == "real":
         print("note: real-backend replay is best-effort; latency may change outcomes")

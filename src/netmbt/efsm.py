@@ -157,11 +157,6 @@ class ModelInstance:
         self.current = spec.initial
         self.vars: dict[str, Any] = dict(args)
 
-    @property
-    def alive(self) -> bool:
-        """Dead means parked in a state with no way out."""
-        return bool(self.spec.outgoing.get(self.current))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.spec.name}#{self.id} @{self.current}>"
 

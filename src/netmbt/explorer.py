@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_right
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -333,16 +333,18 @@ class Shard(NamedTuple):
     ports: tuple[int, int]  # the listen ports its pool leases from, lo and hi
 
 
-def plan_shards(config: SuiteConfig, cpus: int, can_fork: bool) -> list[Shard]:
+def plan_shards(config: SuiteConfig, cpus: int) -> list[Shard]:
     """Split a suite into J contiguous shards of tests, each with a disjoint,
     contiguous sub-range of ``config.port_range``; together they cover both
     exactly.  J = min(cpus, tests, ports // (cooldown + 1)) on real sockets,
     so every sub-range can serve a test while its last ports cool down, and
-    1 on sim (not sharded yet) or where the platform cannot fork."""
+    1 on sim (not sharded yet).  ``cpus`` is _usable_cpus() in a run, which
+    is 1 where the platform lacks sched_getaffinity; every platform that has
+    it can fork."""
     lo, hi = config.port_range
     size, n = hi - lo + 1, config.num_tests
     jobs = 1
-    if config.backend == "real" and can_fork:
+    if config.backend == "real":
         jobs = max(1, min(cpus, n, size // (COOLDOWN_TESTS + 1)))
     return [Shard(range(k * n // jobs, (k + 1) * n // jobs),
                   (lo + k * size // jobs, lo + (k + 1) * size // jobs - 1))
@@ -487,7 +489,7 @@ def run_suite(
     runs in this process, each other one in a forked worker, and the
     results merge in index order, so stdout and the trace file are the
     bytes of a one-process run.  ``taskset -c 0`` forces one process."""
-    shards = plan_shards(config, _usable_cpus(), hasattr(os, "fork"))
+    shards = plan_shards(config, _usable_cpus())
     pool = port_pool(config, shards[0].ports)
     started = time.perf_counter()
     workers: list[tuple[int, int]] = []
@@ -516,6 +518,11 @@ def run_suite(
     )
 
 
+def _count(seen: set[str], total: int | None) -> str:
+    """``seen/total``, or ``seen`` alone for a model the spec index lacks."""
+    return str(len(seen)) if total is None else f"{len(seen)}/{total}"
+
+
 def format_report(report: SuiteReport, root_name: str) -> str:
     cfg = report.config
     lines = [
@@ -526,9 +533,8 @@ def format_report(report: SuiteReport, root_name: str) -> str:
     ]
     for name in sorted(report.coverage):
         cov = report.coverage[name]
-        st = f"{len(cov.states_visited)}/{cov.states_total}" if cov.states_total else str(len(cov.states_visited))
-        tr = f"{len(cov.transitions_fired)}/{cov.transitions_total}" if cov.transitions_total else str(len(cov.transitions_fired))
-        lines.append(f"coverage {name} states {st} transitions {tr}")
+        lines.append(f"coverage {name} states {_count(cov.states_visited, cov.states_total)} "
+                     f"transitions {_count(cov.transitions_fired, cov.transitions_total)}")
     if report.failures:
         lines.append("failures:")
         for f in report.failures[:20]:
@@ -560,14 +566,12 @@ def replay(trace: Trace, root_spec: ModelSpec, config: SuiteConfig,
     """
     rerun = run_single_test(root_spec, config, trace.test_seed, trace.test_index, pool)
     recorded = trace.steps
-    replayed = rerun.trace.steps
-    if recorded != replayed:
-        # Equal records render equal lines, so only unequal step lists are
-        # rendered; the lines decide, and the first differing one is reported.
-        for i in range(max(len(recorded), len(replayed))):
-            expected = recorded[i].line() if i < len(recorded) else "<missing>"
-            actual = replayed[i].line() if i < len(replayed) else "<missing>"
-            if expected != actual:
+    if recorded != rerun.trace.steps:
+        # Records are equal exactly when their lines are (no field holds
+        # whitespace), so only the first unequal pair is rendered.
+        for i, pair in enumerate(zip_longest(recorded, rerun.trace.steps)):
+            if pair[0] != pair[1]:
+                expected, actual = (r.line() if r else "<missing>" for r in pair)
                 raise DivergenceError(i, expected, actual)
     if verdict_line(trace) != verdict_line(rerun.trace):
         # Reported as given: a hand-edited message keeps its spacing.

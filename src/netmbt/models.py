@@ -298,7 +298,7 @@ CLIENT = _declare("client", _client_ctor, (
 def _bind_ctor(inst, env) -> None:
     server = env.net.open_server()
     port = env.net.bind(server)
-    inst.vars.update(server=server, port=port, blocking=True)
+    inst.vars.update(server=server, port=port)
 
 
 def _session(inst, env) -> None:
@@ -344,16 +344,14 @@ MINIMALIST_MISORDERED = _declare("minimalist-misordered", _bind_ctor, (
 def _configure_selector(inst, env) -> None:
     net, v = env.net, inst.vars
     net.configure_blocking(v["server"], False)
-    v["blocking"] = False
     v["sel"] = sel = net.open_selector()
     v["key"] = net.register(sel, v["server"], ACCEPT)
 
 
 def _sm_toggle_free(inst, env) -> None:
     # Before selector registration the mode may flip freely.
-    target = not inst.vars["blocking"]
-    env.net.configure_blocking(inst.vars["server"], target)
-    inst.vars["blocking"] = target
+    server = inst.vars["server"]
+    env.net.configure_blocking(server, not server.blocking)
 
 
 def _sm_toggle_registered(inst, env) -> None:

@@ -4,10 +4,12 @@ Blocking calls run under a socket timeout equal to the watchdog budget, so
 an orchestration deadlock (e.g. a blocking accept with no client) surfaces
 as WatchdogTimeout instead of hanging the single-threaded explorer.
 
-EPIPE / ECONNRESET / ECONNABORTED are classified as PEER_CLOSED; everything
-else about the legality table is enforced by the shared adapter base, so
-misuse never reaches a raw socket in an ambiguous state.  shutdownInput is
-a local adapter-level effect only (no SHUT_RD syscall), which keeps close
+EPIPE, ECONNRESET, ECONNABORTED and ENOTCONN are classified as PEER_CLOSED.
+ENOTCONN is what shutdown(SHUT_WR) raises on loopback after a reset that
+recv has already reported as ECONNRESET.  Everything else about the
+legality table is enforced by the shared adapter base, so misuse never
+reaches a raw socket in an ambiguous state.  shutdownInput is a local
+adapter-level effect only (no SHUT_RD syscall), which keeps close
 semantics deterministic across platforms.
 
 The model's own closes are graceful (FIN), as the API under test makes
@@ -212,24 +214,16 @@ class RealBackend(NetworkBackend):
         conn.sock.close()
 
     def _raw_readiness(self, channel, interest: int) -> int:
-        ready = 0
+        # register lets a server ask only for ACCEPT and a connection never
+        # for it, so a readable socket is ready for what it asked of the two.
         fd = channel.sock
-        want_read = bool(interest & (ACCEPT | READ))
-        want_write = bool(interest & WRITE)
+        want_read = interest & (ACCEPT | READ)
         try:
             readable, writable, _ = select.select(
-                [fd] if want_read else [],
-                [fd] if want_write else [],
-                [],
-                0,
-            )
+                [fd] if want_read else [], [fd] if interest & WRITE else [], [], 0)
         except (OSError, ValueError):
-            return ready
-        if readable:
-            ready |= ACCEPT if isinstance(channel, ServerChannel) else READ
-        if writable:
-            ready |= WRITE
-        return ready
+            return 0
+        return (want_read if readable else 0) | (WRITE if writable else 0)
 
     def force_close_all(self) -> None:
         """Reset the open connections, close the open server sockets and

@@ -72,21 +72,21 @@ class SeededRng:
     and every draw goes through ``next_u64``.
 
     ``_state`` is the splitmix64 state after the last *computed* draw,
-    which is ahead of the last draw served while ``_buf`` holds any.  A
+    which is ahead of the last draw served while ``_buf`` holds any.
+    ``_buf`` is None until the first batch, which is the small one.  A
     subclass that serves other draws (a recorded draw tape, say) overrides
     ``next_u64`` alone.
     """
 
-    __slots__ = ("_state", "_buf", "_batch")
+    __slots__ = ("_state", "_buf")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        self._buf: list[int] = []
-        self._batch = _FIRST_BATCH
+        self._buf: list[int] | None = None
 
     def _fill(self) -> int:
         """Compute the next batch of draws; return the first, buffer the rest."""
-        lanes, ones, offsets, unpack, step, nbytes = self._batch
+        lanes, ones, offsets, unpack, step, nbytes = _FIRST_BATCH if self._buf is None else _BATCH
         state = self._state
         z = (state * ones + offsets) & lanes
         z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
@@ -95,7 +95,6 @@ class SeededRng:
         # decoder skips.
         self._buf = buf = list(unpack((z ^ (z >> 31)).to_bytes(nbytes, "little")))
         self._state = (state + step) & _MASK64
-        self._batch = _BATCH
         return buf.pop()
 
     def next_u64(self) -> int:

@@ -85,6 +85,14 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: a latency model requires the sim backend\n"
 
+    @pytest.mark.parametrize("seed", ["08", "0x", "abc", "-1", str(1 << 64)])
+    def test_bad_seed_exits_two_naming_the_value(self, seed):
+        proc = run_cli("run", "--model", "minimalist", "--seed", seed)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1] == (
+            "netmbt run: error: argument --seed: "
+            f"seed must be a 64-bit unsigned integer, got '{seed}'")
+
     def test_unknown_flag_exits_two(self):
         proc = run_cli("run", "--model", "minimalist", "--frobnicate")
         assert proc.returncode == 2
@@ -209,13 +217,26 @@ class TestReplayCommand:
     @pytest.mark.parametrize("text, error", [
         ("", "no traces in file"),
         ("netmbt-trace v1 seed=1 test=0 backend=sim\nverdict PASS\n",
-         "cannot infer the root model from an empty trace; pass --model"),
+         "cannot infer the root model: no trace has a record; pass --model"),
     ])
     def test_unusable_file_exits_two_with_one_error_line(self, tmp_path, capsys, text, error):
         path = tmp_path / "bad.trace"
         path.write_text(text)
         assert main(["replay", "--replay", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_root_is_inferred_past_an_empty_first_block(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        main(["run", "--model", "minimalist", "--seed", "5", "--tests", "1",
+              "--trace-out", str(trace)])
+        path = tmp_path / "empty-first.trace"
+        path.write_text("netmbt-trace v1 seed=1 test=0 backend=sim\nverdict PASS\n"
+                        + trace.read_text())
+        capsys.readouterr()
+        assert main(["replay", "--replay", str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["replay test 0: DIVERGED at step 0", "  expected: <missing>"]
+        assert out[2].startswith("  actual:   0 1 minimalist <init> - ")
 
     def test_real_backend_file_replays(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"

@@ -100,7 +100,7 @@ class TestInstantiate:
 
     def test_empty_spec_is_dead_on_arrival(self):
         spec = define_model("m", "s", [])
-        assert instantiate(spec, 1, {}, make_env()).alive is False
+        assert enabled_transitions(instantiate(spec, 1, {}, make_env())) == ()
 
     def test_unmapped_constructor_error_is_violation(self):
         def boom(inst, env):
@@ -129,9 +129,9 @@ class TestEnabledTransitions:
     def test_dead_states_have_no_transitions(self):
         spec = define_model("m", "a", [Transition("a", "b", "go", NOOP)])
         inst = ModelInstance(1, spec, {})
-        assert inst.alive
+        assert enabled_transitions(inst)
         inst.current = "b"
-        assert not inst.alive
+        assert enabled_transitions(inst) == ()
 
 
 class TestFireTransition:

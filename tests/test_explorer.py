@@ -195,6 +195,13 @@ class TestSuites:
             result = run_single_test(spec, SuiteConfig(seed=1), derive_seed(1, i), i, None)
             assert result.fired == 0
 
+    def test_a_total_of_zero_is_reported_as_a_total(self):
+        report = run_suite(define_model("m", "s", []), SuiteConfig(seed=1, num_tests=2))
+        assert format_report(report, "m").splitlines()[2] == (
+            "coverage m states 1/1 transitions 0/0")
+        unknown = report._replace(coverage={"m": ModelCoverage({"s"}, set(), None, None)})
+        assert format_report(unknown, "m").splitlines()[2] == "coverage m states 1 transitions 0"
+
     def test_budget_is_respected(self):
         for backend in ("sim", "real"):
             cfg = SuiteConfig(seed=2, num_tests=30, max_steps_per_test=17, backend=backend)

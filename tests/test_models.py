@@ -74,7 +74,7 @@ class TestMinimalist:
         run.fire(worker, "read")
         out = run.fire(server, "close")
         assert out == ("-", None) and server.current == "closed"
-        assert not server.alive
+        assert enabled_transitions(server) == ()
         (entry,) = run.ledger.entries.values()
         assert entry["server"].wrote > 0 or entry["client"].wrote > 0
         assert entry["server"].read <= entry["client"].wrote
@@ -149,7 +149,7 @@ class TestServerMain:
         out = run.fire(server, "acceptAfterClose")
         assert out == (ErrorKind.CLOSED_CHANNEL.value, None)
         assert server.current == "err"
-        assert not server.alive
+        assert enabled_transitions(server) == ()
 
 
 class TestWorker:
@@ -191,7 +191,7 @@ class TestWorker:
         out = run.fire(worker, "writeBothShut")
         assert out == (ErrorKind.OUTPUT_SHUTDOWN.value, None)
         out = run.fire(worker, "closeBothShut")
-        assert worker.current == "closed" and not worker.alive
+        assert worker.current == "closed" and enabled_transitions(worker) == ()
 
     def test_peer_reset_moves_to_peer_gone(self):
         net = SimBackend(SeededRng(4), LATENCIES["zero"])
@@ -236,7 +236,7 @@ class TestClient:
         client = run.launch(CLIENT, {"port": port})
         out = run.fire(client, "mayClose")
         assert out == ("closed", None)
-        assert client.current == "closed" and not client.alive
+        assert client.current == "closed" and enabled_transitions(client) == ()
 
     def test_stay_probability_zero(self):
         net = SimBackend(SeededRng(6), LATENCIES["zero"])

@@ -38,9 +38,7 @@ def reference_pick(instances, rng):
     pairs = []
     total = 0.0
     for inst in instances:
-        if not inst.alive:
-            continue
-        for t in enabled_transitions(inst):
+        for t in enabled_transitions(inst):  # none for a dead instance
             pairs.append((inst, t))
             total += t.weight
     if not pairs:

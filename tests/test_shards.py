@@ -41,8 +41,8 @@ from netmbt.trace import Trace, parse_traces
 _ELAPSED = re.compile(r"\(\d+\.\d\ds\)")
 
 
-def _plan(cpus=2, can_fork=True, **fields):
-    return plan_shards(SuiteConfig(seed=1, **{"backend": "real", **fields}), cpus, can_fork)
+def _plan(cpus=2, **fields):
+    return plan_shards(SuiteConfig(seed=1, **{"backend": "real", **fields}), cpus)
 
 
 def assert_no_child_left():
@@ -58,18 +58,24 @@ class TestShardPlan:
         assert _plan(num_tests=500, port_range=(20000, 29999)) == [
             (range(0, 250), (20000, 24999)), (range(250, 500), (25000, 29999))]
 
-    @pytest.mark.parametrize("fields, cpus, can_fork", [
-        ({"backend": "sim"}, 8, True),  # sim stays one process
-        ({}, 1, True),  # one usable CPU
-        ({}, 8, False),  # no os.fork
-        ({"num_tests": 1}, 8, True),
-        ({"port_range": (23100, 23100)}, 8, True),  # test_busy_port.py's ranges
-        ({"port_range": (23100, 23104)}, 8, True),
+    @pytest.mark.parametrize("fields, cpus", [
+        ({"backend": "sim"}, 8),  # sim stays one process
+        ({}, 1),  # one usable CPU
+        ({"num_tests": 1}, 8),
+        ({"port_range": (23100, 23100)}, 8),  # test_busy_port.py's ranges
+        ({"port_range": (23100, 23104)}, 8),
     ])
-    def test_one_shard_holds_the_whole_suite(self, fields, cpus, can_fork):
+    def test_one_shard_holds_the_whole_suite(self, fields, cpus):
         config = SuiteConfig(seed=1, **{"backend": "real", **fields})
-        assert plan_shards(config, cpus, can_fork) == [
-            (range(config.num_tests), config.port_range)]
+        assert plan_shards(config, cpus) == [(range(config.num_tests), config.port_range)]
+
+    def test_without_sched_getaffinity_a_real_suite_is_one_shard(self, monkeypatch):
+        # The platforms that lack sched_getaffinity include those that lack
+        # os.fork, so no fork is ever planned there.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _usable_cpus() == 1
+        config = SuiteConfig(seed=1, backend="real", num_tests=500)
+        assert plan_shards(config, _usable_cpus()) == [(range(500), config.port_range)]
 
     def test_a_range_gives_each_shard_a_port_plus_its_cooldown(self):
         per_shard = COOLDOWN_TESTS + 1
