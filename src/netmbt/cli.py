@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--fault", choices=sorted(["none", *(k.value for k in FaultKind)]),
                         default="none")
     shared.add_argument("--latency", choices=list(LATENCIES), default=_DEFAULTS["latency"])
-    shared.add_argument("--p-close", type=float, default=_DEFAULTS["p_close"],
-                        help="client's per-opportunity close probability")
 
     run = sub.add_parser("run", parents=[shared], help="derive and execute a test suite")
     run.add_argument("--model", required=True, help="root model name (see list-models)")
@@ -108,7 +106,6 @@ def _config(args, seed: int, backend: str, **fields) -> SuiteConfig:
         port_range=args.port_range,
         latency=args.latency,
         fault=None if args.fault == "none" else FaultKind(args.fault),
-        p_close=args.p_close,
         **fields,
     )
 

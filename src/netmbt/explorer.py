@@ -57,7 +57,6 @@ class SuiteConfig(NamedTuple):
     port_range: tuple[int, int] = (20000, 29999)
     latency: str = "default"  # a key of simnet.LATENCIES; any other needs sim
     fault: FaultKind | None = None
-    p_close: float = 0.1
 
     def validate(self) -> None:
         if not 0 <= self.seed < 1 << 64:
@@ -79,8 +78,6 @@ class SuiteConfig(NamedTuple):
             raise ConfigError("fault injection requires the sim backend")
         if self.latency != self._field_defaults["latency"] and self.backend != "sim":
             raise ConfigError("a latency model requires the sim backend")
-        if not 0.0 <= self.p_close <= 1.0:
-            raise ConfigError("p-close must be within [0, 1]")
         if self.trace_path == "":
             raise ConfigError("trace-out must name a file")
 
@@ -117,16 +114,14 @@ def _make_backend(config: SuiteConfig, test_seed: int, pool: PortPool | None):
 
 class _TestRun:
     """One test in progress, and the ``env`` its actions are called with:
-    the network backend, the oracle ledger, the client close probability,
-    the rng, the live instances and the step records.  No instance refers
-    to it: a test forms no cycle."""
+    the network backend, the oracle ledger, the rng, the live instances
+    and the step records.  No instance refers to it: a test forms no cycle."""
 
-    __slots__ = ("net", "ledger", "p_close", "rng", "instances", "records")
+    __slots__ = ("net", "ledger", "rng", "instances", "records")
 
-    def __init__(self, net, rng: SeededRng, p_close: float):
+    def __init__(self, net, rng: SeededRng):
         self.net = net
         self.ledger = OracleLedger()
-        self.p_close = p_close
         self.rng = rng
         self.instances: list[ModelInstance] = []
         self.records: list[StepRecord] = []
@@ -217,7 +212,7 @@ def run_single_test(
     """One test, reproducible from (root model, config, test_seed) alone.
     ``pool`` is port_pool(config): the listen ports of a real run."""
     backend = _make_backend(config, test_seed, pool)
-    run = _TestRun(backend, SeededRng(derive_seed(test_seed, 0)), config.p_close)
+    run = _TestRun(backend, SeededRng(derive_seed(test_seed, 0)))
     instances, records, rng = run.instances, run.records, run.rng
     append, advance, new = records.append, backend.advance, tuple.__new__
     verdict, message = "PASS", ""

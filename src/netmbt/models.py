@@ -265,6 +265,9 @@ WORKER = _declare("worker", _watch_conn, (
 # ---------------------------------------------------------------------------
 
 
+CLOSE_PROBABILITY = 0.1  # the client's chance to close at each mayClose
+
+
 def _client_ctor(inst, env) -> None:
     inst.vars["conn"] = env.net.connect(inst.vars["port"])
     _watch_conn(inst, env)
@@ -272,7 +275,7 @@ def _client_ctor(inst, env) -> None:
 
 def _c_may_close(inst, env) -> str:
     """Non-deterministic model choice: close this session or keep going."""
-    if maybe(env.rng, env.p_close):
+    if maybe(env.rng, CLOSE_PROBABILITY):
         _close_conn(inst, env)
         return "closed"
     return "stay"

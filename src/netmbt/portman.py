@@ -30,16 +30,15 @@ COOLDOWN_TESTS = 2  # the tests a released port rests before its next lease
 class PortPool:
     """Ports never leased are handed out first, by a counter over [lo, hi];
     after that acquire() takes the port released longest ago, once its
-    cooldown is over.  ``_released`` queues released ports in release order,
-    which is also the order they come due: every release adds the same
-    cooldown to a test index that never decreases."""
+    cooldown of COOLDOWN_TESTS tests is over.  ``_released`` queues released
+    ports in release order, which is also the order they come due: every
+    release adds the same cooldown to a test index that never decreases."""
 
-    def __init__(self, lo: int, hi: int, cooldown_tests: int = COOLDOWN_TESTS):
+    def __init__(self, lo: int, hi: int):
         if not (0 < lo <= hi <= 65535):
             raise ValueError(f"invalid port range [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-        self.cooldown_tests = cooldown_tests
         self._next = lo  # the lowest port never leased
         self._released: deque[tuple[int, int]] = deque()  # (usable from test, port)
         self._leased: set[int] = set()
@@ -56,7 +55,7 @@ class PortPool:
             busy = f" ({len(self._retired)} in use by another process)" if self._retired else ""
             raise PoolExhaustedError(
                 f"no free listen port in [{self.lo}, {self.hi}]{busy}; widen --port-range "
-                f"(a released port rests for {self.cooldown_tests} tests)"
+                f"(a released port rests for {COOLDOWN_TESTS} tests)"
             )
         self._leased.add(port)
         return port
@@ -65,7 +64,7 @@ class PortPool:
         if port not in self._leased:
             raise ValueError(f"port {port} is not leased")
         self._leased.remove(port)
-        self._released.append((self._test_index + self.cooldown_tests, port))
+        self._released.append((self._test_index + COOLDOWN_TESTS, port))
 
     def retire(self, port: int) -> None:
         """Take a leased port out of the pool for good: it could not be bound."""

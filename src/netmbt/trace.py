@@ -57,6 +57,13 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join([header, *map(StepRecord.line, trace.steps), verdict_line(trace)]) + "\n"
 
 
+def _int(text: str) -> int:
+    """``int(text)``, refusing what serialize_trace never writes: 1_0, +1, 01, non-ASCII digits."""
+    if str(value := int(text)) != text:
+        raise ValueError(f"{text!r} is not a canonical integer")
+    return value
+
+
 def _lines(text: str, size: int = 1 << 16) -> Iterator[str]:
     """``text.splitlines()``, split a chunk of about ``size`` characters at a
     time.  Each chunk but the last ends with a newline, where every line
@@ -110,7 +117,7 @@ def parse_traces(text: str) -> list[Trace]:
                     if key not in _HEADER_KEYS:
                         raise ValueError(f"unknown header field {key!r}")
                     fields[key] = value
-                current = Trace(int(fields["seed"]), int(fields["test"]), fields["backend"], [])
+                current = Trace(_int(fields["seed"]), _int(fields["test"]), fields["backend"], [])
                 if not 0 <= current.test_seed < 1 << 64:
                     raise ValueError(f"seed={current.test_seed} is not a 64-bit unsigned integer")
                 if current.test_index < 0:
@@ -139,7 +146,7 @@ def parse_traces(text: str) -> list[Trace]:
                     if len(parts) != 6:
                         raise ValueError(f"malformed step record: {line!r}")
                     tail = tails[head[2]] = tuple(parts[2:])
-                record = records[line] = new(StepRecord, (int(head[0]), int(head[1])) + tail)
+                record = records[line] = new(StepRecord, (_int(head[0]), _int(head[1])) + tail)
                 append(record)
         if current is not None:
             raise ValueError("end of file before the verdict line")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import netmbt
 from conftest import child_env, run_cli
-from netmbt.cli import main
+from netmbt.cli import _build_parser, main
 from netmbt.models import MODEL_REGISTRY
 
 
@@ -304,6 +306,30 @@ class TestOtherCommands:
     def test_command_required(self):
         proc = run_cli()
         assert proc.returncode == 2
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+class TestReadmeFlags:
+    """README's "Flags for `run`" and "Flags for `replay`" paragraphs name
+    exactly the options of that subcommand's parser, help aside."""
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_readme_paragraph_names_the_parser_options(self, command):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {opt for action in sub.choices[command]._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        paragraph, = (p for p in README.read_text(encoding="utf-8").split("\n\n")
+                      if p.startswith(f"Flags for `{command}`:"))
+        assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options
+
+    def test_p_close_is_an_unrecognized_argument(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--model", "minimalist", "--tests", "1", "--p-close", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p-close 0.1" in capsys.readouterr().err
 
 
 class TestClosedStdout:

@@ -335,14 +335,14 @@ class TestSuites:
             run_suite(spec, SuiteConfig(seed=1, num_tests=3))
 
     def test_a_test_ticks_its_pool_clock(self):
-        # One port with a one-test cooldown: the first test's port is free
-        # again for the second only if the first test advanced the clock.
-        pool = PortPool(20000, 20000, cooldown_tests=1)
+        # Two ports, each resting two tests: the first test's port is free
+        # again for the third only if the first two tests advanced the clock.
+        pool = PortPool(20000, 20001)
         config = SuiteConfig(seed=3, backend="real")
-        for i in range(2):
+        for i in range(3):
             result = run_single_test(MINIMALIST, config, derive_seed(3, i), i, pool)
             assert result.passed and result.trace.steps[0].state == "bound"
-        assert pool.free == {20000}
+        assert pool.free == {20001} and pool.cooling == {20000}
 
     def test_instance_ids_monotone_from_one(self):
         result = run_single_test(SERVER_MAIN, SuiteConfig(seed=4), derive_seed(4, 0), 0, None)
@@ -473,14 +473,17 @@ class TestReplay:
         elif edit == "verdict":
             verdict = "verdict FAIL lost  bytes"
             want = (n, verdict, "verdict PASS")
-        else:  # parses to the same record as "1 ...", so the lines agree
+        else:  # "01" for "1" is refused as the file is read, before any replay
             edited[1] = "0" + records[1]
             want = None
-        trace = parse_traces("\n".join([header, *edited, verdict]) + "\n")[0]
-        re_cfg = SuiteConfig(seed=0)
+        text = "\n".join([header, *edited, verdict]) + "\n"
         if want is None:
-            assert replay(trace, SERVER_MAIN, re_cfg, port_pool(re_cfg)).trace.verdict == "PASS"
+            with pytest.raises(ConfigError,
+                               match=r"^line 3: '01' is not a canonical integer$"):
+                parse_traces(text)
             return
+        trace = parse_traces(text)[0]
+        re_cfg = SuiteConfig(seed=0)
         with pytest.raises(DivergenceError) as e:
             replay(trace, SERVER_MAIN, re_cfg, port_pool(re_cfg))
         assert (e.value.step_index, e.value.expected, e.value.actual) == want
@@ -545,7 +548,7 @@ class TestRecordTypes:
         assert config == SuiteConfig(seed=7, num_tests=100, max_steps_per_test=100,
                                      backend="sim", abort_on_first_failure=False,
                                      trace_path=None, port_range=(20000, 29999),
-                                     latency="default", fault=None, p_close=0.1)
+                                     latency="default", fault=None)
         default = LATENCIES["default"]
         assert default == LatencyModel((0, 1, 2), True)
         assert LATENCIES["zero"] == LatencyModel(choices=(0,), split=False)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from netmbt import explorer
+from netmbt import explorer, models
 from netmbt.adapter import ConnChannel
 from netmbt.efsm import enabled_transitions, fire_transition
 from netmbt.errors import ErrorKind
@@ -47,8 +47,8 @@ for _call in LEDGER_CALLS:
 class ManualRun(_TestRun):
     """Drive specific transitions by label instead of random scheduling."""
 
-    def __init__(self, net, p_close=0.1, seed=0):
-        super().__init__(net, SeededRng(seed), p_close)
+    def __init__(self, net, seed=0):
+        super().__init__(net, SeededRng(seed))
 
     def fire(self, inst, label):
         options = {t.label: t for t in enabled_transitions(inst)}
@@ -228,9 +228,10 @@ class TestWorker:
 
 
 class TestClient:
-    def test_forced_close_probability_one(self):
+    def test_forced_close_probability_one(self, monkeypatch):
+        monkeypatch.setattr(models, "CLOSE_PROBABILITY", 1.0)
         net = SimBackend(SeededRng(6), LATENCIES["zero"])
-        run = ManualRun(net, p_close=1.0)
+        run = ManualRun(net)
         srv = net.open_server()
         port = net.bind(srv)
         client = run.launch(CLIENT, {"port": port})
@@ -238,9 +239,10 @@ class TestClient:
         assert out == ("closed", None)
         assert client.current == "closed" and enabled_transitions(client) == ()
 
-    def test_stay_probability_zero(self):
+    def test_stay_probability_zero(self, monkeypatch):
+        monkeypatch.setattr(models, "CLOSE_PROBABILITY", 0.0)
         net = SimBackend(SeededRng(6), LATENCIES["zero"])
-        run = ManualRun(net, p_close=0.0)
+        run = ManualRun(net)
         srv = net.open_server()
         port = net.bind(srv)
         client = run.launch(CLIENT, {"port": port})

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmbt.errors import PoolExhaustedError
-from netmbt.portman import PortPool
+from netmbt.portman import COOLDOWN_TESTS, PortPool
 
 
 class TestLeasing:
@@ -26,7 +26,8 @@ class TestLeasing:
             pool.release(20000)
 
     def test_cooldown_then_reuse(self):
-        pool = PortPool(20000, 20000, cooldown_tests=2)
+        assert COOLDOWN_TESTS == 2
+        pool = PortPool(20000, 20000)
         port = pool.acquire()
         pool.release(port)
         pool.next_test()
@@ -36,15 +37,19 @@ class TestLeasing:
         assert pool.acquire() == port  # same port recycled
 
     def test_least_recently_released_first(self):
-        pool = PortPool(20000, 20003, cooldown_tests=0)
+        pool = PortPool(20000, 20003)
         a, b = pool.acquire(), pool.acquire()
         pool.release(b)
         pool.release(a)
+        pool.next_test()
+        pool.next_test()  # both releases have rested their two tests
         # ports never leased come first, lowest first, then the oldest release
         assert [pool.acquire() for _ in range(4)] == [20002, 20003, b, a]
         pool.release(a)
         pool.release(20002)
         pool.release(b)
+        pool.next_test()
+        pool.next_test()
         assert [pool.acquire() for _ in range(3)] == [a, 20002, b]
 
     def test_no_double_lease_without_release_and_cooldown(self):
@@ -57,7 +62,7 @@ class TestLeasing:
 
     def test_suite_sized_churn_stays_bounded(self):
         # one lease per test, released at test end: a tiny range suffices
-        pool = PortPool(20000, 20009, cooldown_tests=2)
+        pool = PortPool(20000, 20009)
         for _ in range(10_000):
             port = pool.acquire()
             pool.release(port)
@@ -66,7 +71,7 @@ class TestLeasing:
 
     def test_churn_leases_every_port_alike(self):
         # a lowest-free pool would lease 2 of the 10 ports, 5,000 times each
-        pool = PortPool(20000, 20009, cooldown_tests=2)
+        pool = PortPool(20000, 20009)
         leases = Counter()
         for _ in range(10_000):
             port = pool.acquire()
@@ -81,7 +86,7 @@ class TestPartitionInvariant:
     @settings(max_examples=200, deadline=None)
     def test_free_leased_cooldown_partition_range(self, ops):
         lo, hi = 30000, 30007
-        pool = PortPool(lo, hi, cooldown_tests=2)
+        pool = PortPool(lo, hi)
         full = set(range(lo, hi + 1))
         for op in ops:
             if op == 0:
@@ -102,13 +107,13 @@ class TestPartitionInvariant:
 
 class TestRetire:
     def test_a_retired_port_is_never_leased_again(self):
-        pool = PortPool(20000, 20002, cooldown_tests=0)
+        pool = PortPool(20000, 20002)
         busy = pool.acquire()
         pool.retire(busy)
         assert busy not in pool.leased | pool.free | pool.cooling
         assert pool.retired == {busy}
         ports = set()
-        for _ in range(10):
+        for _ in range(10):  # a lease per test: each port rests for one test
             port = pool.acquire()
             ports.add(port)
             pool.release(port)
@@ -131,7 +136,7 @@ class TestRetire:
     @settings(max_examples=200, deadline=None)
     def test_free_leased_cooling_retired_partition_range(self, ops):
         lo, hi = 30000, 30007
-        pool = PortPool(lo, hi, cooldown_tests=2)
+        pool = PortPool(lo, hi)
         full = set(range(lo, hi + 1))
         for op in ops:
             if op == 0:
@@ -154,8 +159,8 @@ class ReferencePortPool:
     leased, and when every port has been leased, the free port whose
     release came first.  A retired port leaves the pool for good."""
 
-    def __init__(self, lo: int, hi: int, cooldown_tests: int = 2):
-        self.lo, self.hi, self.cooldown_tests = lo, hi, cooldown_tests
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
         self._free_set = set(range(lo, hi + 1))
         self._released: dict[int, int] = {}  # port -> sequence number of its last release
         self._releases = 0
@@ -177,7 +182,7 @@ class ReferencePortPool:
         if port not in self._leased:
             raise ValueError(f"port {port} is not leased")
         self._leased.remove(port)
-        self._cooldown[port] = self._test_index + self.cooldown_tests
+        self._cooldown[port] = self._test_index + COOLDOWN_TESTS
         self._released[port] = self._releases
         self._releases += 1
         self._expire()
@@ -214,12 +219,12 @@ _OPS = st.lists(st.tuples(st.sampled_from((0, 0, 0, 1, 1, 3, 3, 2)), st.integers
 
 
 class TestAgainstReference:
-    @given(size=st.integers(1, 9), cooldown=st.integers(0, 3), ops=_OPS)
+    @given(size=st.integers(1, 9), ops=_OPS)
     @settings(max_examples=300, deadline=None)
-    def test_same_ports_sets_and_exhaustion_as_the_full_set_pool(self, size, cooldown, ops):
+    def test_same_ports_sets_and_exhaustion_as_the_full_set_pool(self, size, ops):
         lo = 40000
-        pool = PortPool(lo, lo + size - 1, cooldown_tests=cooldown)
-        ref = ReferencePortPool(lo, lo + size - 1, cooldown_tests=cooldown)
+        pool = PortPool(lo, lo + size - 1)
+        ref = ReferencePortPool(lo, lo + size - 1)
         for op, pick in ops:
             if op == 0:
                 assert _outcome(pool.acquire) == _outcome(ref.acquire)

@@ -3,6 +3,7 @@ line splitting, and the memory a parsed file keeps."""
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from functools import cache
 
@@ -25,6 +26,18 @@ from netmbt.trace import (
     parse_traces,
     serialize_trace,
 )
+
+
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def canonical_int(text: str) -> int:
+    """``int(text)`` for an integer written as ``str()`` writes one: ASCII
+    digits, no leading zero, no sign but a minus."""
+    value = int(text)  # int()'s own error comes first
+    if not _CANONICAL_INT.fullmatch(text):
+        raise ValueError(f"{text!r} is not a canonical integer")
+    return value
 
 
 def reference_parse_traces(text: str) -> list[Trace]:
@@ -54,8 +67,8 @@ def reference_parse_traces(text: str) -> list[Trace]:
                         raise ValueError(f"unknown header field {key!r}")
                     fields[key] = value
                 current = Trace(
-                    test_seed=int(fields["seed"]),
-                    test_index=int(fields["test"]),
+                    test_seed=canonical_int(fields["seed"]),
+                    test_index=canonical_int(fields["test"]),
                     backend=fields["backend"],
                     steps=[],
                 )
@@ -82,7 +95,7 @@ def reference_parse_traces(text: str) -> list[Trace]:
                 if len(parts) != 6:
                     raise ValueError(f"malformed step record: {line!r}")
                 current.steps.append(
-                    StepRecord(int(parts[0]), int(parts[1]), parts[2], parts[3], parts[4], parts[5])
+                    StepRecord(canonical_int(parts[0]), canonical_int(parts[1]), *parts[2:])
                 )
         if current is not None:
             raise ValueError("end of file before the verdict line")
@@ -256,12 +269,31 @@ class TestCompactParse:
         assert (_parse(parse_traces, text) == _parse(reference_parse_traces, text)
                 == ("error", f"line 1: unsupported trace version {version!r}"))
 
-    def test_non_canonical_integers_give_canonical_records(self):
-        header = "netmbt-trace v1 seed=1 test=0 backend=sim"
-        text = f"{header}\n0 1 m l - s\n00 +1 m l - s\nverdict PASS\n"
+    @pytest.mark.parametrize("header, record, error", [
+        ("seed=1 test=0_0", "0 1", "line 1: '0_0' is not a canonical integer"),
+        ("seed=+7134611160154358618 test=0", "0 1",
+         "line 1: '+7134611160154358618' is not a canonical integer"),
+        ("seed=07 test=0", "0 1", "line 1: '07' is not a canonical integer"),
+        ("seed=1 test=-0", "0 1", "line 1: '-0' is not a canonical integer"),
+        ("seed=1 test=-1", "0 1", "line 1: test=-1 is negative"),
+        ("seed=1 test=0", "0 \u0662", "line 3: '\u0662' is not a canonical integer"),
+        ("seed=1 test=0", "00 1", "line 3: '00' is not a canonical integer"),
+        ("seed=1 test=0", "0 +1", "line 3: '+1' is not a canonical integer"),
+        ("seed=1 test=0", "0 1_0", "line 3: '1_0' is not a canonical integer"),
+        ("seed=1 test=0", "0 x", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("seed=1 test=0", "01 x", "line 3: '01' is not a canonical integer"),
+    ])
+    def test_an_integer_is_read_only_as_serialize_trace_writes_it(self, header, record, error):
+        # the first record is canonical, so the third line is not in the parse cache
+        text = f"{TRACE_HEADER} {header} backend=sim\n0 1 m l - s\n{record} m l - s\nverdict PASS\n"
+        got = _parse(parse_traces, text)
+        assert got == _parse(reference_parse_traces, text) == ("error", error)
+
+    def test_a_cached_record_line_is_a_canonical_one(self):
+        text = f"{TRACE_HEADER} seed=1 test=0 backend=sim\n" + "0 1 m l - s\n" * 2 + "verdict PASS\n"
         steps = parse_traces(text)[0].steps
-        assert steps == [StepRecord(0, 1, "m", "l", "-", "s")] * 2
-        assert [r.line() for r in steps] == ["0 1 m l - s"] * 2
+        assert steps == [StepRecord(0, 1, "m", "l", "-", "s")] * 2 and steps[0] is steps[1]
+        assert "".join(map(serialize_trace, parse_traces(text))) == text
 
 
 class TestLineSplitting:
