@@ -113,7 +113,7 @@ class TestRetire:
         assert busy not in pool.leased | pool.free | pool.cooling
         assert pool.retired == {busy}
         ports = set()
-        for _ in range(10):  # a lease per test: each port rests for one test
+        for _ in range(10):  # one lease per test: each of the two ports is due as it is needed
             port = pool.acquire()
             ports.add(port)
             pool.release(port)
