@@ -113,9 +113,10 @@ def _config(args, seed: int, backend: str, **fields) -> SuiteConfig:
 def _cmd_run(args) -> int:
     spec = _model(args.model)
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")
-    print(f"seed {seed}")
     config = _config(args, seed, args.backend, num_tests=args.tests,
                      abort_on_first_failure=args.abort_on_failure, trace_path=args.trace_out)
+    config.validate()  # a configuration error leaves stdout empty
+    print(f"seed {seed}")
     report = run_suite(spec, config, MODEL_REGISTRY)
     print(format_report(report, args.model))
     if report.failed and config.trace_path is None:
@@ -140,6 +141,8 @@ def _cmd_replay(args) -> int:
     if args.model is None and not roots:
         raise ConfigError("cannot infer the root model: no trace has a record; pass --model")
     spec = _model(roots[0] if args.model is None else args.model)
+    if roots and spec.name != roots[0]:
+        raise ConfigError(f"--model {spec.name} contradicts the trace file's root model {roots[0]}")
     config = _config(args, 0, backends[0])  # each replay runs from its recorded seed
     if backends[0] == "real":
         print("note: real-backend replay is best-effort; latency may change outcomes")

@@ -132,7 +132,7 @@ class _TestRun:
         inst = instantiate(spec, len(self.instances) + 1, args, self)
         self.instances.append(inst)
         self.records.append(tuple.__new__(
-            StepRecord, (len(self.records), inst.id, spec.name, INIT_LABEL, "-", inst.current)))
+            StepRecord, (inst.id, spec.name, INIT_LABEL, "-", inst.current)))
         return inst
 
 
@@ -226,8 +226,8 @@ def run_single_test(
             inst, transition = pick
             state, launched = inst.current, len(instances)
             outcome, violation = fire_transition(inst, transition, run)
-            append(new(StepRecord, (len(records), inst.id, inst.spec.name,
-                                    transition.label, outcome, inst.current)))
+            append(new(StepRecord, (inst.id, inst.spec.name, transition.label, outcome,
+                                    inst.current)))
             if inst.current != state or len(instances) != launched:
                 table.refresh(instances, inst)
             advance()
@@ -279,7 +279,7 @@ class SuiteReport(NamedTuple):
 
 
 # A StepRecord's (model, label, state): its coverage key.
-_COVERAGE_KEY = itemgetter(2, 3, 5)
+_COVERAGE_KEY = itemgetter(1, 2, 4)
 
 
 def _coverage(keys: set, spec_index: Mapping[str, ModelSpec]) -> dict[str, ModelCoverage]:
@@ -566,7 +566,7 @@ def replay(trace: Trace, root_spec: ModelSpec, config: SuiteConfig,
         # whitespace), so only the first unequal pair is rendered.
         for i, pair in enumerate(zip_longest(recorded, rerun.trace.steps)):
             if pair[0] != pair[1]:
-                expected, actual = (r.line() if r else "<missing>" for r in pair)
+                expected, actual = (r.line(i) if r else "<missing>" for r in pair)
                 raise DivergenceError(i, expected, actual)
     if verdict_line(trace) != verdict_line(rerun.trace):
         # Reported as given: a hand-edited message keeps its spacing.

@@ -5,7 +5,7 @@ which reads a file of blocks back.  README's "Trace format" describes it.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, count
 from typing import Iterator, NamedTuple
 
 from .errors import ConfigError
@@ -16,16 +16,15 @@ TRACE_HEADER = TRACE_MAGIC + TRACE_VERSION
 _HEADER_KEYS = ("seed", "test", "backend")  # each exactly once, nothing else
 
 
-class StepRecord(NamedTuple):
-    index: int
+class StepRecord(NamedTuple):  # its index is its position in Trace.steps
     instance_id: int
     model: str
     label: str
     outcome: str  # outcome tag, ErrorKind value, or "-"
     state: str
 
-    def line(self) -> str:
-        return f"{self.index} {self.instance_id} {self.model} {self.label} {self.outcome} {self.state}"
+    def line(self, index: int) -> str:
+        return f"{index} {self.instance_id} {self.model} {self.label} {self.outcome} {self.state}"
 
 
 class Trace(NamedTuple):
@@ -38,9 +37,7 @@ class Trace(NamedTuple):
 
     @property
     def failing_step_index(self) -> int | None:
-        if self.verdict == "PASS" or not self.steps:
-            return None
-        return self.steps[-1].index
+        return len(self.steps) - 1 if self.verdict == "FAIL" and self.steps else None
 
 
 def verdict_line(trace: Trace) -> str:
@@ -54,7 +51,8 @@ def verdict_line(trace: Trace) -> str:
 
 def serialize_trace(trace: Trace) -> str:
     header = f"{TRACE_HEADER} seed={trace.test_seed} test={trace.test_index} backend={trace.backend}"
-    return "\n".join([header, *map(StepRecord.line, trace.steps), verdict_line(trace)]) + "\n"
+    lines = map(StepRecord.line, trace.steps, count())
+    return "\n".join([header, *lines, verdict_line(trace)]) + "\n"
 
 
 def _int(text: str) -> int:
@@ -83,21 +81,21 @@ def parse_traces(text: str) -> list[Trace]:
     """Parse the traces serialize_trace wrote.  A malformed file, including
     one that ends inside a block, raises ConfigError naming the bad line.
 
-    Step records are shared: one StepRecord per distinct record line, and
-    one (model, label, outcome, state) tuple per distinct text after the
-    record's second space, so a file costs about a pointer per step.
+    Step records are shared: a record holds no index, so there is one
+    StepRecord per distinct text after a record line's index, and a file
+    costs about a pointer per step.
     """
     traces: list[Trace] = []
     current: Trace | None = None
-    records: dict[str, StepRecord] = {}  # record line -> its record
-    tails: dict[str, tuple[str, str, str, str]] = {}  # text after the 2nd space -> fields
-    new = tuple.__new__
+    records: dict[str, StepRecord] = {}  # text after the index -> its record
     lineno = 0
     try:
         for lineno, line in enumerate(_lines(text), start=1):
-            record = records.get(line)
-            if record is not None and current is not None:
-                append(record)  # a line seen before, so it takes the last branch
+            # only a record line starts with its position: a cached step of the open block
+            index, _, rest = line.partition(" ")
+            record = records.get(rest)
+            if record is not None and current is not None and index == str(len(steps)):
+                append(record)
                 continue
             if not line.strip():
                 continue
@@ -124,7 +122,8 @@ def parse_traces(text: str) -> list[Trace]:
                     raise ValueError(f"test={current.test_index} is negative")
                 if current.backend not in BACKENDS:
                     raise ValueError(f"unknown backend {current.backend!r}")
-                append = current.steps.append
+                steps = current.steps
+                append = steps.append
             elif current is None:
                 raise ValueError(f"record before trace header: {line!r}")
             elif line.startswith("verdict "):
@@ -136,17 +135,14 @@ def parse_traces(text: str) -> list[Trace]:
                 traces.append(current._replace(
                     verdict=parts[1], message=parts[2] if len(parts) > 2 else ""))
                 current = None
-            else:
-                head = line.split(" ", 2)
-                # A cached tail has three spaces, so it never matches the
-                # last part of a line with fewer than three parts.
-                tail = tails.get(head[-1])
-                if tail is None:
-                    parts = line.split(" ", 5)
-                    if len(parts) != 6:
-                        raise ValueError(f"malformed step record: {line!r}")
-                    tail = tails[head[2]] = tuple(parts[2:])
-                record = records[line] = new(StepRecord, (_int(head[0]), _int(head[1])) + tail)
+            else:  # a record line not seen before, or a wrong one
+                fields = line.split(" ")
+                if len(fields) != 6 or "" in fields:
+                    raise ValueError(f"malformed step record: {line!r}")
+                position, instance_id = _int(fields[0]), _int(fields[1])
+                if position != len(steps):
+                    raise ValueError(f"record index {position} is not its position {len(steps)}")
+                record = records[rest] = tuple.__new__(StepRecord, (instance_id, *fields[2:]))
                 append(record)
         if current is not None:
             raise ValueError("end of file before the verdict line")

@@ -87,6 +87,15 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: a latency model requires the sim backend\n"
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--tests", "0"], "tests must be >= 1"),
+        (["--max-steps", "0"], "max steps per test must be >= 1"),
+        (["--port-range", "5:4"], "invalid port range 5:4"),
+    ])
+    def test_config_error_is_reported_before_the_seed_line(self, flags, error, capsys):
+        assert main(["run", "--model", "minimalist", "--seed", "3", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     @pytest.mark.parametrize("seed", ["08", "0x", "abc", "-1", str(1 << 64)])
     def test_bad_seed_exits_two_naming_the_value(self, seed):
         proc = run_cli("run", "--model", "minimalist", "--seed", seed)
@@ -277,6 +286,16 @@ class TestReplayCommand:
             assert main(["replay", "--replay", str(mixed), *model]) == 2
             assert capsys.readouterr() == (
                 "", "error: trace file mixes root models minimalist and server-main\n")
+
+    def test_model_that_contradicts_the_file_exits_two_before_any_replay(self, tmp_path,
+                                                                          capsys):
+        trace = tmp_path / "t.trace"
+        main(["run", "--model", "minimalist", "--seed", "5", "--tests", "2",
+              "--trace-out", str(trace)])
+        capsys.readouterr()
+        assert main(["replay", "--replay", str(trace), "--model", "server-main"]) == 2
+        assert capsys.readouterr() == ("", "error: --model server-main contradicts the trace "
+                                           "file's root model minimalist\n")
 
     def test_binary_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"

@@ -289,12 +289,12 @@ class TestSuites:
         for i in range(20):
             result = run_single_test(SERVER_MAIN, cfg, derive_seed(4, i), i, None)
             born: dict[int, int] = {}
-            for rec in result.trace.steps:
+            for position, rec in enumerate(result.trace.steps):
                 if rec.label == "<init>":
                     assert rec.instance_id not in born
-                    born[rec.instance_id] = rec.index
+                    born[rec.instance_id] = position
                 else:
-                    assert born[rec.instance_id] < rec.index
+                    assert born[rec.instance_id] < position
 
     def test_unclassified_exception_fails_only_its_test(self, tmp_path):
         opened = []
@@ -313,7 +313,7 @@ class TestSuites:
         traces = parse_traces(p.read_text())
         assert [t.verdict for t in traces] == ["FAIL"] * 3
         # the step that raised is recorded, and is the failing step
-        assert [t.steps[-1].line() for t in traces] == ["1 1 buggy bug - s"] * 3
+        assert [t.steps[-1].line(len(t.steps) - 1) for t in traces] == ["1 1 buggy bug - s"] * 3
         assert [t.failing_step_index for t in traces] == [1] * 3
         report = format_report(rep, "buggy")
         assert "coverage buggy states 1/1 transitions 1/1" in report
