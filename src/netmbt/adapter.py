@@ -265,9 +265,6 @@ class NetworkBackend:
     def advance(self) -> None:
         """One logical time step; a no-op for the real backend."""
 
-    def settle(self) -> None:
-        """Let in-flight effects land; the backend contract tests call it."""
-
     def force_close_all(self) -> None:
         """End-of-test cleanup: mark every channel the test opened closed, with
         no modeled side effect.  A backend holding OS resources frees them first."""

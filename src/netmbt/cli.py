@@ -117,7 +117,7 @@ def _cmd_run(args) -> int:
                      abort_on_first_failure=args.abort_on_failure, trace_path=args.trace_out)
     config.validate()  # a configuration error leaves stdout empty
     print(f"seed {seed}")
-    report = run_suite(spec, config, MODEL_REGISTRY)
+    report = run_suite(spec, config)
     print(format_report(report, args.model))
     if report.failed and config.trace_path is None:
         with open(DEFAULT_FAILURE_TRACE_PATH, "w", encoding="utf-8") as fh:
@@ -144,9 +144,9 @@ def _cmd_replay(args) -> int:
     if roots and spec.name != roots[0]:
         raise ConfigError(f"--model {spec.name} contradicts the trace file's root model {roots[0]}")
     config = _config(args, 0, backends[0])  # each replay runs from its recorded seed
-    if backends[0] == "real":
-        print("note: real-backend replay is best-effort; latency may change outcomes")
     pool = port_pool(config)  # validated and probed once for every trace, as in run
+    if config.backend == "real":  # after validation: a configuration error leaves stdout empty
+        print("note: real-backend replay is best-effort; latency may change outcomes")
     any_failed = False
     for trace in traces:
         try:

@@ -16,7 +16,8 @@ output is the bytes of a one-process run.  A sim suite is one shard.
 
 A run's results (Trace, TestResult, ModelCoverage, SuiteReport) are
 NamedTuples that their one producer builds whole; a count they already
-hold, such as a test's fired transitions, is a property, not a field.
+hold, such as a suite's failed tests, is a property, not a field.
+Coverage totals come from the registered models (models.MODEL_REGISTRY).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .efsm import (
     instantiate,
 )
 from .errors import BackendError, ConfigError, DivergenceError
-from .models import OracleLedger
+from .models import MODEL_REGISTRY, OracleLedger
 from .portman import COOLDOWN_TESTS, PortPool
 from .rng import SeededRng, derive_seed
 from .simnet import LATENCIES, FaultKind, SimBackend
@@ -91,11 +92,6 @@ class TestResult(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.trace.verdict == "PASS"
-
-    @property
-    def fired(self) -> int:
-        """Transitions fired: the records that are not a launch's."""
-        return sum(r.label != INIT_LABEL for r in self.trace.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +250,7 @@ def run_single_test(
 class ModelCoverage(NamedTuple):
     states_visited: set[str]
     transitions_fired: set[str]
-    states_total: int | None  # None for a model the spec index lacks
+    states_total: int | None  # None for a model that is neither registered nor the root
     transitions_total: int | None
 
 
@@ -286,7 +282,7 @@ def _coverage(keys: set, spec_index: Mapping[str, ModelSpec]) -> dict[str, Model
     """Per-model coverage from the coverage keys of any number of traces;
     totals come from the spec index when the model is known there."""
     visited: dict[str, tuple[set[str], set[str]]] = {}  # model -> (states, labels)
-    for model, label, state in sorted(keys):
+    for model, label, state in keys:
         states, labels = visited.setdefault(model, (set(), set()))
         states.add(state)
         if label != INIT_LABEL:
@@ -297,16 +293,6 @@ def _coverage(keys: set, spec_index: Mapping[str, ModelSpec]) -> dict[str, Model
         totals = (None, None) if spec is None else (len(spec.states), len(spec.transitions))
         coverage[name] = ModelCoverage(states, labels, *totals)
     return coverage
-
-
-def coverage_from_traces(
-    traces: Iterable[Trace], spec_index: Mapping[str, ModelSpec] | None = None
-) -> dict[str, ModelCoverage]:
-    """Coverage is a pure function of recorded traces."""
-    keys: set[tuple[str, str, str]] = set()
-    for trace in traces:
-        keys.update(map(_COVERAGE_KEY, trace.steps))
-    return _coverage(keys, spec_index or {})
 
 
 def port_pool(config: SuiteConfig, ports: tuple[int, int] | None = None) -> PortPool | None:
@@ -473,11 +459,7 @@ def _stop_workers(workers: list[tuple[int, int]]) -> None:
         os.waitpid(pid, 0)
 
 
-def run_suite(
-    root_spec: ModelSpec,
-    config: SuiteConfig,
-    spec_index: Mapping[str, ModelSpec] | None = None,
-) -> SuiteReport:
+def run_suite(root_spec: ModelSpec, config: SuiteConfig) -> SuiteReport:
     """Run the whole suite; traces stream to config.trace_path when set.
 
     A real suite is sharded by plan_shards over the usable CPUs: shard 0
@@ -508,13 +490,13 @@ def run_suite(
         config=config,
         passed=passed,
         failures=failures,
-        coverage=_coverage(keys, {root_spec.name: root_spec, **(spec_index or {})}),
+        coverage=_coverage(keys, {**MODEL_REGISTRY, root_spec.name: root_spec}),
         elapsed_seconds=time.perf_counter() - started,
     )
 
 
 def _count(seen: set[str], total: int | None) -> str:
-    """``seen/total``, or ``seen`` alone for a model the spec index lacks."""
+    """``seen/total``, or ``seen`` alone for a model without totals."""
     return str(len(seen)) if total is None else f"{len(seen)}/{total}"
 
 

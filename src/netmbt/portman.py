@@ -76,21 +76,3 @@ class PortPool:
     def next_test(self) -> None:
         """Advance the test counter; called once per finished test."""
         self._test_index += 1
-
-    # introspection, used by invariant tests; free and cooling are views of the queue
-    @property
-    def leased(self) -> frozenset[int]:
-        return frozenset(self._leased)
-
-    @property
-    def free(self) -> frozenset[int]:
-        due = (port for when, port in self._released if when <= self._test_index)
-        return frozenset(due).union(range(self._next, self.hi + 1))
-
-    @property
-    def cooling(self) -> frozenset[int]:
-        return frozenset(port for when, port in self._released if when > self._test_index)
-
-    @property
-    def retired(self) -> frozenset[int]:
-        return frozenset(self._retired)

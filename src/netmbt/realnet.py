@@ -1,8 +1,9 @@
 """Real OS-socket implementation of the adapter (loopback TCP only).
 
-Blocking calls run under a socket timeout equal to the watchdog budget, so
-an orchestration deadlock (e.g. a blocking accept with no client) surfaces
-as WatchdogTimeout instead of hanging the single-threaded explorer.
+Blocking calls run under a socket timeout equal to the watchdog budget,
+WATCHDOG_SECONDS, so an orchestration deadlock (e.g. a blocking accept with
+no client) surfaces as WatchdogTimeout instead of hanging the
+single-threaded explorer.
 
 EPIPE, ECONNRESET, ECONNABORTED and ENOTCONN are classified as PEER_CLOSED.
 ENOTCONN is what shutdown(SHUT_WR) raises on loopback after a reset that
@@ -32,7 +33,6 @@ import errno
 import select
 import socket
 import struct
-import time
 
 from .adapter import (
     ACCEPT,
@@ -49,6 +49,7 @@ from .errors import AdapterError, BackendError, ErrorKind, WatchdogTimeout
 from .portman import PortPool
 
 _HOST = "127.0.0.1"
+WATCHDOG_SECONDS = 5.0  # the budget of one blocking call; read at each call
 _RESET_ERRNOS = {errno.EPIPE, errno.ECONNRESET, errno.ECONNABORTED, errno.ENOTCONN}
 # struct linger {l_onoff = 1, l_linger = 0}: close() resets the connection
 _ABORT_LINGER = struct.pack("ii", 1, 0)
@@ -88,10 +89,9 @@ class RealConn(ConnChannel):
 
 
 class RealBackend(NetworkBackend):
-    def __init__(self, pool: PortPool, watchdog_seconds: float = 5.0):
+    def __init__(self, pool: PortPool):
         super().__init__()
         self.pool = pool
-        self.watchdog_seconds = watchdog_seconds
         # client local address -> connection id, so the accepted side can be
         # paired with the connecting side for per-connection accounting
         self._pending_ids: dict[tuple[str, int], int] = {}
@@ -108,9 +108,6 @@ class RealBackend(NetworkBackend):
                 s.close()
         except OSError as exc:
             raise BackendError(f"loopback TCP unavailable: {exc}") from exc
-
-    def settle(self) -> None:
-        time.sleep(0.05)
 
     # -- transport hooks -----------------------------------------------------
 
@@ -141,7 +138,7 @@ class RealBackend(NetworkBackend):
 
     def _do_accept(self, server: RealServer, blocking: bool) -> RealConn | None:
         sock = server.sock
-        _set_timeout(sock, self.watchdog_seconds if blocking else 0.0)
+        _set_timeout(sock, WATCHDOG_SECONDS if blocking else 0.0)
         try:
             raw, peer = sock.accept()
         except socket.timeout as exc:
@@ -155,7 +152,7 @@ class RealBackend(NetworkBackend):
 
     def _do_connect(self, port: int) -> RealConn:
         raw = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        raw.settimeout(self.watchdog_seconds)
+        raw.settimeout(WATCHDOG_SECONDS)
         try:
             raw.connect((_HOST, port))
         except ConnectionRefusedError as exc:
@@ -170,7 +167,7 @@ class RealBackend(NetworkBackend):
 
     def _do_read(self, conn: RealConn, capacity: int, blocking: bool) -> ReadResult:
         sock = conn.sock
-        _set_timeout(sock, self.watchdog_seconds if blocking else 0.0)
+        _set_timeout(sock, WATCHDOG_SECONDS if blocking else 0.0)
         try:
             data = sock.recv(capacity)
         except socket.timeout as exc:
@@ -187,7 +184,7 @@ class RealBackend(NetworkBackend):
         sock = conn.sock
         try:
             if blocking:
-                _set_timeout(sock, self.watchdog_seconds)
+                _set_timeout(sock, WATCHDOG_SECONDS)
                 sock.sendall(payload)
                 return len(payload)
             _set_timeout(sock, 0.0)

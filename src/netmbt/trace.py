@@ -14,6 +14,7 @@ BACKENDS = ("sim", "real")
 TRACE_MAGIC, TRACE_VERSION = "netmbt-trace ", "v1"
 TRACE_HEADER = TRACE_MAGIC + TRACE_VERSION
 _HEADER_KEYS = ("seed", "test", "backend")  # each exactly once, nothing else
+_CHUNK = 1 << 16  # the characters _lines splits at a time
 
 
 class StepRecord(NamedTuple):  # its index is its position in Trace.steps
@@ -62,15 +63,15 @@ def _int(text: str) -> int:
     return value
 
 
-def _lines(text: str, size: int = 1 << 16) -> Iterator[str]:
-    """``text.splitlines()``, split a chunk of about ``size`` characters at a
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split a chunk of about ``_CHUNK`` characters at a
     time.  Each chunk but the last ends with a newline, where every line
     boundary is complete, so the lines are those of the whole text; only one
     chunk's lines exist at once."""
     def chunks() -> Iterator[str]:
         start, end = 0, len(text)
         while start < end:
-            cut = text.find("\n", start + size) + 1 or end
+            cut = text.find("\n", start + _CHUNK) + 1 or end
             yield text[start:cut]
             start = cut
 

@@ -127,7 +127,7 @@ class TestAcceptance:
         merged: dict[str, tuple[set, set]] = {}
         for root in ("server-main", "minimalist"):
             rep = run_suite(MODEL_REGISTRY[root],
-                            SuiteConfig(seed=7, num_tests=1000), MODEL_REGISTRY)
+                            SuiteConfig(seed=7, num_tests=1000))
             assert rep.failed == 0
             for name, cov in rep.coverage.items():
                 states, transitions = merged.setdefault(name, (set(), set()))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import pool_sets, settle
+from netmbt import realnet
 from netmbt.adapter import ACCEPT, READ, WRITE
 from netmbt.errors import AdapterError, ErrorKind, WatchdogTimeout
 from netmbt.portman import PortPool
@@ -19,10 +21,13 @@ from netmbt.rng import SeededRng
 from netmbt.simnet import LATENCIES, SimBackend
 
 
+pytestmark = pytest.mark.usefixtures("short_watchdog")
+
+
 def backend_of(kind: str):
     if kind == "sim":
         return SimBackend(SeededRng(1), LATENCIES["zero"])
-    return RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
+    return RealBackend(PortPool(20000, 29999))
 
 
 @pytest.fixture(params=["sim", "real"])
@@ -40,7 +45,7 @@ def make_session(net):
     srv = net.open_server()
     port = net.bind(srv)
     cli = net.connect(port)
-    net.settle()
+    settle(net)
     sc = net.accept(srv)
     return srv, port, cli, sc
 
@@ -96,9 +101,9 @@ def _read_after_peer_reset(net):
     # the peer closes with unread data, which resets the connection
     _, _, cli, sc = make_session(net)
     net.write(sc, b"data")
-    net.settle()
+    settle(net)
     net.close_conn(cli)
-    net.settle()
+    settle(net)
     return lambda: net.read(sc, 8)
 
 
@@ -169,7 +174,7 @@ class TestServerLifecycle:
             net.connect(first_port)
         assert kind_of(e) is ErrorKind.CONNECTION_REFUSED
         cli = net.connect(second_port)
-        net.settle()
+        settle(net)
         assert net.accept(second).connection_id == cli.connection_id
 
 
@@ -178,7 +183,7 @@ class TestAcceptAndModes:
         srv = net.open_server()
         port = net.bind(srv)
         cli = net.connect(port)
-        net.settle()
+        settle(net)
         conn = net.accept(srv)
         assert conn is not None
         assert conn.connection_id == cli.connection_id
@@ -194,13 +199,13 @@ class TestAcceptAndModes:
         port = net.bind(srv)
         a = net.connect(port)
         b = net.connect(port)
-        net.settle()
+        settle(net)
         first = net.accept(srv)
         second = net.accept(srv)
         assert first.connection_id == a.connection_id
         assert second.connection_id == b.connection_id
         net.write(a, b"A")  # the first client's bytes reach the first accepted end
-        net.settle()
+        settle(net)
         assert net.read(first, 4).data == b"A"
 
     def test_toggle_twice_restores_mode(self, net):
@@ -216,21 +221,21 @@ class TestReadWrite:
     def test_roundtrip(self, net):
         _, _, cli, sc = make_session(net)
         assert net.write(cli, b"hello") == 5
-        net.settle()
+        settle(net)
         result = net.read(sc, 10)
         assert not result.is_eof and result.data == b"hello"
 
     def test_capacity_zero_returns_empty_bytes(self, net):
         _, _, cli, sc = make_session(net)
         net.write(cli, b"xyz")
-        net.settle()
+        settle(net)
         assert net.read(sc, 0).data == b""
         assert net.read(sc, 10).data == b"xyz"  # nothing was consumed
 
     def test_capacity_limits_read(self, net):
         _, _, cli, sc = make_session(net)
         net.write(cli, b"abcdef")
-        net.settle()
+        settle(net)
         assert net.read(sc, 4).data == b"abcd"
         assert net.read(sc, 4).data == b"ef"
 
@@ -252,10 +257,10 @@ class TestHalfClose:
         _, _, cli, sc = make_session(net)
         net.shutdown_input(sc)
         assert net.write(sc, b"out") == 3
-        net.settle()
+        settle(net)
         assert net.read(cli, 8).data == b"out"
         assert net.write(cli, b"in") == 2  # accepted while sc's input is shut
-        net.settle()
+        settle(net)
         net.shutdown_output(cli)
         net.shutdown_output(sc)
         # cli reads what sc sent before sc shut its output: nothing more, EOF
@@ -264,7 +269,7 @@ class TestHalfClose:
     def test_eof_after_peer_shutdown_output(self, net):
         _, _, cli, sc = make_session(net)
         net.write(cli, b"tail")
-        net.settle()
+        settle(net)
         net.shutdown_output(cli)
         assert net.read(sc, 8).data == b"tail"
         assert net.read(sc, 8).is_eof
@@ -295,9 +300,9 @@ class TestPeerClosure:
         # peer closes with unread data -> both directions fail with PEER_CLOSED
         _, _, cli, sc = make_session(net)
         net.write(sc, b"data")
-        net.settle()
+        settle(net)
         net.close_conn(cli)
-        net.settle()
+        settle(net)
         with pytest.raises(AdapterError) as e:
             net.read(sc, 8)
         assert kind_of(e) is ErrorKind.PEER_CLOSED
@@ -308,10 +313,10 @@ class TestPeerClosure:
     def test_graceful_close_swallows_one_write(self, net):
         _, _, cli, sc = make_session(net)
         net.close_conn(cli)
-        net.settle()
+        settle(net)
         assert net.read(sc, 8).is_eof
         assert net.write(sc, b"hi") == 2  # accepted into the void
-        net.settle()
+        settle(net)
         with pytest.raises(AdapterError) as e:
             net.write(sc, b"again")
         assert kind_of(e) is ErrorKind.PEER_CLOSED
@@ -320,11 +325,11 @@ class TestPeerClosure:
         # a half-close is no close: nothing is swallowed, nothing resets
         _, _, cli, sc = make_session(net)
         net.shutdown_output(cli)
-        net.settle()
+        settle(net)
         assert net.read(sc, 8).is_eof
         assert net.write(sc, b"one") == 3
         assert net.write(sc, b"two") == 3
-        net.settle()
+        settle(net)
         assert net.read(cli, 16).data == b"onetwo"
 
 
@@ -350,7 +355,7 @@ class TestSelectors:
         key = net.register(sel, srv, ACCEPT)
         assert key not in net.select_now(sel)
         net.connect(port)
-        net.settle()
+        settle(net)
         assert key in net.select_now(sel)
         assert net.accept(srv) is not None
         assert key not in net.select_now(sel)
@@ -365,7 +370,7 @@ class TestSelectors:
         net.select_now(sel)
         assert key.ready == WRITE  # idle: writable, not readable
         net.write(cli, b"ping")
-        net.settle()
+        settle(net)
         net.select_now(sel)
         assert key.ready & READ
         result = net.read(sc, 16)
@@ -377,7 +382,7 @@ class TestSelectors:
         sel = net.open_selector()
         key = net.register(sel, sc, READ)
         net.write(cli, b"late")
-        net.settle()
+        settle(net)
         net.shutdown_input(sc)
         assert key not in net.select_now(sel)
 
@@ -483,7 +488,8 @@ def test_end_of_test_cleanup_closes_what_the_test_left_open(kind):
         assert kind_of(e) is ErrorKind.CONNECTION_REFUSED
     else:
         assert srv.sock.fileno() == -1 and sc.sock.fileno() == -1
-        assert port in net.pool.cooling and not net.pool.leased
+        sets = pool_sets(net.pool)
+        assert port in sets.cooling and not sets.leased
 
 
 @pytest.mark.parametrize("kind", ["sim", "real"])
@@ -492,21 +498,22 @@ def test_second_end_of_test_cleanup_does_nothing(kind):
     srv, port, cli, sc = make_session(net)
     net.force_close_all()
     if not net.is_sim:
-        leased, cooling = net.pool.leased, net.pool.cooling
+        before = pool_sets(net.pool)
     net.force_close_all()
     assert all(ch.closed for ch in (srv, cli, sc))
     if not net.is_sim:
         # no second release and no second pool tick, which would end the
         # port's two-test cooldown
-        assert (net.pool.leased, net.pool.cooling) == (leased, cooling)
-        assert cooling == {port} and not leased
+        assert pool_sets(net.pool) == before
+        assert before.cooling == {port} and not before.leased
 
 
-def test_real_read_takes_each_calls_mode_on_one_connection():
+def test_real_read_takes_each_calls_mode_on_one_connection(monkeypatch):
     """A read sets its socket's timeout only when the socket does not have
     it already; switching modes on one connection must still take effect
     every time, in both directions."""
-    net = RealBackend(PortPool(20000, 29999), watchdog_seconds=0.2)
+    monkeypatch.setattr(realnet, "WATCHDOG_SECONDS", 0.2)
+    net = RealBackend(PortPool(20000, 29999))
     try:
         _, _, cli, sc = make_session(net)
         net.configure_blocking(sc, False)

@@ -10,10 +10,12 @@ import socket
 
 import pytest
 
-from conftest import run_cli
+from conftest import pool_sets, run_cli
 from netmbt.errors import BackendError
 from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend
+
+pytestmark = pytest.mark.usefixtures("short_watchdog")
 
 _HOST = "127.0.0.1"
 
@@ -84,7 +86,7 @@ def test_a_socket_that_bound_but_could_not_listen_is_replaced(held_port):
     # free ports.
     port = held_port + 1
     pool = PortPool(port, port + 3)
-    net = RealBackend(pool, watchdog_seconds=2.0)
+    net = RealBackend(pool)
     server = net.open_server()
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as rival:
         rival.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -98,23 +100,24 @@ def test_a_socket_that_bound_but_could_not_listen_is_replaced(held_port):
         # replaced, and the channel binds the next lease.
         assert net.bind(server) == port + 1 == server.sock.getsockname()[1]
         assert racing.fileno() == -1 and server.sock is not racing
-        assert pool.retired == {port} and pool.leased == {port + 1}
+        sets = pool_sets(pool)
+        assert sets.retired == {port} and sets.leased == {port + 1}
         client = net.connect(server.local_port)
         assert net.accept(server) is not None
         net.close_conn(client)
     net.force_close_all()
-    assert pool.leased == frozenset() and pool.cooling == {port + 1}
+    assert pool_sets(pool).leased == frozenset() and pool_sets(pool).cooling == {port + 1}
 
 
 def test_a_server_closed_by_the_model_keeps_its_port_until_the_test_ends():
     pool = PortPool(23400, 23409)
-    net = RealBackend(pool, watchdog_seconds=2.0)
+    net = RealBackend(pool)
     server = net.open_server()
     port = net.bind(server)
     net.close_server(server)
-    assert pool.leased == {port}
+    assert pool_sets(pool).leased == {port}
     net.force_close_all()
-    assert pool.leased == frozenset() and pool.cooling == {port}
+    assert pool_sets(pool).leased == frozenset() and pool_sets(pool).cooling == {port}
 
 
 class _CannotListenSocket(socket.socket):
@@ -132,7 +135,7 @@ class _CannotListenSocket(socket.socket):
 
 def test_a_bind_that_cannot_listen_leaves_nothing_leased():
     pool = PortPool(23410, 23419)
-    net = RealBackend(pool, watchdog_seconds=2.0)
+    net = RealBackend(pool)
     server = net.open_server()
     failing = _CannotListenSocket(socket.AF_INET, socket.SOCK_STREAM)
     failing.bound = []
@@ -142,6 +145,6 @@ def test_a_bind_that_cannot_listen_leaves_nothing_leased():
         net.bind(server)
     [port] = failing.bound
     assert failing.fileno() == -1 and server.local_port is None
-    assert pool.leased == frozenset() and pool.cooling == {port}
+    assert pool_sets(pool).leased == frozenset() and pool_sets(pool).cooling == {port}
     net.force_close_all()
-    assert pool.leased == frozenset() and pool.cooling == {port}
+    assert pool_sets(pool).leased == frozenset() and pool_sets(pool).cooling == {port}

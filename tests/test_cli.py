@@ -259,6 +259,19 @@ class TestReplayCommand:
         assert out.count("note: real-backend replay is best-effort") == 1
         assert out.count("MATCH verdict=PASS") == 5
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--port-range", "5:4"], "invalid port range 5:4"),
+        (["--latency", "zero"], "a latency model requires the sim backend"),
+    ])
+    def test_real_file_config_error_leaves_stdout_empty(self, tmp_path, capsys, flags, error):
+        # The configuration is checked before the best-effort note is printed,
+        # and before any socket is opened.
+        path = tmp_path / "real.trace"
+        path.write_text("netmbt-trace v1 seed=1 test=0 backend=real\n"
+                        "0 1 minimalist <init> - bound\nverdict PASS\n")
+        assert main(["replay", "--replay", str(path), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     def test_mixed_backend_file_exits_two_with_one_error_line(self, tmp_path, capsys):
         blocks = []
         for backend in ("sim", "real"):

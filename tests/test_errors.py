@@ -35,7 +35,7 @@ def _value(result):
     ledger = {conn: {role: (side.wrote, side.read, side.output_shut, side.saw_eof)
                      for role, side in entry.items()}
               for conn, entry in result.ledger.entries.items()}
-    return (result.trace, ledger, result.fired, result.diagnostics, result.flow_stats)
+    return (result.trace, ledger, result.diagnostics, result.flow_stats)
 
 
 def test_a_failing_sim_result_survives_pickling():

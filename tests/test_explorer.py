@@ -8,14 +8,16 @@ from collections import Counter
 
 import pytest
 
-from netmbt.efsm import ModelInstance, Transition, define_model
+from conftest import pool_sets
+from netmbt.efsm import INIT_LABEL, ModelInstance, Transition, define_model
 from netmbt.errors import BackendError, ConfigError, DivergenceError
 from netmbt.explorer import (
+    _COVERAGE_KEY,
     EnabledTable,
     ModelCoverage,
     SuiteConfig,
     SuiteReport,
-    coverage_from_traces,
+    _coverage,
     export_dot,
     format_report,
     pick_next,
@@ -38,6 +40,16 @@ def NOOP(inst, env):
 
 SERVER_MAIN = MODEL_REGISTRY["server-main"]
 MINIMALIST = MODEL_REGISTRY["minimalist"]
+
+
+def fired(result: RunResult) -> int:
+    """The transitions a test fired: its records that are not a launch's."""
+    return sum(r.label != INIT_LABEL for r in result.trace.steps)
+
+
+def coverage_of(traces: list[Trace]) -> dict[str, ModelCoverage]:
+    """Coverage recomputed from recorded traces alone."""
+    return _coverage({_COVERAGE_KEY(r) for t in traces for r in t.steps}, MODEL_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +205,7 @@ class TestSuites:
         assert rep.passed == 5
         for i in range(5):
             result = run_single_test(spec, SuiteConfig(seed=1), derive_seed(1, i), i, None)
-            assert result.fired == 0
+            assert fired(result) == 0
 
     def test_a_total_of_zero_is_reported_as_a_total(self):
         report = run_suite(define_model("m", "s", []), SuiteConfig(seed=1, num_tests=2))
@@ -202,25 +214,35 @@ class TestSuites:
         unknown = report._replace(coverage={"m": ModelCoverage({"s"}, set(), None, None)})
         assert format_report(unknown, "m").splitlines()[2] == "coverage m states 1 transitions 0"
 
+    def test_totals_come_from_the_registered_models(self):
+        report = run_suite(SERVER_MAIN, SuiteConfig(seed=1, num_tests=5))
+        totals = {name: (cov.states_total, cov.transitions_total)
+                  for name, cov in report.coverage.items()}
+        assert totals["worker"] == (6, 24) and totals["client"] == (3, 4)
+
+    def test_a_model_neither_registered_nor_the_root_has_no_totals(self):
+        child = define_model("orphan", "s", [])
+        spawn = Transition("s", "s", "spawn", lambda inst, env: env.launch(child, {}))
+        report = run_suite(define_model("m", "s", [spawn]), SuiteConfig(seed=1, num_tests=1))
+        assert report.coverage["m"][2:] == (1, 1)
+        assert report.coverage["orphan"][2:] == (None, None)
+
     def test_budget_is_respected(self):
         for backend in ("sim", "real"):
             cfg = SuiteConfig(seed=2, num_tests=30, max_steps_per_test=17, backend=backend)
             pool = port_pool(cfg)  # None on sim, which leases no ports
             for i in range(cfg.num_tests):
                 result = run_single_test(SERVER_MAIN, cfg, derive_seed(2, i), i, pool)
-                assert result.fired <= 17
-                fired_records = [r for r in result.trace.steps if r.label != "<init>"]
-                assert len(fired_records) == result.fired
+                assert fired(result) <= 17
                 if pool is not None:
-                    assert len(pool.leased) == 0  # every lease returned at test end
+                    assert not pool_sets(pool).leased  # every lease returned at test end
 
     def test_suite_determinism_byte_identical(self, tmp_path):
         paths = []
         for i in (1, 2):
             p = tmp_path / f"run{i}.trace"
             run_suite(SERVER_MAIN,
-                      SuiteConfig(seed=77, num_tests=60, trace_path=str(p)),
-                      MODEL_REGISTRY)
+                      SuiteConfig(seed=77, num_tests=60, trace_path=str(p)))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
         assert paths[0]  # non-empty
@@ -244,8 +266,7 @@ class TestSuites:
         for spec, tests, settings, failed, digest in pinned:
             p = tmp_path / f"{spec.name}-{tests}.trace"
             rep = run_suite(spec, SuiteConfig(seed=42, num_tests=tests, trace_path=str(p),
-                                              **settings),
-                            MODEL_REGISTRY)
+                                              **settings))
             assert rep.failed == failed
             assert hashlib.sha256(p.read_bytes()).hexdigest() == digest, (spec.name, settings)
 
@@ -254,7 +275,7 @@ class TestSuites:
         # yields the identical trace.
         p = tmp_path / "suite.trace"
         cfg = SuiteConfig(seed=88, num_tests=4, trace_path=str(p))
-        run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        run_suite(SERVER_MAIN, cfg)
         recorded = parse_traces(p.read_text())
         alone = run_single_test(SERVER_MAIN, cfg, derive_seed(88, 1), 1, None)
         assert serialize_trace(alone.trace) == serialize_trace(recorded[1])
@@ -263,7 +284,7 @@ class TestSuites:
         cfg = SuiteConfig(seed=9, num_tests=1000,
                           fault=FaultKind.DUPLICATE_BYTES,
                           abort_on_first_failure=True)
-        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, cfg)
         assert rep.failed == 1
         assert rep.tests_run < 1000
 
@@ -323,8 +344,8 @@ class TestSuites:
         config = SuiteConfig(seed=1, backend="real", port_range=(20000, 20010))
         pool = port_pool(config)
         result = run_single_test(spec, config, derive_seed(1, 0), 0, pool)
-        assert not result.passed and pool.leased == frozenset()
-        assert pool.cooling == {20000}
+        assert not result.passed and pool_sets(pool).leased == frozenset()
+        assert pool_sets(pool).cooling == {20000}
 
     def test_backend_error_still_aborts_the_suite(self):
         def unusable(inst, env):
@@ -342,7 +363,7 @@ class TestSuites:
         for i in range(3):
             result = run_single_test(MINIMALIST, config, derive_seed(3, i), i, pool)
             assert result.passed and result.trace.steps[0].state == "bound"
-        assert pool.free == {20001} and pool.cooling == {20000}
+        assert pool_sets(pool).free == {20001} and pool_sets(pool).cooling == {20000}
 
     def test_instance_ids_monotone_from_one(self):
         result = run_single_test(SERVER_MAIN, SuiteConfig(seed=4), derive_seed(4, 0), 0, None)
@@ -354,7 +375,7 @@ class TestTraceFormat:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "t.trace"
         cfg = SuiteConfig(seed=13, num_tests=8, trace_path=str(p))
-        run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        run_suite(SERVER_MAIN, cfg)
         text = p.read_text()
         traces = parse_traces(text)
         assert len(traces) == 8
@@ -362,8 +383,7 @@ class TestTraceFormat:
 
     def test_header_and_verdict_shape(self, tmp_path):
         p = tmp_path / "t.trace"
-        run_suite(MINIMALIST, SuiteConfig(seed=13, num_tests=1, trace_path=str(p)),
-                  MODEL_REGISTRY)
+        run_suite(MINIMALIST, SuiteConfig(seed=13, num_tests=1, trace_path=str(p)))
         lines = p.read_text().splitlines()
         assert re.fullmatch(r"netmbt-trace v1 seed=\d+ test=0 backend=sim", lines[0])
         assert re.fullmatch(r"\d+ \d+ \S+ \S+ \S+ \S+", lines[1])
@@ -372,21 +392,21 @@ class TestTraceFormat:
     def test_coverage_recomputable_from_trace_file(self, tmp_path):
         p = tmp_path / "t.trace"
         cfg = SuiteConfig(seed=21, num_tests=50, trace_path=str(p))
-        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
-        recomputed = coverage_from_traces(parse_traces(p.read_text()), MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, cfg)
+        recomputed = coverage_of(parse_traces(p.read_text()))
         assert set(recomputed) == set(rep.coverage)
         for name, cov in rep.coverage.items():
             assert recomputed[name].states_visited == cov.states_visited
             assert recomputed[name].transitions_fired == cov.transitions_fired
 
-    def test_coverage_from_traces_equals_suite_coverage_with_failures(self, tmp_path):
+    def test_coverage_of_traces_equals_suite_coverage_with_failures(self, tmp_path):
         p = tmp_path / "t.trace"
         cfg = SuiteConfig(seed=42, num_tests=500, trace_path=str(p),
                           fault=FaultKind.DUPLICATE_BYTES)
-        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, cfg)
         traces = parse_traces(p.read_text())
         assert rep.failed > 0 and sum(t.verdict == "FAIL" for t in traces) == rep.failed
-        assert coverage_from_traces(traces, MODEL_REGISTRY) == rep.coverage
+        assert coverage_of(traces) == rep.coverage
 
     @pytest.mark.parametrize("cfg", [
         SuiteConfig(seed=42, num_tests=300, fault=FaultKind.DUPLICATE_BYTES),
@@ -400,9 +420,8 @@ class TestTraceFormat:
         assert parse_traces(text) == [r.trace for r in results]
         for r in results:
             launches = max(rec.instance_id for rec in r.trace.steps)
-            assert r.fired == sum(rec.label != "<init>" for rec in r.trace.steps)
-            assert r.fired == len(r.trace.steps) - launches  # one <init> per instance
-        report = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+            assert fired(r) == len(r.trace.steps) - launches  # one <init> per instance
+        report = run_suite(SERVER_MAIN, cfg)
         assert report.tests_run == report.passed + report.failed == cfg.num_tests
         assert report.failures == [r for r in results if not r.passed]
         if cfg.fault is not None:
@@ -434,7 +453,7 @@ class TestReplay:
     def test_passing_trace_replays_identically(self, tmp_path):
         p = tmp_path / "t.trace"
         cfg = SuiteConfig(seed=31, num_tests=5, trace_path=str(p))
-        run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        run_suite(SERVER_MAIN, cfg)
         re_cfg = SuiteConfig(seed=0)
         pool = port_pool(re_cfg)
         for trace in parse_traces(p.read_text()):
@@ -443,8 +462,7 @@ class TestReplay:
 
     def test_wrong_seed_diverges(self, tmp_path):
         p = tmp_path / "t.trace"
-        run_suite(SERVER_MAIN, SuiteConfig(seed=31, num_tests=1, trace_path=str(p)),
-                  MODEL_REGISTRY)
+        run_suite(SERVER_MAIN, SuiteConfig(seed=31, num_tests=1, trace_path=str(p)))
         trace = parse_traces(p.read_text())[0]
         trace = trace._replace(test_seed=trace.test_seed ^ 1)
         re_cfg = SuiteConfig(seed=0)
@@ -455,8 +473,7 @@ class TestReplay:
     @pytest.mark.parametrize("edit", ["step", "extend", "truncate", "verdict", "non-canonical"])
     def test_edited_trace_diverges_at_its_first_differing_line(self, tmp_path, edit):
         p = tmp_path / "t.trace"
-        run_suite(SERVER_MAIN, SuiteConfig(seed=31, num_tests=1, trace_path=str(p)),
-                  MODEL_REGISTRY)
+        run_suite(SERVER_MAIN, SuiteConfig(seed=31, num_tests=1, trace_path=str(p)))
         header, *records, verdict = p.read_text().splitlines()
         assert verdict == "verdict PASS" and len(records) > 5
         n = len(records)
@@ -490,7 +507,7 @@ class TestReplay:
 
     def test_failing_fault_trace_replays_to_same_step(self):
         cfg = SuiteConfig(seed=9, num_tests=200, fault=FaultKind.DUPLICATE_BYTES)
-        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, cfg)
         assert rep.failures
         failing = rep.failures[0].trace
         re_cfg = SuiteConfig(seed=0, fault=FaultKind.DUPLICATE_BYTES)
@@ -567,8 +584,7 @@ class TestRecordTypes:
         assert coverage == ModelCoverage(states_visited={"s"}, transitions_fired=set(),
                                          states_total=1, transitions_total=None)
         result = RunResult(failed, None, [], [])
-        assert (result.diagnostics, result.flow_stats, result.passed, result.fired) == (
-            [], [], False, 0)
+        assert (result.diagnostics, result.flow_stats, result.passed) == ([], [], False)
         report = SuiteReport(SuiteConfig(1), 1, [], {}, 0.5)
         assert report.all_passed and report.elapsed_seconds == 0.5
         assert (report.tests_run, report.failed) == (1, 0)

@@ -97,7 +97,7 @@ class TestMinimalist:
         assert (last.label, last.outcome, last.state) == ("session", "-", "bound")
 
     def test_ordered_variant_never_deadlocks(self):
-        rep = run_suite(MINIMALIST, SuiteConfig(seed=5, num_tests=300), MODEL_REGISTRY)
+        rep = run_suite(MINIMALIST, SuiteConfig(seed=5, num_tests=300))
         assert rep.failed == 0
 
 
@@ -328,7 +328,7 @@ class TestOracleLedger:
 
 class TestOracleProperties:
     def test_no_faults_no_violations_1000_tests(self):
-        rep = run_suite(SERVER_MAIN, SuiteConfig(seed=123, num_tests=1000), MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, SuiteConfig(seed=123, num_tests=1000))
         assert rep.failed == 0, [f.trace.message for f in rep.failures[:3]]
 
     def test_eof_implies_peer_shut_and_full_delivery(self):
@@ -381,7 +381,7 @@ class TestFaultDetection:
         cfg = SuiteConfig(seed=9, num_tests=1000,
                           fault=FaultKind.DUPLICATE_BYTES,
                           abort_on_first_failure=True)
-        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, cfg)
         assert rep.failed >= 1
         assert "oracle" in rep.failures[0].trace.message
 
@@ -389,14 +389,14 @@ class TestFaultDetection:
         cfg = SuiteConfig(seed=9, num_tests=1000,
                           fault=FaultKind.PHANTOM_READINESS,
                           abort_on_first_failure=True)
-        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, cfg)
         assert rep.failed >= 1
         assert "oracle" in rep.failures[0].trace.message
 
     def test_drop_bytes_not_detected(self):
         cfg = SuiteConfig(seed=9, num_tests=1000,
                           fault=FaultKind.DROP_BYTES)
-        rep = run_suite(SERVER_MAIN, cfg, MODEL_REGISTRY)
+        rep = run_suite(SERVER_MAIN, cfg)
         assert rep.failed == 0
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pool_sets
 from netmbt.errors import PoolExhaustedError
 from netmbt.portman import COOLDOWN_TESTS, PortPool
 
@@ -67,7 +68,7 @@ class TestLeasing:
             port = pool.acquire()
             pool.release(port)
             pool.next_test()
-            assert len(pool.leased) == 0
+            assert len(pool_sets(pool).leased) == 0
 
     def test_churn_leases_every_port_alike(self):
         # a lowest-free pool would lease 2 of the 10 ports, 5,000 times each
@@ -94,11 +95,11 @@ class TestPartitionInvariant:
                     pool.acquire()
                 except PoolExhaustedError:
                     pass
-            elif op == 1 and pool.leased:
-                pool.release(min(pool.leased))
+            elif op == 1 and pool_sets(pool).leased:
+                pool.release(min(pool_sets(pool).leased))
             else:
                 pool.next_test()
-            free, leased, cooling = pool.free, pool.leased, pool.cooling
+            free, leased, cooling, _ = pool_sets(pool)
             assert free | leased | cooling == full
             assert not free & leased
             assert not free & cooling
@@ -110,8 +111,9 @@ class TestRetire:
         pool = PortPool(20000, 20002)
         busy = pool.acquire()
         pool.retire(busy)
-        assert busy not in pool.leased | pool.free | pool.cooling
-        assert pool.retired == {busy}
+        sets = pool_sets(pool)
+        assert busy not in sets.leased | sets.free | sets.cooling
+        assert sets.retired == {busy}
         ports = set()
         for _ in range(10):  # one lease per test: each of the two ports is due as it is needed
             port = pool.acquire()
@@ -144,11 +146,11 @@ class TestRetire:
                     pool.acquire()
                 except PoolExhaustedError:
                     pass
-            elif op in (1, 2) and pool.leased:
-                (pool.release if op == 1 else pool.retire)(min(pool.leased))
+            elif op in (1, 2) and pool_sets(pool).leased:
+                (pool.release if op == 1 else pool.retire)(min(pool_sets(pool).leased))
             else:
                 pool.next_test()
-            sets = [pool.free, pool.leased, pool.cooling, pool.retired]
+            sets = list(pool_sets(pool))
             assert set().union(*sets) == full
             assert sum(map(len, sets)) == len(full)
 
@@ -238,7 +240,8 @@ class TestAgainstReference:
             else:
                 pool.next_test()
                 ref.next_test()
-            assert pool.leased == ref._leased
-            assert pool.free == ref._free_set
-            assert pool.cooling == set(ref._cooldown)
-            assert pool.retired == ref._retired
+            sets = pool_sets(pool)
+            assert sets.leased == ref._leased
+            assert sets.free == ref._free_set
+            assert sets.cooling == set(ref._cooldown)
+            assert sets.retired == ref._retired

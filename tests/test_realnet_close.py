@@ -11,12 +11,14 @@ import time
 
 import pytest
 
+from conftest import settle
 from netmbt.portman import PortPool
 from netmbt.realnet import RealBackend, RealConn
 
 _PROC_TCP = "/proc/net/tcp"
 _TIME_WAIT = "06"
 
+pytestmark = pytest.mark.usefixtures("short_watchdog")
 needs_proc_tcp = pytest.mark.skipif(not os.path.exists(_PROC_TCP),
                                     reason="needs Linux /proc/net/tcp")
 
@@ -38,14 +40,14 @@ def _time_wait_rows(a: tuple[str, int], b: tuple[str, int]) -> list[str]:
 
 
 def _session():
-    net = RealBackend(PortPool(20000, 29999), watchdog_seconds=2.0)
+    net = RealBackend(PortPool(20000, 29999))
     srv = net.open_server()
     port = net.bind(srv)
     cli = net.connect(port)
-    net.settle()
+    settle(net)
     sc = net.accept(srv)
     net.write(cli, b"ping")
-    net.settle()
+    settle(net)
     assert net.read(sc, 8).data == b"ping"
     return net, cli, sc, (cli.sock.getsockname(), cli.sock.getpeername())
 
@@ -61,7 +63,7 @@ def _wait_for_time_wait(four_tuple, seconds: float = 2.0) -> list[str]:
 def test_end_of_test_close_leaves_no_time_wait():
     net, _, _, four_tuple = _session()
     net.force_close_all()
-    net.settle()
+    settle(net)
     assert _time_wait_rows(*four_tuple) == []
 
 
@@ -71,7 +73,7 @@ def test_model_close_stays_graceful():
     # in TIME_WAIT, which is also what shows the row check above can fail
     net, cli, sc, four_tuple = _session()
     net.close_conn(cli)
-    net.settle()
+    settle(net)
     assert net.read(sc, 8).is_eof
     net.close_conn(sc)
     assert _wait_for_time_wait(four_tuple)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import re
 import tracemalloc
 from functools import cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -335,7 +336,7 @@ class TestCompactParse:
 def _recorded_file(tmp_path, model, **config):
     path = tmp_path / f"{model}.trace"
     run_suite(MODEL_REGISTRY[model],
-              SuiteConfig(seed=7, num_tests=40, trace_path=str(path), **config), MODEL_REGISTRY)
+              SuiteConfig(seed=7, num_tests=40, trace_path=str(path), **config))
     return path.read_text()
 
 
@@ -360,7 +361,8 @@ class TestLineSplitting:
            size=st.integers(1, 12))
     @settings(max_examples=400, deadline=None)
     def test_chunked_lines_are_splitlines(self, text, size):
-        assert list(_lines(text, size)) == text.splitlines()
+        with patch("netmbt.trace._CHUNK", size):
+            assert list(_lines(text)) == text.splitlines()
 
     def test_default_chunks_on_a_long_text(self):
         text = "".join(f"{i} x\r\n" if i % 7 else f"{i}\r\r\n\n" for i in range(40000))
@@ -376,7 +378,7 @@ class TestParseMemory:
         # 10 B a step for other builds.
         path = tmp_path / "min.trace"
         run_suite(MODEL_REGISTRY["minimalist"],
-                  SuiteConfig(seed=5, num_tests=1000, trace_path=str(path)), MODEL_REGISTRY)
+                  SuiteConfig(seed=5, num_tests=1000, trace_path=str(path)))
         text = path.read_text()
         tracemalloc.start()
         try:
