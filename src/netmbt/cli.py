@@ -73,9 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replay", parents=[shared],
                          help="re-execute recorded traces and verify each step")
     rep.add_argument("--replay", required=True, metavar="PATH", dest="replay_path",
-                     help="trace file produced by run")
-    rep.add_argument("--model", default=None,
-                     help="root model; default: inferred from the trace")
+                     help="trace file produced by run; it names the root model")
 
     dot = sub.add_parser("export-dot", help="print a model as a Graphviz digraph")
     dot.add_argument("--model", required=True)
@@ -138,11 +136,9 @@ def _cmd_replay(args) -> int:
     roots = sorted({t.steps[0].model for t in traces if t.steps})
     if len(roots) > 1:
         raise ConfigError(f"trace file mixes root models {' and '.join(roots)}")
-    if args.model is None and not roots:
-        raise ConfigError("cannot infer the root model: no trace has a record; pass --model")
-    spec = _model(roots[0] if args.model is None else args.model)
-    if roots and spec.name != roots[0]:
-        raise ConfigError(f"--model {spec.name} contradicts the trace file's root model {roots[0]}")
+    if not roots:
+        raise ConfigError("no trace has a record to name the root model")
+    spec = _model(roots[0])
     config = _config(args, 0, backends[0])  # each replay runs from its recorded seed
     pool = port_pool(config)  # validated and probed once for every trace, as in run
     if config.backend == "real":  # after validation: a configuration error leaves stdout empty

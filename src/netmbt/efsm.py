@@ -9,8 +9,10 @@ the state that tag leads to.  Actions may raise PropertyViolation, may
 signal classified errors (redirected through per-transition exception
 overrides), and may launch child model instances through ``env.launch``,
 whose constructors (plain functions of the same shape) run synchronously
-at launch time.  A label names one transition of its model, as traces and
-coverage do; ``<init>`` is reserved for the record of a launch.
+at launch time; a constructor may not launch (its child would take its
+id), which fails the test naming both models.  A label names one
+transition of its model, as traces and coverage do; ``<init>`` is
+reserved for the record of a launch.
 
 Enabledness is static: every transition leaving an instance's current state
 is enabled, whatever its variables hold.  define_model() therefore

@@ -39,7 +39,7 @@ from .efsm import (
     fire_transition,
     instantiate,
 )
-from .errors import BackendError, ConfigError, DivergenceError
+from .errors import BackendError, ConfigError, DivergenceError, PropertyViolation
 from .models import MODEL_REGISTRY, OracleLedger
 from .portman import COOLDOWN_TESTS, PortPool
 from .rng import SeededRng, derive_seed
@@ -126,6 +126,9 @@ class _TestRun:
         """Instantiate a model (its constructor runs now), schedule it and
         record its ``<init>`` step.  Ids number instances from 1 in launch order."""
         inst = instantiate(spec, len(self.instances) + 1, args, self)
+        if inst.id <= len(self.instances):  # its constructor launched a model, which took its id
+            child = self.instances[inst.id - 1].spec.name
+            raise PropertyViolation(f"constructor of {spec.name} may not launch {child}")
         self.instances.append(inst)
         self.records.append(tuple.__new__(
             StepRecord, (inst.id, spec.name, INIT_LABEL, "-", inst.current)))

@@ -138,11 +138,13 @@ def parse_traces(text: str) -> list[Trace]:
                 current = None
             else:  # a record line not seen before, or a wrong one
                 fields = line.split(" ")
-                if len(fields) != 6 or "" in fields:
+                if len(fields) != 6 or line.split() != fields:  # a field empty or with whitespace
                     raise ValueError(f"malformed step record: {line!r}")
                 position, instance_id = _int(fields[0]), _int(fields[1])
                 if position != len(steps):
                     raise ValueError(f"record index {position} is not its position {len(steps)}")
+                if instance_id < 1:
+                    raise ValueError(f"instance id {instance_id} is below 1")
                 record = records[rest] = tuple.__new__(StepRecord, (instance_id, *fields[2:]))
                 append(record)
         if current is not None:

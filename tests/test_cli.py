@@ -59,7 +59,6 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--model", "worker", "--tests", "1"],
-        ["replay", "--replay", "{trace}", "--model", "worker"],
         ["replay", "--replay", "{trace}"],  # the model named by the trace
     ])
     def test_non_root_model_is_config_error(self, argv, tmp_path, capsys):
@@ -228,7 +227,7 @@ class TestReplayCommand:
     @pytest.mark.parametrize("text, error", [
         ("", "no traces in file"),
         ("netmbt-trace v1 seed=1 test=0 backend=sim\nverdict PASS\n",
-         "cannot infer the root model: no trace has a record; pass --model"),
+         "no trace has a record to name the root model"),
     ])
     def test_unusable_file_exits_two_with_one_error_line(self, tmp_path, capsys, text, error):
         path = tmp_path / "bad.trace"
@@ -295,20 +294,9 @@ class TestReplayCommand:
         mixed = tmp_path / "mixed.trace"
         mixed.write_text("".join(blocks))
         capsys.readouterr()
-        for model in ([], ["--model", "server-main"]):
-            assert main(["replay", "--replay", str(mixed), *model]) == 2
-            assert capsys.readouterr() == (
-                "", "error: trace file mixes root models minimalist and server-main\n")
-
-    def test_model_that_contradicts_the_file_exits_two_before_any_replay(self, tmp_path,
-                                                                          capsys):
-        trace = tmp_path / "t.trace"
-        main(["run", "--model", "minimalist", "--seed", "5", "--tests", "2",
-              "--trace-out", str(trace)])
-        capsys.readouterr()
-        assert main(["replay", "--replay", str(trace), "--model", "server-main"]) == 2
-        assert capsys.readouterr() == ("", "error: --model server-main contradicts the trace "
-                                           "file's root model minimalist\n")
+        assert main(["replay", "--replay", str(mixed)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: trace file mixes root models minimalist and server-main\n")
 
     def test_binary_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"
@@ -362,6 +350,17 @@ class TestReadmeFlags:
             main(["run", "--model", "minimalist", "--tests", "1", "--p-close", "0.1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --p-close 0.1" in capsys.readouterr().err
+
+    def test_replay_model_is_an_unrecognized_argument(self, tmp_path, capsys):
+        # replay takes its root model from the file's records alone
+        trace = tmp_path / "t.trace"
+        main(["run", "--model", "minimalist", "--seed", "5", "--tests", "2",
+              "--trace-out", str(trace)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--replay", str(trace), "--model", "minimalist"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --model minimalist" in capsys.readouterr().err
 
 
 class TestClosedStdout:

@@ -365,6 +365,27 @@ class TestSuites:
             assert result.passed and result.trace.steps[0].state == "bound"
         assert pool_sets(pool).free == {20001} and pool_sets(pool).cooling == {20000}
 
+    def test_a_constructor_that_launches_fails_its_test_naming_both_models(self):
+        # The child would take the id the parent was given before its
+        # constructor ran; no two records may share an instance id.
+        child = define_model("child", "c", [])
+
+        def launch_child(inst, env):
+            env.launch(child, {})
+
+        parent = define_model("parent", "p", [], launch_child)
+        spawn = Transition("s", "s", "spawn", lambda inst, env: env.launch(parent, {}))
+        config = SuiteConfig(seed=1)
+        for root, where, lines in [
+            (parent, "", ["0 1 child <init> - c"]),
+            (define_model("m", "s", [spawn]), "m.spawn: ",
+             ["0 1 m <init> - s", "1 2 child <init> - c", "2 1 m spawn - s"]),
+        ]:
+            trace = run_single_test(root, config, derive_seed(1, 0), 0, None).trace
+            assert [r.line(i) for i, r in enumerate(trace.steps)] == lines
+            assert (trace.verdict, trace.message) == (
+                "FAIL", f"{where}constructor of parent may not launch child")
+
     def test_instance_ids_monotone_from_one(self):
         result = run_single_test(SERVER_MAIN, SuiteConfig(seed=4), derive_seed(4, 0), 0, None)
         init_ids = [r.instance_id for r in result.trace.steps if r.label == "<init>"]

@@ -44,7 +44,8 @@ def canonical_int(text: str) -> int:
 def reference_parse_traces(text: str) -> list[Trace]:
     """The parser as it was before records were shared: every line split on
     its own, one fresh record per step.  A record line is six non-empty
-    fields split by single spaces, and its index is its position."""
+    fields split by single spaces, with no other whitespace in them; its
+    index is its position and its instance id is at least 1."""
     traces: list[Trace] = []
     current: Trace | None = None
     lineno = 0
@@ -94,12 +95,14 @@ def reference_parse_traces(text: str) -> list[Trace]:
                 current = None
             else:
                 parts = line.split(" ")
-                if len(parts) != 6 or "" in parts:
+                if len(parts) != 6 or not all(p and not any(map(str.isspace, p)) for p in parts):
                     raise ValueError(f"malformed step record: {line!r}")
                 index, instance_id = canonical_int(parts[0]), canonical_int(parts[1])
                 if index != len(current.steps):
                     raise ValueError(f"record index {index} is not its position "
                                      f"{len(current.steps)}")
+                if instance_id < 1:
+                    raise ValueError(f"instance id {instance_id} is below 1")
                 current.steps.append(StepRecord(instance_id, *parts[2:]))
         if current is not None:
             raise ValueError("end of file before the verdict line")
@@ -131,9 +134,10 @@ def _parse(parser, text):
         return "error", str(exc)
 
 
-BAD_INTS = ["01", "+1", "x", "", "-1", "1_0", "\u0663", " 1"]
+BAD_INTS = ["01", "+1", "x", "", "-1", "0", "1_0", "\u0663", " 1"]
 BLANKS = ["", " ", "\t", "  \t "]
 SEPARATORS = ["\r\n", "\r", "\x0c", "\x85", "\u2028"]
+WHITESPACE = ["\t", "\x1f", "\xa0", " "]  # none of them a line boundary
 
 
 @st.composite
@@ -143,7 +147,7 @@ def mutated_texts(draw):
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(
-            ["drop", "dup", "truncate", "blank", "int", "field", "verdict"]))
+            ["drop", "dup", "truncate", "blank", "int", "field", "space", "verdict"]))
         if op == "drop":
             del lines[i]
         elif op == "dup":
@@ -159,6 +163,10 @@ def mutated_texts(draw):
         elif op == "field":
             parts = lines[i].split(" ")
             del parts[draw(st.integers(0, len(parts) - 1))]
+            lines[i] = " ".join(parts)
+        elif op == "space":
+            parts = lines[i].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] += draw(st.sampled_from(WHITESPACE))
             lines[i] = " ".join(parts)
         else:  # swap a verdict line with another line, often another verdict
             verdicts = [k for k, line in enumerate(lines) if line.startswith("verdict ")]
@@ -306,6 +314,15 @@ class TestCompactParse:
         (["0 1 m l - s", "-1 1 m l - t"], "line 3: record index -1 is not its position 1"),
         # the index is read before the position is compared
         (["0 1 m l - s", "01 1 m l - s"], "line 3: '01' is not a canonical integer"),
+        # serialize_trace numbers instances from 1 and writes no whitespace but the separators
+        (["0 -1 m l - s"], "line 2: instance id -1 is below 1"),
+        (["0 0 m l - s"], "line 2: instance id 0 is below 1"),
+        (["1 0 m l - s"], "line 2: record index 1 is not its position 0"),
+        (["0 1 m\tl - s"], "line 2: malformed step record: '0 1 m\\tl - s'"),
+        (["0 1 m l - s\t"], "line 2: malformed step record: '0 1 m l - s\\t'"),
+        (["0 1 m l -\x1f s"], "line 2: malformed step record: '0 1 m l -\\x1f s'"),
+        (["0 1 m l\xa0x - s"], "line 2: malformed step record: '0 1 m l\\xa0x - s'"),
+        (["0 1 m l - s\u3000"], "line 2: malformed step record: '0 1 m l - s\\u3000'"),
     ])
     def test_a_record_is_six_fields_and_its_index_is_its_position(self, records, error):
         text = "\n".join([f"{TRACE_HEADER} seed=1 test=0 backend=sim", *records,
