@@ -49,9 +49,12 @@ EOF = ReadResult(is_eof=True)
 
 
 class ServerChannel:
-    """Listening endpoint handle.  state: open-unbound -> bound -> closed."""
+    """Listening endpoint handle.  state: open-unbound -> bound -> closed.
+    Neither half of a server is ever shut, so select_now reads the two
+    flags of any channel without asking which kind it is."""
 
     __slots__ = ("blocking", "closed", "local_port", "registered")
+    input_shut = output_shut = False
 
     def __init__(self):
         self.blocking = True
@@ -250,11 +253,10 @@ class NetworkBackend:
             if ch.closed:
                 continue
             ready = self._raw_readiness(ch, key.interest) & key.interest
-            if isinstance(ch, ConnChannel):
-                if ch.input_shut:
-                    ready &= ~READ
-                if ch.output_shut:
-                    ready &= ~WRITE
+            if ch.input_shut:
+                ready &= ~READ
+            if ch.output_shut:
+                ready &= ~WRITE
             key.ready = ready
             if ready:
                 ready_keys.add(key)

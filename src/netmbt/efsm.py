@@ -233,12 +233,12 @@ def fire_transition(
     except Exception as exc:
         return "-", failure_message(exc, f"{_name(instance, transition)}: ")
 
-    branches = transition.outcome_branches
     if tag is None:
-        if branches:
+        if transition.outcome_branches:
             return "-", f"{_name(instance, transition)} declared outcome tags but emitted none"
         instance.current = transition.target
         return "-", None
+    branches = transition.outcome_branches
     target = branches.get(tag) if branches else None
     if target is None:
         return "-", f"{_name(instance, transition)} emitted undeclared outcome tag {tag!r}"

@@ -110,38 +110,33 @@ def _make_backend(config: SuiteConfig, test_seed: int, pool: PortPool | None):
 
 class _TestRun:
     """One test in progress, and the ``env`` its actions are called with:
-    the network backend, the oracle ledger, the rng, the live instances
-    and the step records.  No instance refers to it: a test forms no cycle."""
+    the network backend, the oracle ledger, the rng, the live instances,
+    their enabled table and the step records.  No instance refers to it:
+    a test forms no cycle."""
 
-    __slots__ = ("net", "ledger", "rng", "instances", "records")
+    __slots__ = ("net", "ledger", "rng", "instances", "table", "records")
 
     def __init__(self, net, rng: SeededRng):
         self.net = net
         self.ledger = OracleLedger()
         self.rng = rng
         self.instances: list[ModelInstance] = []
+        self.table = EnabledTable(())
         self.records: list[StepRecord] = []
 
     def launch(self, spec: ModelSpec, args: Mapping) -> ModelInstance:
         """Instantiate a model (its constructor runs now), schedule it and
         record its ``<init>`` step.  Ids number instances from 1 in launch order."""
-        inst = instantiate(spec, len(self.instances) + 1, args, self)
-        if inst.id <= len(self.instances):  # its constructor launched a model, which took its id
-            child = self.instances[inst.id - 1].spec.name
+        instances = self.instances
+        inst = instantiate(spec, len(instances) + 1, args, self)
+        if inst.id <= len(instances):  # its constructor launched a model, which took its id
+            child = instances[inst.id - 1].spec.name
             raise PropertyViolation(f"constructor of {spec.name} may not launch {child}")
-        self.instances.append(inst)
+        instances.append(inst)
+        self.table.add(inst)
         self.records.append(tuple.__new__(
             StepRecord, (inst.id, spec.name, INIT_LABEL, "-", inst.current)))
         return inst
-
-
-def _group(inst: ModelInstance) -> tuple[Iterable, tuple[float, ...]]:
-    """An instance's (instance, transition) pairs and their weights; a dead
-    instance has none and is not enumerated."""
-    weights = inst.spec.weights[inst.current]
-    # A module global, so a wrapper on explorer.enabled_transitions sees
-    # every enumeration; its result is spec.outgoing[state], in that order.
-    return (zip(repeat(inst), enabled_transitions(inst)) if weights else (), weights)
 
 
 class EnabledTable:
@@ -155,34 +150,51 @@ class EnabledTable:
     __slots__ = ("pairs", "weights", "accs", "sizes")
 
     def __init__(self, instances: Iterable[ModelInstance]):
-        self.pairs, self.weights, self.sizes = [], [], []
-        self._append(instances)
-        self.accs = list(accumulate(self.weights))
+        self.pairs, self.weights, self.accs, self.sizes = [], [], [], []
+        for inst in instances:
+            self.add(inst)
+
+    def add(self, launched: ModelInstance) -> None:
+        """Append a launched instance's pairs; their sums continue from the
+        last one, as a full accumulation would compute them."""
+        weights = launched.spec.weights[launched.current]
+        self.sizes.append(len(weights))
+        if weights:
+            # A module global, so a wrapper on explorer.enabled_transitions sees
+            # every enumeration; its result is spec.outgoing[state], in that order.
+            self.pairs += zip(repeat(launched), enabled_transitions(launched))
+            self.weights += weights
+            accs = self.accs
+            if accs:
+                accs[-1:] = accumulate(weights, initial=accs[-1])
+            else:
+                accs += accumulate(weights)
 
     def refresh(self, instances: list[ModelInstance], fired: ModelInstance) -> None:
-        """Re-enumerate ``fired`` and the instances appended since the last
-        enumeration; the others kept their state.  The sums before ``fired``'s
-        pairs are kept, and the rest continue from the last kept one."""
-        sizes, weights, accs = self.sizes, self.weights, self.accs
-        k = instances.index(fired)
-        start = sum(sizes[:k])
+        """Re-enumerate ``fired`` after it changed state, and add the
+        instances appended since the last enumeration; the others kept their
+        state.  An instance's place in ``instances`` is its id - 1 (see
+        _TestRun.launch).  When ``fired``'s weights are those it had, every
+        sum stands; otherwise the sums before its pairs are kept, and the rest
+        continue from the last kept one."""
+        sizes = self.sizes
+        for launched in instances[len(sizes):]:
+            self.add(launched)
+        k = fired.id - 1
+        start = sum(sizes[:k]) if k else 0  # the root, which refreshes most, starts at 0
         end = start + sizes[k]
-        group_pairs, group_weights = _group(fired)
-        self.pairs[start:end] = group_pairs
-        weights[start:end] = group_weights
-        sizes[k] = len(group_weights)
-        if len(instances) > len(sizes):
-            self._append(instances[len(sizes):])
+        group = fired.spec.weights[fired.current]
+        self.pairs[start:end] = zip(repeat(fired), enabled_transitions(fired)) if group else ()
+        weights = self.weights
+        if weights[start:end] == [*group]:
+            return
+        weights[start:end] = group
+        sizes[k] = len(group)
+        accs = self.accs
         if start:
             accs[start - 1:] = accumulate(weights[start:], initial=accs[start - 1])
         else:
             accs[:] = accumulate(weights)
-
-    def _append(self, instances: Iterable[ModelInstance]) -> None:
-        for group_pairs, group_weights in map(_group, instances):
-            self.pairs += group_pairs
-            self.weights += group_weights
-            self.sizes.append(len(group_weights))
 
 
 def pick_next(table: EnabledTable, rng: SeededRng) -> tuple[ModelInstance, Transition] | None:
@@ -196,9 +208,9 @@ def pick_next(table: EnabledTable, rng: SeededRng) -> tuple[ModelInstance, Trans
         return None
     accs = table.accs
     # u * 2.0**-64 is u / 2**64 bit for bit, as scaling by 2**-64 is exact.
-    point = rng.next_u64() * 2.0 ** -64 * accs[-1]
-    i = bisect_right(accs, point)
-    return pairs[i] if i < len(pairs) else pairs[-1]
+    # The search stops short of the last sum: a point at or above the one
+    # before it takes the last pair.
+    return pairs[bisect_right(accs, rng.next_u64() * 2.0 ** -64 * accs[-1], 0, len(accs) - 1)]
 
 
 def run_single_test(
@@ -212,22 +224,21 @@ def run_single_test(
     ``pool`` is port_pool(config): the listen ports of a real run."""
     backend = _make_backend(config, test_seed, pool)
     run = _TestRun(backend, SeededRng(derive_seed(test_seed, 0)))
-    instances, records, rng = run.instances, run.records, run.rng
+    instances, table, records, rng = run.instances, run.table, run.records, run.rng
     append, advance, new = records.append, backend.advance, tuple.__new__
     verdict, message = "PASS", ""
     try:
         run.launch(root_spec, {})
-        table = EnabledTable(instances)
         for _ in range(config.max_steps_per_test):
             pick = pick_next(table, rng)
             if pick is None:
                 break
             inst, transition = pick
-            state, launched = inst.current, len(instances)
+            state = inst.current
             outcome, violation = fire_transition(inst, transition, run)
             append(new(StepRecord, (inst.id, inst.spec.name, transition.label, outcome,
                                     inst.current)))
-            if inst.current != state or len(instances) != launched:
+            if inst.current != state:  # launch() already added any new instance
                 table.refresh(instances, inst)
             advance()
             if violation is not None:

@@ -26,6 +26,8 @@ authority for which calls must fail where.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .adapter import ACCEPT, READ, WRITE, ConnChannel, ReadResult
 from .efsm import ModelSpec, Transition, define_model
 from .errors import ErrorKind, PropertyViolation
@@ -35,6 +37,22 @@ E = ErrorKind
 
 # Payload and read-capacity sizes are draws on [1, MAX_CHUNK].
 MAX_CHUNK = 64
+
+# Payload bytes are positional: byte k of what one side of a connection
+# writes is a fixed function of (connection id, role, k), which repeats
+# every _CYCLE bytes.  The cycle is longer than any cohort, so one dropped
+# or duplicated cohort always shifts the pattern a reader sees.
+_CYCLE = 251
+assert _CYCLE > MAX_CHUNK
+_STREAM = bytes(range(_CYCLE)) * 2  # any cycle offset, then MAX_CHUNK bytes
+_ROLE_SHIFT = {"client": 0, "server": 128}
+
+
+def payload_at(connection_id: int, role: str, offset: int, length: int) -> bytes:
+    """Bytes ``offset`` to ``offset + length`` of ``role``'s stream on the
+    connection; ``length`` is at most MAX_CHUNK."""
+    start = (offset + 7 * connection_id + _ROLE_SHIFT[role]) % _CYCLE
+    return _STREAM[start:start + length]
 
 
 class SideRecord:
@@ -59,52 +77,50 @@ class SideRecord:
 _PEER_ROLE = {"client": "server", "server": "client"}
 
 
+def _new_entry() -> dict[str, SideRecord]:
+    return {"client": SideRecord(), "server": SideRecord()}
+
+
 class OracleLedger:
     """Model-side view of every connection's byte traffic.
 
     Keyed by the backend-assigned connection id; each entry maps a role
     ("client", "server") to that side's SideRecord.  Every method acts for
     the holder of ``conn``: it updates that side's record and reads the
-    peer's.
+    peer's.  A connection's first record creates its entry (``entries`` is
+    a defaultdict), so a lookup of a known connection is one subscript.
     """
 
     __slots__ = ("entries",)
     __hash__ = None  # mutable: equal by value, so unhashable
 
     def __init__(self):
-        self.entries: dict[int, dict[str, SideRecord]] = {}
+        self.entries: dict[int, dict[str, SideRecord]] = defaultdict(_new_entry)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.entries == other.entries
 
-    def _entry(self, conn: ConnChannel) -> dict[str, SideRecord]:
-        entry = self.entries.get(conn.connection_id)
-        if entry is None:
-            entry = {"client": SideRecord(), "server": SideRecord()}
-            self.entries[conn.connection_id] = entry
-        return entry
-
     def record_write(self, conn: ConnChannel, count: int) -> None:
-        self._entry(conn)[conn.role].wrote += count
+        self.entries[conn.connection_id][conn.role].wrote += count
 
     def record_read(self, conn: ConnChannel, count: int) -> None:
-        self._entry(conn)[conn.role].read += count
+        self.entries[conn.connection_id][conn.role].read += count
 
     def record_output_shut(self, conn: ConnChannel) -> None:
-        self._entry(conn)[conn.role].output_shut = True
+        self.entries[conn.connection_id][conn.role].output_shut = True
 
     def record_eof(self, conn: ConnChannel) -> None:
-        self._entry(conn)[conn.role].saw_eof = True
+        self.entries[conn.connection_id][conn.role].saw_eof = True
 
     def available_to(self, conn: ConnChannel) -> int:
         """Bytes the holder of ``conn`` may still legally read."""
-        e = self._entry(conn)
+        e = self.entries[conn.connection_id]
         return e[_PEER_ROLE[conn.role]].wrote - e[conn.role].read
 
     def peer_output_shut(self, conn: ConnChannel) -> bool:
-        return self._entry(conn)[_PEER_ROLE[conn.role]].output_shut
+        return self.entries[conn.connection_id][_PEER_ROLE[conn.role]].output_shut
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +149,24 @@ def _account_read(ledger: OracleLedger, conn: ConnChannel, result: ReadResult) -
 
 def _checked_read(inst, env) -> None:
     conn = inst.vars["conn"]
-    _account_read(env.ledger, conn, env.net.read(conn, env.rng.randint(1, MAX_CHUNK)))
+    _account_read(env.ledger, conn, env.net.read(conn, env.rng.below(MAX_CHUNK) + 1))
 
 
 def _checked_write(inst, env) -> None:
-    conn = inst.vars["conn"]
-    payload = env.rng.payload(env.rng.randint(1, MAX_CHUNK))
-    written = env.net.write(conn, payload)
-    if not 0 <= written <= len(payload):
+    """Write a payload at this side's offset.  Its length is drawn; its
+    bytes are positional, and the ceil(length/8) draws that once made them
+    are skipped, so every later draw stays where it was."""
+    conn, rng, ledger = inst.vars["conn"], env.rng, env.ledger
+    length = rng.below(MAX_CHUNK) + 1
+    rng.skip((length + 7) >> 3)
+    entry = ledger.entries.get(conn.connection_id)
+    offset = entry[conn.role].wrote if entry else 0
+    written = env.net.write(conn, payload_at(conn.connection_id, conn.role, offset, length))
+    if not 0 <= written <= length:
         raise PropertyViolation(
-            f"oracle: write returned {written} for a {len(payload)}-byte payload"
+            f"oracle: write returned {written} for a {length}-byte payload"
         )
-    env.ledger.record_write(conn, written)
+    ledger.record_write(conn, written)
 
 
 def _poll_then_read(inst, env) -> None:
@@ -157,7 +179,7 @@ def _poll_then_read(inst, env) -> None:
     key = v["key"]
     if key not in ready or not (key.ready & READ):
         return
-    result = net.read(conn, env.rng.randint(1, MAX_CHUNK))
+    result = net.read(conn, env.rng.below(MAX_CHUNK) + 1)
     if net.is_sim and not result.is_eof and not result.data:
         raise PropertyViolation(
             f"oracle: selector reported READ on connection {conn.connection_id} "

@@ -69,13 +69,13 @@ _BATCH = _batch(_LANES)
 
 class SeededRng:
     """splitmix64 stream.  Every method consumes a fixed number of draws,
-    and every draw goes through ``next_u64``.
+    and every draw goes through ``next_u64`` or ``skip``.
 
     ``_state`` is the splitmix64 state after the last *computed* draw,
     which is ahead of the last draw served while ``_buf`` holds any.
     ``_buf`` is None until the first batch, which is the small one.  A
     subclass that serves other draws (a recorded draw tape, say) overrides
-    ``next_u64`` alone.
+    ``next_u64`` and ``skip``.
     """
 
     __slots__ = ("_state", "_buf")
@@ -103,6 +103,19 @@ class SeededRng:
         if buf:
             return buf.pop()
         return self._fill()
+
+    def skip(self, n: int) -> None:
+        """Consume ``n >= 0`` draws without computing them: drop them from
+        the buffer, and step the counter past any beyond it."""
+        buf = self._buf
+        if buf is not None:
+            held = len(buf)
+            if n <= held:
+                del buf[held - n:]  # the buffer serves its last item first
+                return
+            buf.clear()
+            n -= held
+        self._state = (self._state + n * _GOLDEN) & _MASK64
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) from exactly one draw."""

@@ -29,7 +29,9 @@ flow.  A peer's shutdownOutput alone swallows nothing.
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import NamedTuple
 
 from .adapter import (
@@ -57,9 +59,6 @@ class LatencyModel(NamedTuple):
     choices: tuple[int, ...]
     split: bool
 
-    def draw(self, rng: SeededRng) -> int:
-        return self.choices[rng.below(len(self.choices))]
-
 
 # The latency presets a run names (``--latency``), in their listed order.
 LATENCIES = {
@@ -74,18 +73,22 @@ class FaultKind(enum.Enum):
     PHANTOM_READINESS = "phantom-readiness"
 
 
+_ORDINAL = attrgetter("ordinal")
+
 # A fault plan is one FaultKind per test, armed once the clock reaches this step.
 FAULT_TRIGGER_STEP = 3
 
 
 class SimFlow:
-    """One direction of a connection."""
+    """One direction of a connection; ``ordinal`` is its place in the
+    backend's connection order."""
 
-    __slots__ = ("cohorts", "delivered", "eof_signaled", "poisoned",
+    __slots__ = ("ordinal", "cohorts", "delivered", "eof_signaled", "poisoned",
                  "writer_closed", "written", "read_count", "lost", "dropped",
                  "duplicated")
 
-    def __init__(self):
+    def __init__(self, ordinal: int):
+        self.ordinal = ordinal
         self.cohorts: deque[tuple[int, bytes]] = deque()  # (available_step, data)
         self.delivered = bytearray()
         self.eof_signaled = False   # the writer shut its output or closed
@@ -99,7 +102,8 @@ class SimFlow:
 
     @property
     def in_flight(self) -> int:
-        return sum(len(data) for _, data in self.cohorts)
+        cohorts = self.cohorts  # most flows hold none when a test ends
+        return sum(len(data) for _, data in cohorts) if cohorts else 0
 
 
 class SimConn(ConnChannel):
@@ -132,9 +136,12 @@ class SimBackend(NetworkBackend):
         self.clock = 0
         self.fault = fault
         self.fault_events: list[str] = []
-        # In connection order: the order that decides which cohort a drop or
-        # duplicate fault hits.
+        # Every flow, in connection order: the order that decides which
+        # cohort a drop or duplicate fault hits.
         self._flows: list[SimFlow] = []
+        # The flows with cohorts in flight, in that order, which is all a
+        # tick walks; a reset may leave one here with none until the walk.
+        self._busy: list[SimFlow] = []
         # The earliest step at which a cohort in flight is due (inf: none):
         # a write lowers it, a tick that reaches it delivers and recomputes it.
         self._due = float("inf")
@@ -143,19 +150,22 @@ class SimBackend(NetworkBackend):
     # -- time ----------------------------------------------------------------
 
     def advance(self) -> None:
-        self.clock += 1
-        clock = self.clock
+        self.clock = clock = self.clock + 1
         if clock < self._due:
             return
         due = float("inf")
-        for flow in self._flows:
+        busy = []
+        for flow in self._busy:
             # _deliver pops due cohorts from the front only: skip the call
             # when the first one is not due.
             cohorts = flow.cohorts
             if cohorts and cohorts[0][0] <= clock:
                 self._deliver(flow)
-            if cohorts and cohorts[0][0] < due:
-                due = cohorts[0][0]
+            if cohorts:
+                busy.append(flow)
+                if cohorts[0][0] < due:
+                    due = cohorts[0][0]
+        self._busy = busy
         self._due = due
 
     def _deliver(self, flow: SimFlow) -> None:
@@ -214,18 +224,20 @@ class SimBackend(NetworkBackend):
     def _do_connect(self, port: int) -> SimConn:
         # The listener on a port is the server bound to it that is not closed,
         # which covers both close_server and the end-of-test cleanup.
-        listener = next((s for s in self._opened_servers
-                         if s.local_port == port and not s.closed), None)
-        if listener is None:
+        for listener in self._opened_servers:
+            if listener.local_port == port and not listener.closed:
+                break
+        else:
             raise AdapterError(ErrorKind.CONNECTION_REFUSED, f"no listener on port {port}")
-        up = SimFlow()    # client -> server
-        down = SimFlow()  # server -> client
-        self._flows.extend((up, down))
+        flows = self._flows
+        up = SimFlow(len(flows))        # client -> server
+        down = SimFlow(len(flows) + 1)  # server -> client
+        flows += up, down
         conn_id = next(self._conn_ids)
         client = SimConn("client", conn_id, rx=down, tx=up)
         server_side = SimConn("server", conn_id, rx=up, tx=down)
-        delay = self.latency.draw(self.rng)
-        listener.backlog.append((server_side, self.clock + delay))
+        choices = self.latency.choices
+        listener.backlog.append((server_side, self.clock + choices[self.rng.below(len(choices))]))
         return client
 
     def _do_read(self, conn: SimConn, capacity: int, blocking: bool) -> ReadResult:
@@ -233,11 +245,15 @@ class SimBackend(NetworkBackend):
         while True:
             if flow.poisoned:
                 raise AdapterError(ErrorKind.PEER_CLOSED, "connection reset by peer")
-            if flow.delivered:
-                take = min(capacity, len(flow.delivered))
-                data = bytes(flow.delivered[:take])
-                del flow.delivered[:take]
-                flow.read_count += take
+            delivered = flow.delivered
+            if delivered:
+                if capacity < len(delivered):
+                    data = bytes(delivered[:capacity])
+                    del delivered[:capacity]
+                else:  # the read takes it all: one copy, no slice
+                    data = bytes(delivered)
+                    delivered.clear()
+                flow.read_count += len(data)
                 return tuple.__new__(ReadResult, (data, False))
             if flow.eof_signaled and not flow.cohorts:
                 return EOF
@@ -252,26 +268,34 @@ class SimBackend(NetworkBackend):
         flow = conn.tx
         if flow.poisoned:
             raise AdapterError(ErrorKind.PEER_CLOSED, "broken pipe")
+        size = len(payload)
+        flow.written += size
         if conn.rx.writer_closed:
             # The peer closed: this write is accepted and lost; the reset
             # surfaces on the next one.
             flow.poisoned = True
-            flow.written += len(payload)
-            flow.lost += len(payload)
-            return len(payload)
-        delay = self.latency.draw(self.rng)
-        split_at = self.rng.below(len(payload) + 1)
-        flow.written += len(payload)
-        start = self.clock + delay
-        if self.latency.split and 0 < split_at < len(payload):
-            flow.cohorts.append((start, payload[:split_at]))
-            flow.cohorts.append((start + 1, payload[split_at:]))
+            flow.lost += size
+            return size
+        rng, latency, cohorts, clock = self.rng, self.latency, flow.cohorts, self.clock
+        start = clock + latency.choices[rng.below(len(latency.choices))]
+        split_at = rng.below(size + 1)
+        idle = not cohorts
+        if latency.split and 0 < split_at < size:
+            cohorts += (start, payload[:split_at]), (start + 1, payload[split_at:])
         else:
-            flow.cohorts.append((start, payload))
-        self._deliver(flow)  # zero-latency cohorts are readable immediately
-        if flow.cohorts and flow.cohorts[0][0] < self._due:
-            self._due = flow.cohorts[0][0]
-        return len(payload)
+            cohorts.append((start, payload))
+        # A busy flow keeps its head, which is not yet due (the tick that
+        # reached it delivered it) and not below _due: only an idle flow's
+        # new head can be due now or lower _due.
+        if idle:
+            if start <= clock:
+                self._deliver(flow)  # zero-latency cohorts are readable immediately
+                if not cohorts:
+                    return size
+            insort(self._busy, flow, key=_ORDINAL)
+            if cohorts[0][0] < self._due:
+                self._due = cohorts[0][0]
+        return size
 
     def _do_shutdown_output(self, conn: SimConn) -> None:
         conn.tx.eof_signaled = True

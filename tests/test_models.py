@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from netmbt import explorer, models
-from netmbt.adapter import ConnChannel
+from netmbt.adapter import ConnChannel, NetworkBackend
 from netmbt.efsm import enabled_transitions, fire_transition
 from netmbt.errors import ErrorKind
-from netmbt.explorer import SuiteConfig, _TestRun, run_single_test, run_suite
+from netmbt.explorer import SuiteConfig, _TestRun, port_pool, run_single_test, run_suite
 from netmbt.models import MODEL_REGISTRY, OracleLedger
 from netmbt.rng import SeededRng, derive_seed
 from netmbt.simnet import LATENCIES, FaultKind, LatencyModel, SimBackend
@@ -374,6 +374,48 @@ class TestOracleProperties:
                 assert None not in ids  # every touch came from a firing action
             touched += len(result.ledger.touches)
         assert touched > 0  # the check was actually exercised
+
+
+class TestPositionalPayloads:
+    """A payload's bytes are models.payload_at at the writer's offset: the
+    bytes that side had written on its connection before (its ledger
+    ``wrote``).  A content oracle can check any read against them."""
+
+    def test_each_side_writes_one_stream(self):
+        cycle = models._CYCLE
+        stream = b"".join(models.payload_at(3, "client", k, 1) for k in range(2 * cycle))
+        assert models.payload_at(3, "client", 10, models.MAX_CHUNK) == stream[10:74]
+        assert stream[:cycle] == stream[cycle:] and len(set(stream[:cycle])) == cycle
+        assert models.payload_at(3, "server", 0, 64) != models.payload_at(3, "client", 0, 64)
+        assert models.payload_at(4, "client", 0, 64) != models.payload_at(3, "client", 0, 64)
+
+    @pytest.mark.parametrize("root, backend, tests", [
+        ("server-main", "sim", 200), ("minimalist", "sim", 200), ("server-main", "real", 30),
+    ])
+    def test_every_written_payload_is_positional(self, monkeypatch, root, backend, tests):
+        write = NetworkBackend.write
+        offsets: dict[tuple[int, str], int] = {}
+        written_payloads = []
+
+        def positional_write(net, conn, payload):
+            side = (conn.connection_id, conn.role)
+            count = write(net, conn, payload)  # a probe's write raises here
+            offset = offsets.get(side, 0)
+            assert payload == models.payload_at(*side, offset, len(payload))
+            offsets[side] = offset + count
+            written_payloads.append(payload)
+            return count
+
+        monkeypatch.setattr(NetworkBackend, "write", positional_write)
+        config = SuiteConfig(seed=17, num_tests=tests, backend=backend)
+        pool = port_pool(config)
+        for i in range(tests):
+            offsets.clear()
+            result = run_single_test(MODEL_REGISTRY[root], config, derive_seed(17, i), i, pool)
+            assert result.passed, result.trace.message
+            for (conn_id, role), offset in offsets.items():
+                assert result.ledger.entries[conn_id][role].wrote == offset
+        assert len(written_payloads) > tests
 
 
 class TestFaultDetection:

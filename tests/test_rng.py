@@ -53,6 +53,10 @@ class ReferenceRng:
     def maybe(self, probability: float) -> bool:
         return self.next_u64() < int(probability * 2**64)
 
+    def skip(self, n: int) -> None:
+        for _ in range(n):
+            self.next_u64()
+
     def fork(self) -> "ReferenceRng":
         return ReferenceRng(self.next_u64())
 
@@ -64,6 +68,7 @@ _CALLS = st.one_of(
     st.integers(-(2**63), 2**63).flatmap(
         lambda lo: st.tuples(st.just("randint"), st.just(lo), st.integers(lo, lo + 2**64))),
     st.tuples(st.just("payload"), st.integers(0, 320)),
+    st.tuples(st.just("skip"), st.integers(0, 80)),
     st.tuples(st.just("maybe"), st.floats(0.0, 1.0)),
     st.tuples(st.just("fork")),
 )
@@ -92,6 +97,34 @@ class TestBatchBoundaries:
         # Every stream then runs on past three more batch ends.
         for ours, ref in streams:
             assert [ours.next_u64() for _ in range(100)] == [ref.next_u64() for _ in range(100)]
+
+
+class TestSkip:
+    """skip(n) leaves a stream where n next_u64 calls would, from any place
+    in the buffer.  ``held`` is what the buffer holds before the skip: the
+    first batch computes 8 draws, later ones 32."""
+
+    @pytest.mark.parametrize("before, held, n", [
+        pytest.param(1, 7, 3, id="within-a-batch"),
+        pytest.param(5, 3, 10, id="from-the-first-batch-into-a-32-lane-batch"),
+        pytest.param(9, 31, 100, id="longer-than-the-buffer"),
+        pytest.param(0, None, 45, id="before-the-first-draw"),
+        pytest.param(4, 4, 0, id="zero"),
+    ])
+    def test_equals_that_many_draws_of_the_reference(self, before, held, n):
+        ours, ref = SeededRng(42), ReferenceRng(42)
+        assert [ours.next_u64() for _ in range(before)] == [ref.next_u64() for _ in range(before)]
+        assert (ours._buf if ours._buf is None else len(ours._buf)) == held
+        ours.skip(n)
+        ref.skip(n)
+        assert [ours.next_u64() for _ in range(80)] == [ref.next_u64() for _ in range(80)]
+
+    def test_zero_leaves_the_buffer_as_it_was(self):
+        rng = SeededRng(8)
+        rng.next_u64()
+        buf = list(rng._buf)
+        rng.skip(0)
+        assert rng._buf == buf
 
 
 class TestSplitmix64:

@@ -322,6 +322,28 @@ class TestIdleFlows:
         assert net.read(cli_a, 64).data == b"aaaaa"
         assert net.read(sc_b, 64).data == b"bbb"
 
+    def test_a_drained_flow_written_again_rejoins_the_walk_in_connection_order(
+            self, monkeypatch):
+        # The earlier connection's flow drains and leaves the walk; the later
+        # connection's flow is queued; then the earlier flow is written again.
+        # It must be walked first, so the drop hits its cohort, as a walk over
+        # every flow in order would (an append would put it last).
+        net = SimBackend(SeededRng(1), LatencyModel(choices=(1,), split=False),
+                         FaultKind.DROP_BYTES)
+        _, cli_a, sc_a = session(net)
+        _, cli_b, sc_b = session(net)
+        monkeypatch.setattr(simnet, "FAULT_TRIGGER_STEP", net.clock + 2)
+        net.write(cli_a, b"a")
+        net.advance()
+        assert net.read(sc_a, 64).data == b"a" and net._busy == []
+        net.write(cli_b, b"bbb")
+        net.write(cli_a, b"aa")
+        assert net._busy == [cli_a.tx, cli_b.tx]
+        net.advance()
+        assert net.fault_events == [f"step {net.clock}: dropped cohort of 2 bytes"]
+        assert net.read(sc_a, 64).count == 0
+        assert net.read(sc_b, 64).data == b"bbb"
+
     def test_advance_does_not_visit_idle_flows(self, monkeypatch):
         net = SimBackend(SeededRng(1), LatencyModel(choices=(2,), split=False))
         for _ in range(3):
