@@ -44,7 +44,7 @@ MAX_CHUNK = 64
 # or duplicated cohort always shifts the pattern a reader sees.
 _CYCLE = 251
 assert _CYCLE > MAX_CHUNK
-_STREAM = bytes(range(_CYCLE)) * 2  # any cycle offset, then MAX_CHUNK bytes
+_STREAM = bytes(range(_CYCLE)) * 2  # holds MAX_CHUNK bytes from any offset in the cycle
 _ROLE_SHIFT = {"client": 0, "server": 128}
 
 
@@ -159,7 +159,7 @@ def _checked_write(inst, env) -> None:
     conn, rng, ledger = inst.vars["conn"], env.rng, env.ledger
     length = rng.below(MAX_CHUNK) + 1
     rng.skip((length + 7) >> 3)
-    entry = ledger.entries.get(conn.connection_id)
+    entry = ledger.entries.get(conn.connection_id)  # a write that raises records nothing
     offset = entry[conn.role].wrote if entry else 0
     written = env.net.write(conn, payload_at(conn.connection_id, conn.role, offset, length))
     if not 0 <= written <= length:
